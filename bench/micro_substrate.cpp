@@ -276,6 +276,24 @@ void BM_ControllerBuildWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerBuildWarm);
 
+/// What the campaign runner pays instead of BM_ControllerBuildWarm for every
+/// fault of a chunk after the first: rewind a used controller to its
+/// snapshot (dirty pages + whole kernel data region, COW disk, server
+/// process image with shared cache bodies). Each iteration first dirties the
+/// kernel and reboots it, as a finished run leaves it; both are sub-µs next
+/// to the reset (BM_SnapshotRestore).
+void BM_ControllerReset(benchmark::State& state) {
+  const auto snap = snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  depbench::Controller ctl(snap);
+  for (auto _ : state) {
+    dirty_kernel(ctl.kernel().machine());
+    ctl.kernel().reboot();
+    ctl.reset({});
+    benchmark::DoNotOptimize(ctl.kernel().ticks());
+  }
+}
+BENCHMARK(BM_ControllerReset);
+
 void BM_FaultloadSerialize(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVosXp);
   std::vector<std::string> fns;

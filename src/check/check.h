@@ -9,7 +9,9 @@
 //               and profiles are byte-identical to a jobs=1 reference, the
 //               derived §3.2 metrics (SPC/ER%f/...) match exactly, and a
 //               store-backed replay (cold commit, then all-hit) reproduces
-//               the same bytes.
+//               the same bytes, and a controller reset between faults in
+//               shuffled order reproduces every fresh controller's run
+//               record (check/reuse.h).
 //   vm        — runs randomly generated MiniC programs (check/progen.h)
 //               under fusion-on vs fusion-off and predecode vs per-step
 //               decode, comparing the full architectural state digest,

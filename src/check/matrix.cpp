@@ -26,12 +26,17 @@
 // variant shape: the cold run (all misses, everything committed) and an
 // all-hit replay of the same store must both reproduce the reference bytes —
 // the cache may never change what a campaign computes.
+//
+// Another subset runs the reuse-order oracle (check/reuse.h) over the case's
+// faultload: each fault's run record on a fresh warm controller must equal
+// its record on one controller reset between faults in shuffled order.
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
@@ -39,6 +44,7 @@
 
 #include "check/check.h"
 #include "check/internal.h"
+#include "check/reuse.h"
 #include "depbench/campaign_report.h"
 #include "depbench/report.h"
 #include "depbench/runner.h"
@@ -280,6 +286,29 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
              "all-hit store replay reported misses", report);
     }
     fs::remove_all(dir, ec);
+  }
+
+  // Reuse-order oracle: the runner resets one warm controller per chunk
+  // between faults, so every fault's run record must equal a fresh
+  // controller's whatever ran on the shared one before (check/reuse.h).
+  if (rng.chance(0.5)) {
+    depbench::ControllerConfig cfg;
+    cfg.connections = server == "apex" ? 37 : 34;
+    cfg.time_scale = base.time_scale;
+    cfg.trace = base.trace;
+    cfg.profile_stride = base.profile ? base.profile_stride : 0;
+    std::vector<std::size_t> faults(sub.faults.size());
+    std::iota(faults.begin(), faults.end(), std::size_t{0});
+    const auto shuffle_seed = rng.next();
+    const auto runs =
+        run_reuse_order(snapshot::capture_warm_boot(version, server), sub,
+                        faults, cfg, base.seed, shuffle_seed);
+    for (const auto& r : runs) {
+      expect_same("reuse-order run record [f" + std::to_string(r.fault_index) +
+                      " shuffle=" + hex64(shuffle_seed) + "]",
+                  std::string(r.fresh.begin(), r.fresh.end()),
+                  std::string(r.reused.begin(), r.reused.end()), report);
+    }
   }
 }
 

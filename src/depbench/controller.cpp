@@ -13,27 +13,46 @@ namespace gf::depbench {
 
 Controller::Controller(os::OsVersion version, const std::string& server_name,
                        ControllerConfig cfg)
-    : cfg_(cfg),
-      kernel_(std::make_unique<os::Kernel>(version)),
+    : kernel_(std::make_unique<os::Kernel>(version)),
       api_(std::make_unique<os::OsApi>(*kernel_)),
       fileset_(std::make_unique<spec::Fileset>(kernel_->disk())),
       server_(web::make_server(server_name, *api_)) {
-  cfg_.client.connections = cfg_.connections;
-  if (cfg_.obs != nullptr) api_->set_metrics(&cfg_.obs->api);
+  configure(cfg);
 }
 
 Controller::Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
                        ControllerConfig cfg)
-    : cfg_(cfg),
-      kernel_(std::make_unique<os::Kernel>(snap->kernel)),
+    : snap_(std::move(snap)),
+      kernel_(std::make_unique<os::Kernel>(snap_->kernel)),
       api_(std::make_unique<os::OsApi>(*kernel_)),
-      fileset_(std::make_unique<spec::Fileset>(kernel_->disk(), snap->fileset,
+      fileset_(std::make_unique<spec::Fileset>(kernel_->disk(), snap_->fileset,
                                                /*populate=*/false)),
-      server_(web::make_server(snap->server_name, *api_)),
+      server_(web::make_server(snap_->server_name, *api_)),
       warm_started_(true) {
+  server_->restore_process(snap_->server);
+  configure(cfg);
+}
+
+void Controller::reset(ControllerConfig cfg) {
+  if (snap_ == nullptr) {
+    throw std::logic_error(
+        "Controller::reset: a cold-built controller has no snapshot to "
+        "rewind to");
+  }
+  // The file set's metadata and the server name are functions of the
+  // snapshot, so kernel + server process image are the whole SUB state.
+  kernel_->reset_to(snap_->kernel);
+  server_->restore_process(snap_->server);
+  warm_started_ = true;
+  configure(cfg);
+}
+
+void Controller::configure(ControllerConfig cfg) {
+  cfg_ = cfg;
   cfg_.client.connections = cfg_.connections;
-  server_->restore_process(snap->server);
-  if (cfg_.obs != nullptr) api_->set_metrics(&cfg_.obs->api);
+  // Always re-point the API sink, to null as well: after a reset the
+  // previous bundle belongs to another run's slot.
+  api_->set_metrics(cfg_.obs != nullptr ? &cfg_.obs->api : nullptr);
 }
 
 void Controller::bring_up() {

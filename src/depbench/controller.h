@@ -106,6 +106,12 @@ class Controller {
   Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
              ControllerConfig cfg = {});
 
+  /// Rewinds a warm-built controller to the snapshot it was built from and
+  /// adopts `cfg`, in O(dirty pages): afterwards it behaves exactly like
+  /// Controller(snap, cfg), whatever earlier runs did to it. Throws
+  /// std::logic_error on a cold-built controller (it has no snapshot).
+  void reset(ControllerConfig cfg);
+
   /// Baseline performance (no injector at all).
   spec::WindowMetrics run_baseline(double duration_ms, std::uint64_t seed);
 
@@ -123,6 +129,9 @@ class Controller {
 
  private:
   struct MonitorState;
+
+  /// Adopts `cfg` (client connections, API metrics sink).
+  void configure(ControllerConfig cfg);
 
   /// Run-entry bring-up (OS reboot + server start), skipped once on a
   /// warm-constructed controller whose snapshot already contains it.
@@ -142,6 +151,9 @@ class Controller {
   void profile_end();
 
   ControllerConfig cfg_;
+  /// The snapshot a warm-built controller came from (reset's target); null
+  /// on a cold-built one.
+  std::shared_ptr<const snapshot::WarmSnapshot> snap_;
   vm::DispatchStats obs_vm_base_;
   os::KernelCounters obs_kernel_base_;
   std::unique_ptr<os::Kernel> kernel_;

@@ -529,10 +529,6 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     if (!opt_.fusion) ctl->kernel().machine().set_fusion(false);
     return ctl;
   };
-  // The per-fault mini-run: a fresh controller, exactly one fault injected
-  // (offset = its absolute index, stride spans the whole faultload), seeded
-  // by the task id 1 + iter*positions + pos. Nothing here depends on which
-  // chunk or worker the run rides in.
   // Post-run commit: everything the cache-resolution pass needs to fold the
   // run back without executing it. The TaskObs copy happens at the run
   // boundary, never on the VM hot path.
@@ -549,7 +545,16 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     if (slot != nullptr) rec.obs = slot->obs;
     st->put(key, store::encode_run_record(rec));
   };
-  auto run_fault = [&](std::size_t cell, std::size_t it, std::size_t pos) {
+  // The per-fault mini-run: a controller freshly built or reset to the cell
+  // snapshot, exactly one fault injected (offset = its absolute index,
+  // stride spans the whole faultload), seeded by the task id
+  // 1 + iter*positions + pos. `ctl` is the chunk's controller: warm runs
+  // reset it (a reset controller is indistinguishable from a fresh one, so
+  // nothing here depends on which chunk or worker the run rides in or what
+  // ran before it); the first run of a chunk and every cold-boot run build
+  // it.
+  auto run_fault = [&](std::size_t cell, std::size_t it, std::size_t pos,
+                       std::unique_ptr<Controller>& ctl) {
     const auto& cp = plan[cell];
     const std::size_t task = 1 + it * cp.positions + pos;
     const std::size_t fault_index = pos * stride;
@@ -568,7 +573,12 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       cfg.obs = &slot->obs;
       slot->obs.wall_start_us = wall_us();
     }
-    auto ctl = build(cell, cfg);
+    if (opt_.warm_boot && ctl != nullptr) {
+      ctl->reset(cfg);
+    } else {
+      ctl = nullptr;  // at most one live controller per worker
+      ctl = build(cell, cfg);
+    }
     auto& result = fault_results[cell][it * cp.positions + pos];
     result = ctl->run_iteration(*cp.fl, seed);
     if (perturb) result.counters.self_restarts += 1;
@@ -637,9 +647,12 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     for (std::size_t it = 0; it < iters; ++it) {
       for (const auto& c : plan[cell].iter_chunks[it]) {
         units.push_back({[&unit_done, &run_fault, &plan, cell, it, c] {
+                           // One controller per chunk: every chunk covers a
+                           // single cell, so its snapshot fits every run.
+                           std::unique_ptr<Controller> ctl;
                            for (std::size_t k = 0; k < c.count; ++k) {
                              run_fault(cell, it,
-                                       plan[cell].miss[it][c.first + k]);
+                                       plan[cell].miss[it][c.first + k], ctl);
                            }
                            unit_done(cell, c.cost);
                          },

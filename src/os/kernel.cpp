@@ -53,16 +53,48 @@ Kernel::Kernel(const KernelSnapshot& snap)
       disk_(snap.disk),
       pristine_(snap.pristine),
       active_(snap.active),
-      machine_(std::make_unique<vm::Machine>(lay::kMemSize)),
+      machine_(std::make_unique<vm::Machine>(snap.machine)),
       boot_(snap.boot),
       tick_(snap.ticks) {
-  machine_->load_image(active_);  // registers the executable range
+  // The snapshot memory already holds the active image's bytes: register
+  // the executable range and decode once, no zero-fill and no second copy.
+  machine_->map_image(active_);
   install_machine_hooks();
-  machine_->restore_full(snap.machine);
   // The snapshot was typically taken *after* further guest work (server
   // start), so the kernel data region no longer matches the post-boot
   // baseline the replay's dirty accounting assumes: mark it all dirty so
   // the first warm reboot re-zeroes every page of it.
+  mark_data_region_dirty();
+}
+
+void Kernel::reset_to(const KernelSnapshot& snap) {
+  if (snap.version != version_) {
+    throw std::invalid_argument("kernel reset to another OS version's snapshot");
+  }
+  disk_ = snap.disk;  // copy-on-write: shares the file buffers
+  tick_ = snap.ticks;
+  boot_ = snap.boot;
+  // The injector restores every patch it makes, so the active image almost
+  // always still equals the snapshot's; compare before paying for a copy.
+  const auto have = active_.code();
+  const auto want = snap.active.code();
+  if (have.size() != want.size() ||
+      std::memcmp(have.data(), want.data(), want.size()) != 0) {
+    active_ = snap.active;
+  }
+  // Dirty-bitmap rule: restore() copies back only pages marked dirty, which
+  // is sound only while "clean" means "equal to the snapshot". replay_boot()
+  // breaks that for the kernel data region: it rewrites the region to the
+  // post-boot state and then CLEARS its dirty bits, although the snapshot
+  // holds the post-server-start state there. Mark the whole region dirty so
+  // restore() copies all of it back, then mark it again afterwards (restore
+  // clears the bitmap) for the same reason the warm constructor does.
+  mark_data_region_dirty();
+  machine_->restore(snap.machine);
+  mark_data_region_dirty();
+}
+
+void Kernel::mark_data_region_dirty() {
   machine_->mark_dirty(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
 }
 
@@ -80,7 +112,7 @@ KernelSnapshot Kernel::snapshot() {
   s.machine = machine_->snapshot();
   // snapshot() reset the dirty baseline; keep this (still usable) kernel's
   // replay accounting sound by conservatively re-marking the data region.
-  machine_->mark_dirty(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
+  mark_data_region_dirty();
   s.boot = boot_;
   s.disk = disk_;
   s.ticks = tick_;

@@ -78,6 +78,14 @@ class Kernel {
   /// from.
   explicit Kernel(const KernelSnapshot& snap);
 
+  /// Rewinds this kernel to `snap` in O(dirty pages): COW disk copy, tick
+  /// counter, active image (copied only when its code differs) and the
+  /// machine's dirty pages plus the whole kernel data region. The kernel
+  /// must have been built from `snap` (or from a snapshot with the same
+  /// memory size and images); afterwards it behaves exactly like
+  /// Kernel(snap). Throws std::invalid_argument for another OS version.
+  void reset_to(const KernelSnapshot& snap);
+
   OsVersion version() const noexcept { return version_; }
   vm::Machine& machine() noexcept { return *machine_; }
   const vm::Machine& machine() const noexcept { return *machine_; }
@@ -136,6 +144,9 @@ class Kernel {
   /// advance cycles/flags to the recorded post-boot values.
   void replay_boot();
   bool boot_code_intact() const noexcept;
+  /// Marks [kHeapCtl, kScratch) dirty so the next replay_boot() / restore()
+  /// rewrites every page of it (see reset_to for why).
+  void mark_data_region_dirty();
 
   OsVersion version_;
   SimDisk disk_;

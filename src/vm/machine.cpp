@@ -162,6 +162,16 @@ Machine::Machine(std::size_t mem_size)
   stack_lo_ = mem_.size() > (64u << 10) ? mem_.size() - (64u << 10) : 0;
 }
 
+Machine::Machine(const State& s)
+    : mem_(s.mem),
+      dirty_((mem_.size() + kDirtyPageSize - 1) >> kDirtyPageShift, 0),
+      flags_(s.flags),
+      total_cycles_(s.total_cycles) {
+  std::memcpy(regs_, s.regs.data(), sizeof regs_);
+  stack_hi_ = mem_.size();
+  stack_lo_ = mem_.size() > (64u << 10) ? mem_.size() - (64u << 10) : 0;
+}
+
 const std::uint8_t* Machine::raw(std::uint64_t addr, std::size_t n) const noexcept {
   if (addr >= mem_.size() || mem_.size() - addr < n) return nullptr;
   return mem_.data() + addr;
@@ -218,18 +228,6 @@ void Machine::restore(const State& s) {
   clear_all_dirty();
 }
 
-void Machine::restore_full(const State& s) {
-  if (s.mem.size() != mem_.size()) {
-    throw std::runtime_error("machine snapshot size mismatch");
-  }
-  mem_ = s.mem;
-  std::memcpy(regs_, s.regs.data(), sizeof regs_);
-  flags_ = s.flags;
-  total_cycles_ = s.total_cycles;
-  rebuild_predecode();
-  clear_all_dirty();
-}
-
 void Machine::begin_write_capture() {
   capture_ = true;
   captured_.clear();
@@ -242,6 +240,10 @@ std::vector<WriteSpan> Machine::end_write_capture() {
 
 void Machine::load_image(const isa::Image& img) {
   reload_code(img);
+  map_image(img);
+}
+
+void Machine::map_image(const isa::Image& img) {
   code_ranges_.push_back({img.base(), img.end()});
   rebuild_predecode();
 }

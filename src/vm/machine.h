@@ -123,10 +123,21 @@ class Machine {
     std::uint64_t total_cycles = 0;
   };
 
+  /// Warm construction: memory, registers, flags and cycle counter straight
+  /// from a snapshot (one copy, no zero-fill), dirty bitmap clear. The
+  /// snapshot already holds the code bytes; register their executable range
+  /// with map_image.
+  explicit Machine(const State& s);
+
   // --- setup -------------------------------------------------------------
   /// Copies an image's code into memory at its base address and remembers
   /// the executable range (jumps outside any loaded image trap).
   void load_image(const isa::Image& img);
+
+  /// Remembers `img`'s executable range over bytes already in memory and
+  /// decodes it, without copying the code (the warm-construction half of
+  /// load_image).
+  void map_image(const isa::Image& img);
 
   /// Replaces the bytes of an already-loaded image (after mutation). The
   /// image must cover the same address range.
@@ -225,9 +236,6 @@ class Machine {
   /// restored code pages so they re-decode lazily. `s.mem` must match
   /// mem_size(). Clears the dirty bitmap.
   void restore(const State& s);
-  /// Unconditional full restore (used when this machine never saw `s`'s
-  /// baseline, e.g. warm construction from a shared snapshot).
-  void restore_full(const State& s);
 
   /// Comparison-flag state (CMP result sign); call() preserves registers but
   /// not flags, so deterministic replays must restore these explicitly.

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "depbench/campaign_report.h"
 #include "depbench/runner.h"
@@ -22,10 +26,33 @@ namespace {
 TEST(RunUnitsTest, ForcedStealsRunEveryUnitExactlyOnce) {
   constexpr std::size_t kUnits = 96;
   std::vector<std::atomic<int>> ran(kUnits);
+  // The first unit to start holds its worker until some unit has run on
+  // another thread (bounded), so a loaded host that starts the thieves late
+  // cannot let worker 0 drain all 96 short units alone.
+  std::mutex mu;
+  std::optional<std::thread::id> first_thread;
+  std::atomic<bool> ran_elsewhere{false};
   std::vector<WorkUnit> units;
   units.reserve(kUnits);
   for (std::size_t i = 0; i < kUnits; ++i) {
-    units.push_back({[&ran, i] {
+    units.push_back({[&, i] {
+                       bool first = false;
+                       {
+                         const std::lock_guard<std::mutex> lock(mu);
+                         const auto me = std::this_thread::get_id();
+                         if (!first_thread) {
+                           first_thread = me;
+                           first = true;
+                         } else if (*first_thread != me) {
+                           ran_elsewhere = true;
+                         }
+                       }
+                       const auto deadline = std::chrono::steady_clock::now() +
+                                             std::chrono::seconds(5);
+                       while (first && !ran_elsewhere &&
+                              std::chrono::steady_clock::now() < deadline) {
+                         std::this_thread::yield();
+                       }
                        // A little work so thieves find non-empty deques.
                        volatile std::uint64_t x = 0;
                        for (int k = 0; k < 20000; ++k) x = x + k;

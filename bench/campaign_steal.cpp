@@ -3,22 +3,30 @@
 // burn the full observation window next to fast-fail faults that collapse
 // it), with a byte-identity check across the two schedules.
 //
-//   A (static): --no-steal + one equal-position chunk per worker per
-//     iteration — the old fixed (cell, task, shard) grid. Chunk costs are
-//     wildly uneven, so workers idle while the unlucky one drains its
-//     worst-case range.
+//   A (static): --no-steal + S fixed-size chunks per iteration — the old
+//     fixed (cell, task, shard) grid. Chunk costs are wildly uneven, so
+//     workers idle while the unlucky one drains its worst-case range.
 //   B (steal):  adaptive cost-balanced chunks + LPT seeding + steal-half.
 //
 // Both runs produce byte-identical campaign artifacts (manifest JSON,
 // journal JSONL, activation JSONL) — the bench fails hard if they diverge.
 // Results go to BENCH_sched.json (schema genfault-sched-bench/1, validated
 // by tools/json_check --schema sched), including each run's SchedStats.
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
-#include "campaign_common.h"
+#include "depbench/campaign_report.h"
+#include "depbench/runner.h"
 #include "obs/json.h"
+#include "os/kernel.h"
+#include "os/sources.h"
+#include "swfit/scanner.h"
+#include "trace/activation.h"
 
 namespace {
 
@@ -33,12 +41,9 @@ struct AbRun {
   std::string sched_json;
 };
 
-AbRun run_campaign(const benchrun::CampaignOptions& copt, bool steal,
-                   int shards) {
-  auto ropt = benchrun::to_runner_options(copt);
+AbRun run_campaign(depbench::RunnerOptions ropt, bool steal, int chunk) {
   ropt.steal = steal;
-  ropt.shards = shards;
-  ropt.chunk = 0;
+  ropt.chunk = chunk;
   ropt.obs = true;
   ropt.trace = true;
 
@@ -70,19 +75,35 @@ AbRun run_campaign(const benchrun::CampaignOptions& copt, bool steal,
   return out;
 }
 
+// Largest per-iteration schedule position count over the campaign's
+// faultloads (position p = faultload index p * stride).
+std::size_t max_positions(const depbench::RunnerOptions& ropt) {
+  std::vector<std::string> names;
+  for (const auto& fn : os::api_functions()) names.emplace_back(fn.name);
+  const auto stride = static_cast<std::size_t>(ropt.stride);
+  std::size_t most = 0;
+  for (const auto version : ropt.versions) {
+    os::Kernel kernel(version);
+    const auto n =
+        swfit::Scanner{}.scan(kernel.pristine_image(), names).faults.size();
+    most = std::max(most, (n + stride - 1) / stride);
+  }
+  return most;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchrun::CampaignOptions copt;
+  depbench::RunnerOptions ropt;
   // Sized so the cost skew is visible: windows long enough (scale 0.15 =
   // 1.5 s exposures) that the healthy-vs-killed op-count gap dominates the
   // fixed per-fault overhead, a chunky indivisible baseline per cell, and
   // more workers than the static partition can keep fed.
-  copt.stride = 12;
-  copt.iterations = 2;
-  copt.time_scale = 0.15;
-  copt.baseline_ms = 8000;
-  copt.jobs = 8;
+  ropt.stride = 12;
+  ropt.iterations = 2;
+  ropt.time_scale = 0.15;
+  ropt.baseline_window_ms = 8000;
+  ropt.jobs = 8;
   // The A side reproduces the sharder the scheduler replaced: S equal-
   // position shards per iteration (its default was 4), block-partitioned,
   // no rebalancing.
@@ -90,17 +111,17 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_sched.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      copt.jobs = std::atoi(argv[++i]);
+      ropt.jobs = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-      copt.stride = std::atoi(argv[++i]);
+      ropt.stride = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      copt.iterations = std::atoi(argv[++i]);
+      ropt.iterations = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      copt.time_scale = std::atof(argv[++i]);
+      ropt.time_scale = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--baseline-ms") == 0 && i + 1 < argc) {
-      copt.baseline_ms = std::atof(argv[++i]);
+      ropt.baseline_window_ms = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      copt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      ropt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--static-shards") == 0 && i + 1 < argc) {
       static_shards = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -114,15 +135,24 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (copt.jobs < 1) copt.jobs = 1;
+  ropt.jobs = std::max(1, ropt.jobs);
+  ropt.stride = std::max(1, ropt.stride);
+  static_shards = std::max(1, static_shards);
+  // S shards of the largest iteration, as one fixed chunk size for every
+  // cell: VOS-XP's 72 positions at stride 12 make 18-position chunks.
+  const auto positions = max_positions(ropt);
+  const int static_chunk = static_cast<int>(
+      (positions + static_cast<std::size_t>(static_shards) - 1) /
+      static_cast<std::size_t>(static_shards));
 
   std::fprintf(stderr,
-               "[BM_CampaignSteal] static sharder (jobs=%d, shards=%d)...\n",
-               copt.jobs, static_shards);
-  const auto stat = run_campaign(copt, /*steal=*/false, static_shards);
+               "[BM_CampaignSteal] static sharder (jobs=%d, shards=%d, "
+               "chunk=%d)...\n",
+               ropt.jobs, static_shards, static_chunk);
+  const auto stat = run_campaign(ropt, /*steal=*/false, static_chunk);
   std::fprintf(stderr, "[BM_CampaignSteal] work stealing (jobs=%d)...\n",
-               copt.jobs);
-  const auto steal = run_campaign(copt, /*steal=*/true, /*shards=*/1);
+               ropt.jobs);
+  const auto steal = run_campaign(ropt, /*steal=*/true, /*chunk=*/0);
 
   const bool identical = stat.manifest == steal.manifest &&
                          stat.journal == steal.journal &&
@@ -148,7 +178,7 @@ int main(int argc, char** argv) {
   }
   using obs::json::number;
   out << "{\n  \"schema\": \"genfault-sched-bench/1\",\n";
-  out << "  \"jobs\": " << copt.jobs << ",\n";
+  out << "  \"jobs\": " << ropt.jobs << ",\n";
   out << "  \"static_ms\": " << number(stat.wall_ms) << ",\n";
   out << "  \"steal_ms\": " << number(steal.wall_ms) << ",\n";
   out << "  \"speedup\": " << number(speedup) << ",\n";

@@ -5,16 +5,22 @@
 // Run with --quick for a sampled campaign. The headline conclusion to check:
 // apex (Apache-analogue) degrades less than abyssal (Abyss-analogue) on
 // every metric, and the relative difference is stable across OS versions.
-#include "campaign_common.h"
+#include <cstdio>
+
+#include "depbench/campaign_cli.h"
+#include "depbench/report.h"
 
 int main(int argc, char** argv) {
   using namespace gf;
-  auto opt = benchrun::parse_options(argc, argv);
   // Figure 5 uses the same sampling as Table 5 so the two stay consistent.
+  depbench::CampaignFlags flags;
+  depbench::parse_campaign_flags_or_exit(argc, argv, flags);
 
-  const auto cells = benchrun::run_all_cells(opt);
+  depbench::CampaignSession session(flags);
+  if (!session.run()) return 1;
+  const auto& cells = session.cells();
   std::printf("%s", depbench::render_fig5(cells).c_str());
-  benchrun::emit_activation_outputs(cells, opt);
+  if (!session.write_artifacts()) return 1;
 
   // The paper's closing observation: the apex/abyssal relation is the same
   // on both OS versions (the faultloads expose an intrinsic BT property).

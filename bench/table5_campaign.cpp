@@ -10,21 +10,28 @@
 // per-OS-function activation table, --trace-out FILE.jsonl dumps one JSON
 // event per traced exposure, --activation-json FILE.json writes summary
 // stats (used by bench/run_benches.sh for the quality trajectory).
-#include "campaign_common.h"
+#include <cstdio>
+
+#include "depbench/campaign_cli.h"
+#include "depbench/report.h"
 
 int main(int argc, char** argv) {
   using namespace gf;
-  const auto opt = benchrun::parse_options(argc, argv);
+  depbench::CampaignFlags flags;  // bench defaults: every 6th fault, seed 1
+  depbench::parse_campaign_flags_or_exit(argc, argv, flags);
+  const auto& opt = flags.opt;
 
   std::printf("Table 5 - Experimental results (exposure %.1f s/fault, "
               "stride %d, %d iterations)\n\n",
               10.0 * opt.time_scale, opt.stride, opt.iterations);
 
-  const auto cells = benchrun::run_all_cells(opt);
+  depbench::CampaignSession session(flags);
+  if (!session.run()) return 1;
+  const auto& cells = session.cells();
   for (const auto& cell : cells) {
     std::printf("%s\n", depbench::render_table5_cell(cell).c_str());
   }
-  benchrun::emit_activation_outputs(cells, opt);
+  if (!session.write_artifacts()) return 1;
 
   std::printf("Shape checks (paper Table 5):\n");
   for (std::size_t i = 0; i + 1 < cells.size(); i += 2) {

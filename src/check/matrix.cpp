@@ -3,7 +3,7 @@
 // Samples a random small campaign — one (OS version, server) cell, a random
 // faultload subset, random iterations/stride/windows — and executes it twice:
 // once at the jobs=1 reference shape and once at a random parallel shape
-// (jobs, chunk, shards alias, steal, fusion). The repo-wide determinism
+// (jobs, chunk, steal, fusion). The repo-wide determinism
 // contract says scheduling shape must be unobservable in every deterministic
 // artifact, so the oracle is plain byte equality:
 //
@@ -209,7 +209,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   auto ref_opt = base;
   ref_opt.jobs = 1;
   ref_opt.chunk = 0;
-  ref_opt.shards = 1;
   ref_opt.steal = true;
   ref_opt.fusion = true;
 
@@ -219,9 +218,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   var_opt.jobs = 2 + static_cast<int>(rng.bounded(3));
   static const int kChunks[] = {0, 1, 2, 7};
   var_opt.chunk = kChunks[rng.bounded(4)];
-  if (var_opt.chunk == 0 && rng.chance(0.3)) {
-    var_opt.shards = 2 + static_cast<int>(rng.bounded(2));  // deprecated alias
-  }
   var_opt.steal = rng.chance(0.7);
   var_opt.fusion = rng.chance(0.5);
 
@@ -232,7 +228,6 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
   const std::string shape =
       "jobs=" + std::to_string(var_opt.jobs) +
       " chunk=" + std::to_string(var_opt.chunk) +
-      " shards=" + std::to_string(var_opt.shards) +
       " steal=" + std::to_string(var_opt.steal) +
       " fusion=" + std::to_string(var_opt.fusion) +
       " warm=" + std::to_string(var_opt.warm_boot);

@@ -135,27 +135,6 @@ CampaignCounters merge_counters(const CampaignCounters& a,
   return m;
 }
 
-spec::WindowMetrics merge_windows(const spec::WindowMetrics& a,
-                                  const spec::WindowMetrics& b) noexcept {
-  spec::WindowMetrics m;
-  m.duration_ms = a.duration_ms + b.duration_ms;
-  m.ops = a.ops + b.ops;
-  m.errors = a.errors + b.errors;
-  m.bytes = a.bytes + b.bytes;
-  const auto succ_a = static_cast<double>(a.ops - a.errors);
-  const auto succ_b = static_cast<double>(b.ops - b.errors);
-  const double succ = succ_a + succ_b;
-  m.thr = m.duration_ms > 0 ? succ / (m.duration_ms / 1000.0) : 0;
-  m.rtm_ms = succ > 0 ? (a.rtm_ms * succ_a + b.rtm_ms * succ_b) / succ : 0;
-  m.er_pct = m.ops > 0
-                 ? 100.0 * static_cast<double>(m.errors) /
-                       static_cast<double>(m.ops)
-                 : 0;
-  m.spc = std::min(a.spc, b.spc);
-  m.cc_pct = std::min(a.cc_pct, b.cc_pct);
-  return m;
-}
-
 void CampaignObs::merge_tasks() {
   // The merges are commutative folds, but a fixed (slot) order keeps the
   // join auditable.
@@ -173,22 +152,6 @@ void CampaignObs::merge_tasks() {
               c("api.NtCreateFile.calls") + c("api.NtOpenFile.calls"));
   metrics.add("kernel.handles.closed",
               c("api.NtClose.calls") + c("api.CloseHandle.calls"));
-}
-
-IterationResult merge_shards(const std::vector<IterationResult>& shards) {
-  if (shards.empty()) return {};
-  IterationResult merged = shards.front();
-  for (std::size_t i = 1; i < shards.size(); ++i) {
-    merged.metrics = merge_windows(merged.metrics, shards[i].metrics);
-    merged.counters = merge_counters(merged.counters, shards[i].counters);
-    merged.activations.insert(merged.activations.end(),
-                              shards[i].activations.begin(),
-                              shards[i].activations.end());
-  }
-  // Shards cover disjoint fault-index sets, so sorting by absolute index
-  // yields the same record sequence for any shard count or interleave.
-  trace::sort_records(merged.activations);
-  return merged;
 }
 
 IterationResult merge_fault_runs(const std::vector<IterationResult>& runs) {
@@ -301,15 +264,6 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // scheduling-shape-dependent bug rather than vacuously agreeing.
   const char* perturb_env = std::getenv("GF_CHECK_PERTURB");
   const bool perturb = perturb_env != nullptr && *perturb_env != '\0' && jobs > 1;
-
-  // --chunk wins; --shards > 1 is the deprecated equal-chunks alias, mapped
-  // onto the same decomposition (one code path, identical results).
-  int chunk_override = 0;
-  if (opt_.chunk > 0) {
-    chunk_override = opt_.chunk;
-  } else if (opt_.shards > 1) {
-    chunk_override = -opt_.shards;
-  }
 
   // Baseline cost in the cost model's unit (one healthy exposure window).
   // run_profile_mode takes its window length unscaled while exposures are
@@ -464,7 +418,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       for (std::size_t k = 0; k < cp.miss[it].size(); ++k) {
         miss_cost[k] = cp.pos_cost[cp.miss[it][k]];
       }
-      cp.iter_chunks[it] = plan_chunks(miss_cost, jobs, chunk_override);
+      cp.iter_chunks[it] = plan_chunks(miss_cost, jobs, opt_.chunk);
     }
   }
 

@@ -20,10 +20,6 @@
 // `jobs`, any `chunk` size and any steal interleaving. Chunk boundaries only
 // decide which worker runs which faults back-to-back — never what a fault
 // run computes.
-//
-// The legacy `shards` option is kept as a deprecated alias: `shards = S`
-// maps onto the same chunked decomposition (S equal chunks per iteration),
-// one code path, identical results.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +44,6 @@ struct RunnerOptions {
   std::vector<std::string> servers{"apex", "abyssal"};
   int iterations = 3;
   int stride = 6;        ///< inject every k-th fault of the faultload
-  /// Deprecated alias onto chunked decomposition: `shards = S` (S > 1) asks
-  /// for S equal fault chunks per iteration, exactly like `chunk` would.
-  /// Ignored when `chunk` is set. Results are identical for any value.
-  int shards = 1;
   /// Fault positions per chunk: > 0 forces a fixed size (--chunk), 0 lets
   /// the cost model size chunks adaptively (see depbench/scheduler).
   int chunk = 0;
@@ -75,7 +67,7 @@ struct RunnerOptions {
   /// Per-fault activation & propagation tracing (fills
   /// IterationResult::activations). Per-task seeds make the records a pure
   /// function of (seed, cell, task), so they are bit-identical for any
-  /// `jobs`, and the fault-index sort makes shard merges order-independent.
+  /// `jobs`, and the fault-index sort makes the merge order-independent.
   bool trace = false;
   bool trace_probe_per_call = false;
   /// Warm-boot snapshots: build each (OS version, server) cell's SUB once,
@@ -93,8 +85,8 @@ struct RunnerOptions {
   bool fusion = true;
   /// Observability: give every task a private TaskObs bundle and merge them
   /// at the join (CampaignRunner::campaign_obs()). The merged registry and
-  /// journal are byte-identical for any `jobs` at fixed shards/seed; see
-  /// CampaignObs for the shard-invariance contract.
+  /// journal are byte-identical for any `jobs` or `chunk` at a fixed seed;
+  /// see CampaignObs for the contract.
   bool obs = false;
   /// Deterministic guest profiler: arm the VM's virtual-cycle PC sampler for
   /// every run at `profile_stride` and collect per-function flat profiles
@@ -126,22 +118,9 @@ struct RunnerOptions {
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t cell,
                           std::uint64_t task) noexcept;
 
-/// Exact, order-independent merge of shard counters (plain field sums).
+/// Exact, order-independent merge of campaign counters (plain field sums).
 CampaignCounters merge_counters(const CampaignCounters& a,
                                 const CampaignCounters& b) noexcept;
-
-/// Order-independent merge of two shard windows: raw counters (duration,
-/// ops, errors, bytes) sum exactly; THR/RTM/ER% are recomputed from the
-/// sums; SPC/CC% take the conservative minimum (a connection only conforms
-/// if it conformed in every shard it was measured in).
-spec::WindowMetrics merge_windows(const spec::WindowMetrics& a,
-                                  const spec::WindowMetrics& b) noexcept;
-
-/// Folds the shard results of one iteration; the single-shard case is the
-/// identity, so shards = 1 reproduces an unsharded run bit-exactly.
-/// (Legacy helper for coarse disjoint-subset merges; the campaign path now
-/// uses merge_fault_runs.)
-IterationResult merge_shards(const std::vector<IterationResult>& shards);
 
 /// Canonical fold of one iteration's per-fault runs, in schedule order.
 /// Raw counters (duration, ops, errors, bytes, campaign tallies) sum
@@ -165,7 +144,7 @@ struct TaskObsSlot {
 /// Determinism contract:
 ///   - For a fixed (seed, stride, time_scale) the merged registry JSON and
 ///     the slot-ordered journal JSONL are byte-identical for any `jobs`,
-///     `chunk`, `shards` or `steal` value — slots are per *fault*, each a
+///     `chunk` or `steal` value — slots are per *fault*, each a
 ///     pure function of (seed, cell, iteration, schedule position), and the
 ///     merge folds them in slot order. Chunk boundaries never appear in any
 ///     artifact. tests/test_obs.cpp and tests/test_runner_steal.cpp check

@@ -358,14 +358,8 @@ std::vector<Chunk> plan_chunks(const std::vector<double>& position_costs,
   std::vector<Chunk> chunks;
   if (n == 0) return chunks;
 
-  std::size_t fixed = 0;
-  if (chunk_override > 0) {
-    fixed = static_cast<std::size_t>(chunk_override);
-  } else if (chunk_override < 0) {
-    // --shards alias: -S means "decompose into S equal chunks".
-    const auto shards = static_cast<std::size_t>(-chunk_override);
-    fixed = (n + shards - 1) / shards;
-  }
+  const std::size_t fixed =
+      chunk_override > 0 ? static_cast<std::size_t>(chunk_override) : 0;
 
   double total = 0;
   for (const auto c : position_costs) total += c;

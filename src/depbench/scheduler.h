@@ -139,8 +139,7 @@ struct Chunk {
 /// schedule position): accumulate positions until a chunk holds roughly
 /// total/(jobs * kChunksPerWorker) estimated cost, clamped to
 /// [1, kMaxChunkFaults] positions. `chunk_override` > 0 forces exactly that
-/// many positions per chunk (the --chunk flag); `chunk_override` < 0 asks
-/// for -chunk_override equal chunks (the deprecated --shards alias).
+/// many positions per chunk (the --chunk flag); 0 sizes chunks adaptively.
 std::vector<Chunk> plan_chunks(const std::vector<double>& position_costs,
                                std::size_t jobs, int chunk_override);
 

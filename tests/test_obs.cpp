@@ -2,7 +2,7 @@
 // primitive semantics (histogram buckets, registry merges, journal ring,
 // JSON parser), the campaign determinism contract (merged registry and
 // journal byte-identical for any --jobs; fault-indexed counters invariant
-// across --shards), and trace-export integrity (balanced B/E spans,
+// across --chunk), and trace-export integrity (balanced B/E spans,
 // monotone timestamps, JSONL round-trip).
 #include <gtest/gtest.h>
 
@@ -201,7 +201,6 @@ std::string journal_text(const depbench::CampaignObs& obs) {
 
 TEST(CampaignObsTest, MetricsIdenticalAcrossJobs) {
   auto opt = obs_options();
-  opt.shards = 4;
   opt.jobs = 1;
   depbench::CampaignRunner sequential(opt);
   sequential.run_campaign();
@@ -222,18 +221,17 @@ TEST(CampaignObsTest, MetricsIdenticalAcrossJobs) {
 
 TEST(CampaignObsTest, ShardInvariantCounters) {
   auto opt = obs_options();
-  opt.shards = 1;
-  depbench::CampaignRunner one(opt);
-  one.run_campaign();
-  opt.shards = 4;
-  depbench::CampaignRunner four(opt);
-  four.run_campaign();
+  opt.chunk = 0;
+  depbench::CampaignRunner adaptive(opt);
+  adaptive.run_campaign();
+  opt.chunk = 1;
+  depbench::CampaignRunner single(opt);
+  single.run_campaign();
 
-  const auto& a = one.campaign_obs()->metrics;
-  const auto& b = four.campaign_obs()->metrics;
-  // Sharding repartitions the same fault indices, so everything keyed by
-  // fault index must not move; workload-coupled counters (client.ops, vm.*)
-  // legitimately differ because per-task seeds change.
+  const auto& a = adaptive.campaign_obs()->metrics;
+  const auto& b = single.campaign_obs()->metrics;
+  // Chunking repartitions the same fault indices, so everything keyed by
+  // fault index must not move.
   for (const char* key :
        {"campaign.faults_injected", "inject.patches", "inject.restores",
         "inject.verifies", "trace.records"}) {

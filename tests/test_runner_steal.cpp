@@ -114,7 +114,7 @@ TEST(RunUnitsTest, UnitExceptionIsRethrownAfterJoin) {
 
 TEST(PlanChunksTest, PartitionsForAnyOverride) {
   const std::vector<double> costs(37, 1.0);
-  for (const int override_ : {0, 1, 3, 5, 64, -1, -4, -10}) {
+  for (const int override_ : {0, 1, 3, 5, 64}) {
     SCOPED_TRACE("override " + std::to_string(override_));
     const auto chunks = plan_chunks(costs, 4, override_);
     ASSERT_FALSE(chunks.empty());
@@ -135,15 +135,6 @@ TEST(PlanChunksTest, FixedOverrideForcesChunkSize) {
   ASSERT_EQ(chunks.size(), 4u);  // 6 + 6 + 6 + 2
   EXPECT_EQ(chunks[0].count, 6u);
   EXPECT_EQ(chunks[3].count, 2u);
-}
-
-TEST(PlanChunksTest, NegativeOverrideIsTheShardsAlias) {
-  // --shards 4 -> chunk_override -4 -> ceil(22/4) = 6 positions per chunk.
-  const std::vector<double> costs(22, 1.0);
-  const auto chunks = plan_chunks(costs, 8, -4);
-  ASSERT_EQ(chunks.size(), 4u);
-  EXPECT_EQ(chunks[0].count, 6u);
-  EXPECT_EQ(chunks[3].count, 4u);
 }
 
 TEST(PlanChunksTest, AdaptiveChunksShrinkWhereCostsAreHigh) {
@@ -259,7 +250,7 @@ TEST(SchedulerIdentityTest, ArtifactsIdenticalAcrossJobsAndChunks) {
   }
 }
 
-TEST(SchedulerIdentityTest, StaticPartitionAndShardsAliasMatchStealing) {
+TEST(SchedulerIdentityTest, StaticPartitionMatchesStealing) {
   const auto base = steal_options();
   const auto ref = run_artifacts(base);
 
@@ -271,15 +262,6 @@ TEST(SchedulerIdentityTest, StaticPartitionAndShardsAliasMatchStealing) {
   EXPECT_EQ(a.metrics, ref.metrics);
   EXPECT_EQ(a.journal, ref.journal);
   EXPECT_EQ(a.activations, ref.activations);
-
-  // Deprecated --shards alias: S equal chunks per iteration.
-  auto sharded = base;
-  sharded.jobs = 4;
-  sharded.shards = 3;
-  const auto b = run_artifacts(sharded);
-  EXPECT_EQ(b.metrics, ref.metrics);
-  EXPECT_EQ(b.journal, ref.journal);
-  EXPECT_EQ(b.activations, ref.activations);
 }
 
 TEST(SchedulerIdentityTest, SchedulerStatsAccountForEveryUnit) {

@@ -18,7 +18,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,6 +29,7 @@
 #include "os/kernel.h"
 #include "store/store.h"
 #include "swfit/scanner.h"
+#include "util/flags.h"
 #include "util/log.h"
 
 namespace {
@@ -62,29 +62,18 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 77;
   std::string out = "BENCH_store.json";
   std::string dir = "bench-store-scratch";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-      stride = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      iterations = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--store-dir") == 0 && i + 1 < argc) {
-      dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs J] [--stride K] [--iterations N] "
-                   "[--scale S] [--seed X] [--out FILE] [--store-dir DIR]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  util::parse_value_flags(
+      argc, argv,
+      {{"--jobs", [&](auto v) { return util::parse_int(v, 0, jobs); }},
+       {"--stride", [&](auto v) { return util::parse_int(v, 1, stride); }},
+       {"--iterations",
+        [&](auto v) { return util::parse_int(v, 0, iterations); }},
+       {"--scale", [&](auto v) { return util::parse_real(v, false, scale); }},
+       {"--seed", [&](auto v) { return util::parse_int(v, 0, seed); }},
+       {"--out", [&](auto v) { out = v; return std::string(); }},
+       {"--store-dir", [&](auto v) { dir = v; return std::string(); }}},
+      "[--jobs J] [--stride K] [--iterations N] [--scale S] [--seed X] "
+      "[--out FILE] [--store-dir DIR]");
 
   os::Kernel kernel(os::OsVersion::kVos2000);
   const auto fl = swfit::Scanner{}.scan(kernel.pristine_image(), api_names());

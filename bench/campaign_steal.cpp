@@ -15,10 +15,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "depbench/campaign_report.h"
 #include "depbench/runner.h"
@@ -27,6 +26,7 @@
 #include "os/sources.h"
 #include "swfit/scanner.h"
 #include "trace/activation.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -109,35 +109,24 @@ int main(int argc, char** argv) {
   // no rebalancing.
   int static_shards = 4;
   std::string out_path = "BENCH_sched.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      ropt.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--stride") == 0 && i + 1 < argc) {
-      ropt.stride = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--iterations") == 0 && i + 1 < argc) {
-      ropt.iterations = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      ropt.time_scale = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--baseline-ms") == 0 && i + 1 < argc) {
-      ropt.baseline_window_ms = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      ropt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--static-shards") == 0 && i + 1 < argc) {
-      static_shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs J] [--stride K] [--iterations N] "
-                   "[--scale S] [--baseline-ms MS] [--seed X] "
-                   "[--static-shards S] [--out FILE]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  ropt.jobs = std::max(1, ropt.jobs);
-  ropt.stride = std::max(1, ropt.stride);
-  static_shards = std::max(1, static_shards);
+  util::parse_value_flags(
+      argc, argv,
+      {{"--jobs", [&](auto v) { return util::parse_int(v, 1, ropt.jobs); }},
+       {"--stride", [&](auto v) { return util::parse_int(v, 1, ropt.stride); }},
+       {"--iterations",
+        [&](auto v) { return util::parse_int(v, 0, ropt.iterations); }},
+       {"--scale",
+        [&](auto v) { return util::parse_real(v, false, ropt.time_scale); }},
+       {"--baseline-ms",
+        [&](auto v) {
+          return util::parse_real(v, true, ropt.baseline_window_ms);
+        }},
+       {"--seed", [&](auto v) { return util::parse_int(v, 0, ropt.seed); }},
+       {"--static-shards",
+        [&](auto v) { return util::parse_int(v, 1, static_shards); }},
+       {"--out", [&](auto v) { out_path = v; return std::string(); }}},
+      "[--jobs J] [--stride K] [--iterations N] [--scale S] "
+      "[--baseline-ms MS] [--seed X] [--static-shards S] [--out FILE]");
   // S shards of the largest iteration, as one fixed chunk size for every
   // cell: VOS-XP's 72 positions at stride 12 make 18-position chunks.
   const auto positions = max_positions(ropt);

@@ -78,7 +78,7 @@ echo "activation summary written to $ACT_OUT" >&2
 # Warm-boot snapshot speedup. Micro ratio: BM_ColdReboot vs
 # BM_SnapshotRestore real_time pulled from the benchmark JSON (the subsystem's
 # acceptance bar is ratio >= 10). End-to-end: a bring-up-heavy campaign
-# (many short shard tasks — the fan-out regime snapshots exist for) timed
+# (many short fault runs — the fan-out regime snapshots exist for) timed
 # with snapshots on (default) and off (--cold-boot); results are
 # bit-identical, only wall time differs.
 ratio_json=$(awk '

@@ -10,10 +10,9 @@
 // cores); both runs of a cell share one derived seed, so the comparison
 // stays paired and the output is identical for any worker count.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "depbench/runner.h"
+#include "util/flags.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -21,16 +20,11 @@ int main(int argc, char** argv) {
   depbench::RunnerOptions opt;
   opt.baseline_window_ms = 120000;
   opt.seed = 7;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      opt.jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr, "usage: %s [--jobs N] [--seed X]\n", argv[0]);
-      return 2;
-    }
-  }
+  util::parse_value_flags(
+      argc, argv,
+      {{"--jobs", [&](auto v) { return util::parse_int(v, 0, opt.jobs); }},
+       {"--seed", [&](auto v) { return util::parse_int(v, 0, opt.seed); }}},
+      "[--jobs N] [--seed X]");
 
   std::printf("Table 4 - Performance degradation and intrusion evaluation\n\n");
   util::Table t({"OS", "Server", "", "SPC", "CC%", "THR", "RTM"});

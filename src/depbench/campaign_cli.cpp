@@ -1,8 +1,6 @@
 #include "depbench/campaign_cli.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +9,7 @@
 #include "depbench/campaign_report.h"
 #include "depbench/report.h"
 #include "trace/activation.h"
+#include "util/flags.h"
 #include "util/log.h"
 
 namespace gf::depbench {
@@ -20,31 +19,10 @@ namespace {
 using Flags = CampaignFlags;
 using Value = const std::string&;
 
-// Value setters: each returns "" or what the flag expects. Parsing is
-// whole-string and exception-free; unsigned targets reject a sign.
-template <typename T>
-std::string set_int(Value text, T min, T& out) {
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end || v < min) {
-    return "expects an integer >= " + std::to_string(min);
-  }
-  out = v;
-  return {};
-}
-
-std::string set_real(Value text, bool allow_zero, double& out) {
-  double v = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0 ||
-      (v == 0 && !allow_zero)) {
-    return allow_zero ? "expects a number >= 0" : "expects a number > 0";
-  }
-  out = v;
-  return {};
-}
+// Value setters: each returns "" or what the flag expects. Numbers go
+// through util/flags.h, the parser every front-end shares.
+using util::parse_int;
+using util::parse_real;
 
 std::string set_path(Value text, std::string& out) {
   if (text.empty()) return "expects a non-empty path";
@@ -75,22 +53,23 @@ const FlagDef kFlags[] = {
        f.opt.iterations = 3;
      }},
     {"scale", "S",
-     [](Flags& f, Value v) { return set_real(v, false, f.opt.time_scale); }},
-    {"stride", "K",
-     [](Flags& f, Value v) { return set_int(v, 1, f.opt.stride); }},
-    {"iterations", "N",
-     [](Flags& f, Value v) { return set_int(v, 0, f.opt.iterations); }},
-    {"seed", "X",
      [](Flags& f, Value v) {
-       return set_int<std::uint64_t>(v, 0, f.opt.seed);
+       return parse_real(v, false, f.opt.time_scale);
      }},
+    {"stride", "K",
+     [](Flags& f, Value v) { return parse_int(v, 1, f.opt.stride); }},
+    {"iterations", "N",
+     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.iterations); }},
+    {"seed", "X",
+     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.seed); }},
     {"baseline-ms", "MS",
      [](Flags& f, Value v) {
-       return set_real(v, true, f.opt.baseline_window_ms);
+       return parse_real(v, true, f.opt.baseline_window_ms);
      }},
-    {"jobs", "J", [](Flags& f, Value v) { return set_int(v, 0, f.opt.jobs); }},
+    {"jobs", "J",
+     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.jobs); }},
     {"chunk", "N",
-     [](Flags& f, Value v) { return set_int(v, 0, f.opt.chunk); }},
+     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.chunk); }},
     {"no-steal", [](Flags& f) { f.opt.steal = false; }},
     {"cold-boot", [](Flags& f) { f.opt.warm_boot = false; }},
     {"no-fusion", [](Flags& f) { f.opt.fusion = false; }},
@@ -108,9 +87,7 @@ const FlagDef kFlags[] = {
     {"flame-out", "FILE",
      [](Flags& f, Value v) { return set_path(v, f.flame_out); }},
     {"profile-stride", "N",
-     [](Flags& f, Value v) {
-       return set_int<std::uint64_t>(v, 1, f.opt.profile_stride);
-     }},
+     [](Flags& f, Value v) { return parse_int(v, 1, f.opt.profile_stride); }},
     {"sched-json", "FILE",
      [](Flags& f, Value v) { return set_path(v, f.sched_json); }},
     {"activation-report", [](Flags& f) { f.activation_report = true; }},
@@ -125,9 +102,7 @@ const FlagDef kFlags[] = {
     {"store-json", "FILE",
      [](Flags& f, Value v) { return set_path(v, f.store_json); }},
     {"crash-after-puts", "N",
-     [](Flags& f, Value v) {
-       return set_int<std::uint64_t>(v, 0, f.crash_after_puts);
-     }},
+     [](Flags& f, Value v) { return parse_int(v, 0, f.crash_after_puts); }},
 };
 
 bool is_flag(Value arg) {

@@ -62,8 +62,8 @@ std::string campaign_profile_json(const std::vector<ExperimentCell>& cells,
 /// feedable straight into flamegraph.pl / speedscope.
 std::string campaign_flamegraph(const CampaignObs& obs);
 
-/// Chrome trace-event JSON of the whole campaign: shard tasks on host
-/// wall-clock (pid 1) + per-task journals on VM virtual time (pid 2).
+/// Chrome trace-event JSON of the whole campaign: runs on host wall-clock
+/// (pid 1) + per-run journals on VM virtual time (pid 2).
 std::string campaign_chrome_trace(const CampaignObs& obs);
 
 }  // namespace gf::depbench

@@ -57,21 +57,12 @@ void Controller::configure(ControllerConfig cfg) {
 
 void Controller::bring_up() {
   if (warm_started_) {
-    // The snapshot was captured exactly after this reboot + start + warm-up
-    // sequence; repeating it would double-count boot cycles and diverge
-    // from cold.
+    // The snapshot was captured exactly after this bring-up; repeating it
+    // would double-count boot cycles and diverge from cold.
     warm_started_ = false;
     return;
   }
-  kernel_->reboot();
-  if (!server_->start()) {
-    throw std::runtime_error("server failed to start on a healthy OS");
-  }
-  // Bring-up ends with the server *warmed*, not merely started: every run —
-  // baseline, profile, or a single-fault exposure — measures a SUB in its
-  // steady serving state, the state the paper's long sequential slots put
-  // it in before most injections.
-  spec::warm_server(*server_, *fileset_);
+  snapshot::bring_up(*kernel_, *server_, *fileset_);
 }
 
 void Controller::obs_begin_run() {
@@ -138,44 +129,46 @@ void Controller::profile_end() {
   m.disarm_sampler();
 }
 
-spec::WindowMetrics Controller::run_baseline(double duration_ms,
-                                             std::uint64_t seed) {
+template <typename Body>
+IterationResult Controller::run(Body&& body) {
   obs_begin_run();
   bring_up();
   profile_begin();
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.begin("baseline", 0, kernel_->machine().total_cycles());
-  }
-  spec::WorkloadGenerator gen(*fileset_, seed);
-  spec::SpecClient client(cfg_.client);
-  auto m = client.run_window(*server_, gen, 0, duration_ms);
-  server_->stop();
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.end("baseline", duration_ms,
-                          kernel_->machine().total_cycles());
-  }
+  IterationResult result = body();
   profile_end();
-  obs_end_run(m);
-  return m;
+  obs_end_run(result.metrics);
+  return result;
+}
+
+spec::WindowMetrics Controller::serve_window(
+    const char* span, double duration_ms, std::uint64_t seed,
+    double injector_latency_ms, const spec::SpecClient::Tick& tick) {
+  auto body = [&] {
+    auto* jr = cfg_.obs != nullptr ? &cfg_.obs->journal : nullptr;
+    if (jr != nullptr) jr->begin(span, 0, kernel_->machine().total_cycles());
+    spec::WorkloadGenerator gen(*fileset_, seed);
+    auto ccfg = cfg_.client;
+    ccfg.base_latency_ms += injector_latency_ms;
+    spec::SpecClient client(ccfg);
+    IterationResult r;
+    r.metrics = client.run_window(*server_, gen, 0, duration_ms, tick);
+    server_->stop();
+    if (jr != nullptr) {
+      jr->end(span, duration_ms, kernel_->machine().total_cycles());
+    }
+    return r;
+  };
+  return run(body).metrics;
+}
+
+spec::WindowMetrics Controller::run_baseline(double duration_ms,
+                                             std::uint64_t seed) {
+  return serve_window("baseline", duration_ms, seed, 0, {});
 }
 
 spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
                                                  double duration_ms,
                                                  std::uint64_t seed) {
-  obs_begin_run();
-  bring_up();
-  profile_begin();
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.begin("profile", 0, kernel_->machine().total_cycles());
-  }
-  spec::WorkloadGenerator gen(*fileset_, seed);
-  // The injector runs co-located with the server (paper Fig. 3); its
-  // schedule bookkeeping and monitor polling steal a small CPU share,
-  // modeled as extra per-operation service time.
-  auto ccfg = cfg_.client;
-  ccfg.base_latency_ms += 0.1;
-  spec::SpecClient client(ccfg);
-
   // Profile mode performs the complete injection workflow against the
   // active image — schedule walking, original-window verification, monitor
   // polling — without patching. Its cost is the injector's intrusiveness.
@@ -196,16 +189,11 @@ spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
     }
     (void)server_->state();  // monitor poll
   };
-
-  auto m = client.run_window(*server_, gen, 0, duration_ms, tick);
+  // The injector runs co-located with the server (paper Fig. 3); its
+  // schedule bookkeeping and monitor polling steal a small CPU share,
+  // modeled as extra per-operation service time.
+  const auto m = serve_window("profile", duration_ms, seed, 0.1, tick);
   (void)window_check;
-  server_->stop();
-  if (cfg_.obs != nullptr) {
-    cfg_.obs->journal.end("profile", duration_ms,
-                          kernel_->machine().total_cycles());
-  }
-  profile_end();
-  obs_end_run(m);
   return m;
 }
 
@@ -215,10 +203,15 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
     throw std::invalid_argument(
         "faultload was generated for a different OS build");
   }
-  obs_begin_run();
-  bring_up();
-  profile_begin();
+  auto result = run([&] { return inject_faults(fl, seed); });
+  // The scrub reboot runs after the harvest (incl. the end-state invariant
+  // probe), which must see what the iteration did to the kernel.
+  kernel_->reboot();
+  return result;
+}
 
+IterationResult Controller::inject_faults(const swfit::Faultload& fl,
+                                          std::uint64_t seed) {
   spec::WorkloadGenerator gen(*fileset_, seed);
   const auto stride = static_cast<std::size_t>(std::max(1, cfg_.fault_stride));
   const auto offset =
@@ -437,12 +430,6 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
     r.add("inject.verify_failures", injector.verify_failures());
     trace::export_metrics(activations, r);
   }
-  // Harvest (incl. the end-state invariant probe) before the scrub reboot
-  // erases what the iteration did to the kernel.
-  profile_end();
-  obs_end_run(metrics);
-  kernel_->reboot();
-
   IterationResult result;
   result.metrics = metrics;
   result.counters = counters;

@@ -39,8 +39,9 @@ struct ControllerConfig {
   double time_scale = 1.0;           ///< scales exposure & monitor latencies
   int fault_stride = 1;              ///< inject every k-th fault (sampling)
   /// First fault index of the iteration. Together with fault_stride this
-  /// lets a campaign runner split one iteration into disjoint shards:
-  /// shard s of S covers indices {offset + s*stride, ... step stride*S}.
+  /// selects the faults a run exposes: {offset, offset + stride, ...}. The
+  /// campaign runner sets offset to one fault's index and stride to the
+  /// faultload size, so each run exposes exactly that fault.
   int fault_offset = 0;
   /// Faults per slot (paper Fig. 4): at slot boundaries the SUB is not
   /// exercised and gets a scheduled reset (OS reboot + server restart)
@@ -88,7 +89,7 @@ struct IterationResult {
   CampaignCounters counters;
   /// One record per injected fault when tracing is on (empty otherwise),
   /// sorted by absolute faultload index — the canonical order that makes
-  /// shard merges independent of scheduling.
+  /// the merge of per-fault runs independent of scheduling.
   std::vector<trace::ActivationRecord> activations;
 };
 
@@ -128,14 +129,29 @@ class Controller {
   web::WebServer& server() noexcept { return *server_; }
 
  private:
-  struct MonitorState;
-
   /// Adopts `cfg` (client connections, API metrics sink).
   void configure(ControllerConfig cfg);
 
-  /// Run-entry bring-up (OS reboot + server start), skipped once on a
+  /// Run-entry bring-up (snapshot::bring_up), skipped once on a
   /// warm-constructed controller whose snapshot already contains it.
   void bring_up();
+
+  /// Every run kind: obs window, bring-up and profiler window around
+  /// `body`, which returns the run's result.
+  template <typename Body>
+  IterationResult run(Body&& body);
+
+  /// Baseline/profile-mode window under journal span `span`: the injector
+  /// adds `injector_latency_ms` per operation and polls `tick` (empty =
+  /// no injector).
+  spec::WindowMetrics serve_window(const char* span, double duration_ms,
+                                   std::uint64_t seed,
+                                   double injector_latency_ms,
+                                   const spec::SpecClient::Tick& tick);
+
+  /// run_iteration's window: exposes the faults cfg_ selects.
+  IterationResult inject_faults(const swfit::Faultload& fl,
+                                std::uint64_t seed);
 
   /// Observability harvest window: begin records the lifetime counter
   /// baselines, end folds the deltas (VM dispatch, kernel activity, client

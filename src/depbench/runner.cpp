@@ -4,9 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -112,6 +110,32 @@ store::KeyBuilder cell_key_base(const RunnerOptions& opt,
 constexpr std::uint64_t kKindBaseline = 1;
 constexpr std::uint64_t kKindFault = 2;
 
+/// The worker pool's shape: jobs = 0 resolves to the host's core count.
+SchedOptions sched_options(const RunnerOptions& opt) {
+  SchedOptions sopt;
+  sopt.jobs = opt.jobs > 0 ? static_cast<std::size_t>(opt.jobs)
+                           : std::max(1u, std::thread::hardware_concurrency());
+  sopt.steal = opt.steal;
+  return sopt;
+}
+
+/// Builds one run's controller: from the cell's warm snapshot when there is
+/// one, cold otherwise.
+std::unique_ptr<Controller> make_controller(
+    const RunnerOptions& opt,
+    const std::shared_ptr<const snapshot::WarmSnapshot>& snap,
+    os::OsVersion version, const std::string& server,
+    const ControllerConfig& cfg) {
+  auto ctl = snap != nullptr
+                 ? std::make_unique<Controller>(snap, cfg)
+                 : std::make_unique<Controller>(version, server, cfg);
+  // A/B hook: fusion is an execution strategy, not a semantic knob, so it
+  // is applied to the built machine instead of traveling through
+  // ControllerConfig (and store keys). Default-on costs nothing here.
+  if (!opt.fusion) ctl->kernel().machine().set_fusion(false);
+  return ctl;
+}
+
 }  // namespace
 
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t cell,
@@ -208,39 +232,6 @@ const swfit::Faultload& CampaignRunner::faultload_for(os::OsVersion v) const {
   throw std::logic_error("faultload_for: version was not scanned");
 }
 
-void CampaignRunner::run_tasks(
-    std::size_t count, const std::function<void(std::size_t)>& task) const {
-  std::size_t jobs = opt_.jobs > 0
-                         ? static_cast<std::size_t>(opt_.jobs)
-                         : std::max(1u, std::thread::hardware_concurrency());
-  jobs = std::min(jobs, count);
-  if (jobs <= 1) {
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr err;
-  auto worker = [&] {
-    while (true) {
-      const auto i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      try {
-        task(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (err) std::rethrow_exception(err);
-}
-
 std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // Scan-cache traffic attributable to this campaign (process-wide memo, so
   // absolute hit/miss values are not a pure function of the campaign — only
@@ -252,9 +243,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   const auto iters = static_cast<std::size_t>(std::max(0, opt_.iterations));
   const auto stride = static_cast<std::size_t>(std::max(1, opt_.stride));
   const std::size_t n_cells = opt_.versions.size() * opt_.servers.size();
-  const std::size_t jobs =
-      opt_.jobs > 0 ? static_cast<std::size_t>(opt_.jobs)
-                    : std::max(1u, std::thread::hardware_concurrency());
+  const SchedOptions sopt = sched_options(opt_);
 
   // Oracle-sensitivity hook for the differential fuzzer (src/check): with
   // GF_CHECK_PERTURB set, parallel campaigns (jobs > 1) deliberately skew one
@@ -263,7 +252,8 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // perturbed run; CI uses this to prove the oracles can actually detect a
   // scheduling-shape-dependent bug rather than vacuously agreeing.
   const char* perturb_env = std::getenv("GF_CHECK_PERTURB");
-  const bool perturb = perturb_env != nullptr && *perturb_env != '\0' && jobs > 1;
+  const bool perturb =
+      perturb_env != nullptr && *perturb_env != '\0' && sopt.jobs > 1;
 
   // Baseline cost in the cost model's unit (one healthy exposure window).
   // run_profile_mode takes its window length unscaled while exposures are
@@ -280,17 +270,18 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   struct CellPlan {
     os::OsVersion version{};
     std::string server;
+    std::string name;  ///< "VOS-2000/apex"
     const swfit::Faultload* fl = nullptr;
     std::size_t positions = 0;  ///< faults per iteration (ceil(n/stride))
     std::size_t slot_base = 0;  ///< first obs/result slot of this cell
-    std::vector<double> pos_cost;
     // Store keying (meaningful only when a store is wired).
     store::KeyBuilder key_base;        ///< shared key prefix of this cell
     std::vector<std::uint64_t> fdig;   ///< per-position fault content digest
     std::uint64_t profile_dig = 0;     ///< baseline schedule digest
     bool baseline_cached = false;
-    /// Positions still to execute, per iteration; without a store (or with
-    /// store_read off) every position is a miss — the identity schedule.
+    /// Fault runs (task ids) still to execute, per iteration; without a
+    /// store (or with store_read off) every run is a miss — the identity
+    /// schedule.
     std::vector<std::vector<std::size_t>> miss;
     std::vector<std::vector<Chunk>> iter_chunks;  ///< chunks over miss[it]
   };
@@ -301,14 +292,10 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     auto& cp = plan[cell];
     cp.version = opt_.versions[cell / opt_.servers.size()];
     cp.server = opt_.servers[cell % opt_.servers.size()];
+    cp.name = std::string(os::os_version_name(cp.version)) + "/" + cp.server;
     cp.fl = &faultload_for(cp.version);
     const auto n = cp.fl->faults.size();
     cp.positions = n == 0 ? 0 : (n + stride - 1) / stride;
-    const auto fault_costs = estimate_fault_costs(*cp.fl, cost_model);
-    cp.pos_cost.resize(cp.positions);
-    for (std::size_t p = 0; p < cp.positions; ++p) {
-      cp.pos_cost[p] = fault_costs[p * stride];
-    }
     cp.slot_base = total_slots;
     total_slots += 1 + iters * cp.positions;
     if (opt_.store != nullptr) {
@@ -321,114 +308,91 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       cp.profile_dig = profile_digest(*cp.fl, stride);
     }
   }
-  auto fault_key = [&](const CellPlan& cp, std::size_t it, std::size_t pos) {
-    auto kb = cp.key_base;
-    kb.u64(kKindFault).u64(it).u64(pos).u64(cp.fdig[pos]);
-    return kb.finish();
-  };
-  auto baseline_key = [&](const CellPlan& cp) {
-    auto kb = cp.key_base;
-    kb.u64(kKindBaseline).f64(opt_.baseline_window_ms).u64(cp.profile_dig);
-    return kb.finish();
-  };
 
-  // Observability slots mirror the result slots: one private bundle per
-  // fault run (plus one per baseline), merged in slot order after the join.
+  // Every run is addressed by (cell, task): task 0 is the cell's baseline,
+  // task 1 + it*positions + pos the fault run at schedule position pos of
+  // iteration it. The task id seeds the run, and the run's result, obs
+  // bundle and store record all belong to slot slot_base + task — runs
+  // write only their own slot, which is what makes the merge independent
+  // of scheduling.
+  auto fault_task = [](const CellPlan& cp, std::size_t it, std::size_t pos) {
+    return 1 + it * cp.positions + pos;
+  };
+  auto run_label = [&](const CellPlan& cp, std::size_t task) {
+    if (task == 0) return std::string("baseline");
+    return "iter" + std::to_string((task - 1) / cp.positions) + ".f" +
+           std::to_string((task - 1) % cp.positions * stride);
+  };
+  auto run_key = [&](const CellPlan& cp, std::size_t task) {
+    auto kb = cp.key_base;
+    if (task == 0) {
+      kb.u64(kKindBaseline).f64(opt_.baseline_window_ms).u64(cp.profile_dig);
+    } else {
+      const auto pos = (task - 1) % cp.positions;
+      kb.u64(kKindFault).u64((task - 1) / cp.positions).u64(pos);
+      kb.u64(cp.fdig[pos]);
+    }
+    return kb.finish();
+  };
+  std::vector<IterationResult> results(total_slots);
+  // Observability slots mirror the result slots, merged in slot order after
+  // the join.
   obs_.reset();
   if (opt_.obs) {
     obs_ = std::make_unique<CampaignObs>();
     obs_->tasks.resize(total_slots);
   }
-  std::vector<ExperimentCell> cells(n_cells);
-  // One result slot per (cell, iteration, position): runs write only their
-  // own slot, which is what makes the merge independent of scheduling.
-  std::vector<std::vector<IterationResult>> fault_results(n_cells);
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    fault_results[cell].resize(iters * plan[cell].positions);
-  }
-
-  auto cell_name = [&](std::size_t cell) {
-    return std::string(os::os_version_name(plan[cell].version)) + "/" +
-           plan[cell].server;
-  };
-  auto restore_slot = [&](std::size_t slot_index, std::size_t cell,
-                          std::string label, store::RunRecord&& rec) {
-    if (!obs_) return;
-    auto& slot = obs_->tasks[slot_index];
-    slot.cell = cell_name(cell);
-    slot.label = std::move(label);
-    slot.obs = std::move(rec.obs);
-  };
 
   // Cache resolution: fold every stored run into the slot a live run would
   // have filled, and schedule only the misses. Records cached under a
   // different obs/trace shape carry different keys, so a hit is always
   // shape-compatible; the decode guard below is pure defense.
   store::CampaignStore* st = opt_.store;
+  const bool reading = st != nullptr && opt_.store_read;
   const store::StoreStats stats0 = st != nullptr ? st->stats()
                                                  : store::StoreStats{};
   std::uint64_t cached_runs = 0;
   std::vector<std::uint8_t> payload;
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    auto& cp = plan[cell];
-    cp.miss.assign(iters, {});
-    const bool reading = st != nullptr && opt_.store_read;
-    if (reading && st->get(baseline_key(cp), payload)) {
-      try {
-        auto rec = store::decode_run_record(payload);
-        if (!opt_.obs || rec.has_obs) {
-          cells[cell].baseline = rec.result.metrics;
-          restore_slot(cp.slot_base, cell, "baseline", std::move(rec));
-          cp.baseline_cached = true;
-          ++cached_runs;
-        }
-      } catch (const store::WireError&) {
-        cp.baseline_cached = false;
+  auto restore_run = [&](const CellPlan& cp, std::size_t task) {
+    if (!reading || !st->get(run_key(cp, task), payload)) return false;
+    try {
+      auto rec = store::decode_run_record(payload);
+      if (opt_.obs && !rec.has_obs) return false;
+      results[cp.slot_base + task] = std::move(rec.result);
+      if (obs_) {
+        auto& slot = obs_->tasks[cp.slot_base + task];
+        slot.cell = cp.name;
+        slot.label = run_label(cp, task);
+        slot.obs = std::move(rec.obs);
       }
+      ++cached_runs;
+      return true;
+    } catch (const store::WireError&) {
+      return false;
     }
-    for (std::size_t it = 0; it < iters; ++it) {
-      for (std::size_t pos = 0; pos < cp.positions; ++pos) {
-        bool hit = false;
-        if (reading && st->get(fault_key(cp, it, pos), payload)) {
-          try {
-            auto rec = store::decode_run_record(payload);
-            if (!opt_.obs || rec.has_obs) {
-              const std::size_t idx = it * cp.positions + pos;
-              fault_results[cell][idx] = std::move(rec.result);
-              restore_slot(cp.slot_base + 1 + idx, cell,
-                           "iter" + std::to_string(it) + ".f" +
-                               std::to_string(pos * stride),
-                           std::move(rec));
-              hit = true;
-              ++cached_runs;
-            }
-          } catch (const store::WireError&) {
-            hit = false;
-          }
-        }
-        if (!hit) cp.miss[it].push_back(pos);
-      }
-    }
-    // Chunks are planned over the miss list only: cached positions never
-    // occupy scheduler slots, so their cost is subtracted before the first
-    // progress line, not amortized into the measured rate.
-    cp.iter_chunks.resize(iters);
-    for (std::size_t it = 0; it < iters; ++it) {
-      std::vector<double> miss_cost(cp.miss[it].size());
-      for (std::size_t k = 0; k < cp.miss[it].size(); ++k) {
-        miss_cost[k] = cp.pos_cost[cp.miss[it][k]];
-      }
-      cp.iter_chunks[it] = plan_chunks(miss_cost, jobs, opt_.chunk);
-    }
-  }
-
+  };
   double total_cost = 0;
   std::uint64_t planned_faults = 0;
-  for (const auto& cp : plan) {
+  for (auto& cp : plan) {
+    cp.baseline_cached = restore_run(cp, 0);
     if (!cp.baseline_cached) total_cost += baseline_cost;
+    const auto fault_costs = estimate_fault_costs(*cp.fl, cost_model);
+    cp.miss.resize(iters);
+    cp.iter_chunks.resize(iters);
     for (std::size_t it = 0; it < iters; ++it) {
+      std::vector<double> miss_cost;
+      for (std::size_t pos = 0; pos < cp.positions; ++pos) {
+        const auto task = fault_task(cp, it, pos);
+        if (restore_run(cp, task)) continue;
+        cp.miss[it].push_back(task);
+        miss_cost.push_back(fault_costs[pos * stride]);
+        total_cost += miss_cost.back();
+      }
       planned_faults += cp.miss[it].size();
-      for (const auto pos : cp.miss[it]) total_cost += cp.pos_cost[pos];
+      // Chunks are planned over the miss list only: cached runs never
+      // occupy scheduler slots, so their cost is subtracted before the
+      // first progress line, not amortized into the measured rate.
+      cp.iter_chunks[it] = plan_chunks(miss_cost, sopt.jobs, opt_.chunk);
     }
   }
   if (opt_.progress != nullptr) {
@@ -443,28 +407,26 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   }
   const auto wall0 = std::chrono::steady_clock::now();
 
-  // Warm-boot snapshots: one bring-up per cell (parallelized), shared
-  // read-only by every fault run of that cell. Each run then clones a
+  // Warm-boot snapshots: one bring-up per cell, run on the worker pool and
+  // shared read-only by every run of that cell. Each run then clones a
   // private SUB from the snapshot in O(memory copy) instead of recompiling
   // the OS image and re-running boot + file-set population + server start.
+  // The capture's scheduler telemetry is dropped: SchedStats describes the
+  // fault schedule only.
   std::vector<std::shared_ptr<const snapshot::WarmSnapshot>> warm(n_cells);
   if (opt_.warm_boot) {
-    run_tasks(n_cells, [&](std::size_t cell) {
-      warm[cell] =
-          snapshot::capture_warm_boot(plan[cell].version, plan[cell].server);
-    });
+    std::vector<WorkUnit> captures;
+    for (const auto& cp : plan) {
+      captures.push_back({[&warm, &cp, cell = captures.size()] {
+        warm[cell] = snapshot::capture_warm_boot(cp.version, cp.server);
+      }});
+    }
+    run_units(std::move(captures), sopt);
   }
 
   // Per-cell countdown over *work units* so campaign progress is narrated
   // live (one line per completed cell) even under steal interleaving.
   std::vector<std::atomic<std::size_t>> remaining(n_cells);
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    std::size_t units_of_cell = plan[cell].baseline_cached ? 0 : 1;
-    for (std::size_t it = 0; it < iters; ++it) {
-      units_of_cell += plan[cell].iter_chunks[it].size();
-    }
-    remaining[cell].store(units_of_cell, std::memory_order_relaxed);
-  }
   std::atomic<std::size_t> cells_done{0};
 
   auto wall_us = [&] {
@@ -472,57 +434,31 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
                std::chrono::steady_clock::now() - wall0)
         .count();
   };
-  auto build = [&](std::size_t cell, const ControllerConfig& c) {
-    auto ctl = opt_.warm_boot
-                   ? std::make_unique<Controller>(warm[cell], c)
-                   : std::make_unique<Controller>(plan[cell].version,
-                                                  plan[cell].server, c);
-    // A/B hook: fusion is an execution strategy, not a semantic knob, so it
-    // is applied to the built machine instead of traveling through
-    // ControllerConfig (and store keys). Default-on costs nothing here.
-    if (!opt_.fusion) ctl->kernel().machine().set_fusion(false);
-    return ctl;
-  };
-  // Post-run commit: everything the cache-resolution pass needs to fold the
-  // run back without executing it. The TaskObs copy happens at the run
-  // boundary, never on the VM hot path.
-  auto commit_run = [&](const store::ResultKey& key, std::size_t cell,
-                        const std::string& label,
-                        const IterationResult& result,
-                        const TaskObsSlot* slot) {
-    if (st == nullptr) return;
-    store::RunRecord rec;
-    rec.cell = cell_name(cell);
-    rec.label = label;
-    rec.result = result;
-    rec.has_obs = slot != nullptr;
-    if (slot != nullptr) rec.obs = slot->obs;
-    st->put(key, store::encode_run_record(rec));
-  };
-  // The per-fault mini-run: a controller freshly built or reset to the cell
-  // snapshot, exactly one fault injected (offset = its absolute index,
-  // stride spans the whole faultload), seeded by the task id
-  // 1 + iter*positions + pos. `ctl` is the chunk's controller: warm runs
-  // reset it (a reset controller is indistinguishable from a fresh one, so
-  // nothing here depends on which chunk or worker the run rides in or what
-  // ran before it); the first run of a chunk and every cold-boot run build
-  // it.
-  auto run_fault = [&](std::size_t cell, std::size_t it, std::size_t pos,
-                       std::unique_ptr<Controller>& ctl) {
+  // One run, baseline or fault alike: a controller freshly built or reset
+  // to the cell snapshot, seeded by the task id. The baseline runs profile
+  // mode over the whole faultload; a fault run injects exactly one fault
+  // (offset = its absolute index, stride spans the whole faultload). `ctl`
+  // is the unit's controller: warm runs reset it (a reset controller is
+  // indistinguishable from a fresh one, so nothing here depends on which
+  // unit or worker the run rides in or what ran before it); the first run
+  // of a unit and every cold-boot run build it. The post-run commit holds
+  // everything restore_run needs to fold the run back without executing
+  // it; the TaskObs copy happens at the run boundary, never on the VM hot
+  // path.
+  auto execute = [&](std::size_t cell, std::size_t task,
+                     std::unique_ptr<Controller>& ctl) {
     const auto& cp = plan[cell];
-    const std::size_t task = 1 + it * cp.positions + pos;
-    const std::size_t fault_index = pos * stride;
-    const auto label =
-        "iter" + std::to_string(it) + ".f" + std::to_string(fault_index);
+    const auto label = run_label(cp, task);
     auto cfg = cell_config(cp.server, opt_);
     cfg.progress = opt_.progress;
-    cfg.fault_offset = static_cast<int>(fault_index);
-    cfg.fault_stride =
-        static_cast<int>(std::max<std::size_t>(cp.fl->faults.size(), 1));
-    const auto seed = derive_seed(opt_.seed, cell, task);
+    if (task > 0) {
+      cfg.fault_offset = static_cast<int>((task - 1) % cp.positions * stride);
+      cfg.fault_stride =
+          static_cast<int>(std::max<std::size_t>(cp.fl->faults.size(), 1));
+    }
     TaskObsSlot* slot = obs_ ? &obs_->tasks[cp.slot_base + task] : nullptr;
     if (slot != nullptr) {
-      slot->cell = cell_name(cell);
+      slot->cell = cp.name;
       slot->label = label;
       cfg.obs = &slot->obs;
       slot->obs.wall_start_us = wall_us();
@@ -531,44 +467,35 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       ctl->reset(cfg);
     } else {
       ctl = nullptr;  // at most one live controller per worker
-      ctl = build(cell, cfg);
+      ctl = make_controller(opt_, warm[cell], cp.version, cp.server, cfg);
     }
-    auto& result = fault_results[cell][it * cp.positions + pos];
-    result = ctl->run_iteration(*cp.fl, seed);
-    if (perturb) result.counters.self_restarts += 1;
-    if (slot != nullptr) slot->obs.wall_end_us = wall_us();
-    if (st != nullptr) commit_run(fault_key(cp, it, pos), cell, label, result, slot);
-  };
-  auto run_baseline = [&](std::size_t cell) {
-    const auto& cp = plan[cell];
-    auto cfg = cell_config(cp.server, opt_);
-    cfg.progress = opt_.progress;
-    const auto seed = derive_seed(opt_.seed, cell, 0);
-    TaskObsSlot* slot = obs_ ? &obs_->tasks[cp.slot_base] : nullptr;
-    if (slot != nullptr) {
-      slot->cell = cell_name(cell);
-      slot->label = "baseline";
-      cfg.obs = &slot->obs;
-      slot->obs.wall_start_us = wall_us();
+    const auto seed = derive_seed(opt_.seed, cell, task);
+    auto& result = results[cp.slot_base + task];
+    if (task == 0) {
+      result.metrics =
+          ctl->run_profile_mode(*cp.fl, opt_.baseline_window_ms, seed);
+    } else {
+      result = ctl->run_iteration(*cp.fl, seed);
+      if (perturb) result.counters.self_restarts += 1;
     }
-    auto ctl = build(cell, cfg);
-    cells[cell].baseline =
-        ctl->run_profile_mode(*cp.fl, opt_.baseline_window_ms, seed);
     if (slot != nullptr) slot->obs.wall_end_us = wall_us();
     if (st != nullptr) {
-      IterationResult rec;
-      rec.metrics = cells[cell].baseline;
-      commit_run(baseline_key(cp), cell, "baseline", rec, slot);
+      store::RunRecord rec;
+      rec.cell = cp.name;
+      rec.label = label;
+      rec.result = result;
+      rec.has_obs = slot != nullptr;
+      if (slot != nullptr) rec.obs = slot->obs;
+      st->put(run_key(cp, task), store::encode_run_record(rec));
     }
   };
   auto cell_complete = [&](std::size_t cell) {
     const auto done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-    const auto name = cell_name(cell);
     if (opt_.progress != nullptr) {
-      opt_.progress->cell_done(name, done, n_cells);
+      opt_.progress->cell_done(plan[cell].name, done, n_cells);
     } else {
-      GF_INFO() << "campaign cell done: " << name << " (" << done << "/"
-                << n_cells << " cells)";
+      GF_INFO() << "campaign cell done: " << plan[cell].name << " (" << done
+                << "/" << n_cells << " cells)";
     }
   };
   auto unit_done = [&](std::size_t cell, double cost) {
@@ -577,60 +504,57 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       cell_complete(cell);
     }
   };
-  // Cells fully satisfied from the store never reach the scheduler; narrate
-  // them here so the cell countdown stays complete on resume.
+  // Work units, in deterministic construction order (cell-major, baseline
+  // first, then iteration-major chunks over the miss lists). The scheduler
+  // is free to run them in any order on any worker — units only write their
+  // own slots. One controller per unit: every unit covers a single cell, so
+  // its snapshot fits every run.
+  std::vector<WorkUnit> units;
+  auto add_unit = [&](std::size_t cell, std::vector<std::size_t> tasks,
+                      double cost) {
+    remaining[cell].fetch_add(1, std::memory_order_relaxed);
+    units.push_back({[&execute, &unit_done, cell, tasks = std::move(tasks),
+                      cost] {
+                       std::unique_ptr<Controller> ctl;
+                       for (const auto task : tasks) execute(cell, task, ctl);
+                       unit_done(cell, cost);
+                     },
+                     cost});
+  };
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
+    const auto& cp = plan[cell];
+    if (!cp.baseline_cached) add_unit(cell, {0}, baseline_cost);
+    for (std::size_t it = 0; it < iters; ++it) {
+      for (const auto& c : cp.iter_chunks[it]) {
+        const auto first =
+            cp.miss[it].begin() + static_cast<std::ptrdiff_t>(c.first);
+        add_unit(cell, {first, first + static_cast<std::ptrdiff_t>(c.count)},
+                 c.cost);
+      }
+    }
+    // A cell fully satisfied from the store never reaches the scheduler;
+    // narrate it here so the cell countdown stays complete on resume.
     if (remaining[cell].load(std::memory_order_relaxed) == 0) {
       cell_complete(cell);
     }
   }
 
-  // Work units, in deterministic construction order (cell-major, baseline
-  // first, then iteration-major chunks over the miss lists). The scheduler
-  // is free to run them in any order on any worker — units only write their
-  // own slots.
-  std::vector<WorkUnit> units;
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    if (!plan[cell].baseline_cached) {
-      units.push_back({[&unit_done, &run_baseline, cell, baseline_cost] {
-                         run_baseline(cell);
-                         unit_done(cell, baseline_cost);
-                       },
-                       baseline_cost});
-    }
-    for (std::size_t it = 0; it < iters; ++it) {
-      for (const auto& c : plan[cell].iter_chunks[it]) {
-        units.push_back({[&unit_done, &run_fault, &plan, cell, it, c] {
-                           // One controller per chunk: every chunk covers a
-                           // single cell, so its snapshot fits every run.
-                           std::unique_ptr<Controller> ctl;
-                           for (std::size_t k = 0; k < c.count; ++k) {
-                             run_fault(cell, it,
-                                       plan[cell].miss[it][c.first + k], ctl);
-                           }
-                           unit_done(cell, c.cost);
-                         },
-                         c.cost});
-      }
-    }
-  }
-
-  SchedOptions sopt;
-  sopt.jobs = jobs;
-  sopt.steal = opt_.steal;
   sched_ = std::make_unique<SchedStats>(run_units(std::move(units), sopt));
   GF_INFO() << "campaign schedule: " << sched_->total_units << " units on "
             << sched_->workers.size() << " workers, utilization "
             << sched_->utilization() << ", " << sched_->steals()
             << " steals (" << sched_->stolen() << " units)";
 
+  std::vector<ExperimentCell> cells(n_cells);
   for (std::size_t cell = 0; cell < n_cells; ++cell) {
     const auto& cp = plan[cell];
     cells[cell].os_name = os::os_version_name(cp.version);
     cells[cell].server_name = cp.server;
+    cells[cell].baseline = results[cp.slot_base].metrics;
     for (std::size_t it = 0; it < iters; ++it) {
-      const auto first = fault_results[cell].begin() +
-                         static_cast<std::ptrdiff_t>(it * cp.positions);
+      const auto first = results.begin() + static_cast<std::ptrdiff_t>(
+                                                fault_task(cp, it, 0) +
+                                                cp.slot_base);
       cells[cell].iterations.push_back(merge_fault_runs(
           std::vector<IterationResult>(
               first, first + static_cast<std::ptrdiff_t>(cp.positions))));
@@ -677,30 +601,31 @@ std::vector<IntrusivenessCell> CampaignRunner::run_intrusiveness() {
   const std::size_t n_cells = opt_.versions.size() * opt_.servers.size();
   std::vector<IntrusivenessCell> cells(n_cells);
 
-  // Two tasks per cell: 0 = max-performance baseline, 1 = profile mode.
+  // Two units per cell: 0 = max-performance baseline, 1 = profile mode.
   // Both use the cell's task-0 seed so the degradation comparison is paired
-  // (same workload stream), exactly like the sequential Table 4 bench.
-  run_tasks(n_cells * 2, [&](std::size_t idx) {
-    const std::size_t cell = idx / 2;
-    const auto version = opt_.versions[cell / opt_.servers.size()];
-    const auto& server = opt_.servers[cell % opt_.servers.size()];
-    const auto cfg = cell_config(server, opt_);
-    const auto seed = derive_seed(opt_.seed, cell, 0);
-    Controller ctl(version, server, cfg);
-    if (!opt_.fusion) ctl.kernel().machine().set_fusion(false);
-    if (idx % 2 == 0) {
-      cells[cell].max_perf = ctl.run_baseline(opt_.baseline_window_ms, seed);
-    } else {
-      cells[cell].profile = ctl.run_profile_mode(
-          faultload_for(version), opt_.baseline_window_ms, seed);
-    }
-  });
-
-  for (std::size_t cell = 0; cell < n_cells; ++cell) {
-    cells[cell].os_name =
-        os::os_version_name(opt_.versions[cell / opt_.servers.size()]);
-    cells[cell].server_name = opt_.servers[cell % opt_.servers.size()];
+  // (same workload stream), exactly like the sequential Table 4 bench, and
+  // both build cold controllers: Table 4 is the cold reference. Every field
+  // of a cell has exactly one writing unit.
+  std::vector<WorkUnit> units;
+  for (std::size_t idx = 0; idx < n_cells * 2; ++idx) {
+    units.push_back({[this, &cells, idx] {
+      auto& cell = cells[idx / 2];
+      const auto version = opt_.versions[idx / 2 / opt_.servers.size()];
+      const auto& server = opt_.servers[idx / 2 % opt_.servers.size()];
+      const auto seed = derive_seed(opt_.seed, idx / 2, 0);
+      const auto ctl = make_controller(opt_, nullptr, version, server,
+                                       cell_config(server, opt_));
+      if (idx % 2 == 0) {
+        cell.os_name = os::os_version_name(version);
+        cell.server_name = server;
+        cell.max_perf = ctl->run_baseline(opt_.baseline_window_ms, seed);
+      } else {
+        cell.profile = ctl->run_profile_mode(faultload_for(version),
+                                             opt_.baseline_window_ms, seed);
+      }
+    }});
   }
+  run_units(std::move(units), sched_options(opt_));
   return cells;
 }
 

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,7 +62,7 @@ struct RunnerOptions {
   double time_scale = 1.0;
   double baseline_window_ms = 120000;
   std::uint64_t seed = 1;
-  int jobs = 0;          ///< worker threads; 0 = hardware_concurrency
+  int jobs = 0;  ///< worker threads of the one pool; 0 = hardware_concurrency
   /// Per-fault activation & propagation tracing (fills
   /// IterationResult::activations). Per-task seeds make the records a pure
   /// function of (seed, cell, task), so they are bit-identical for any
@@ -71,11 +70,11 @@ struct RunnerOptions {
   bool trace = false;
   bool trace_probe_per_call = false;
   /// Warm-boot snapshots: build each (OS version, server) cell's SUB once,
-  /// capture the post-boot/post-server-start state, and let every shard
-  /// task reconstruct its private controller from the shared snapshot
-  /// instead of re-compiling/booting from scratch. Bit-identical results
-  /// for any `jobs` value (the capture mirrors the cold bring-up exactly);
-  /// off = the original cold path, kept for A/B and equivalence tests.
+  /// capture the post-boot/post-server-start state, and let every run
+  /// reconstruct its private controller from the shared snapshot instead
+  /// of re-compiling/booting from scratch. Bit-identical results for any
+  /// `jobs` value (the capture runs the cold bring-up function itself);
+  /// off = the cold path, kept for A/B and equivalence tests.
   bool warm_boot = true;
   /// VM superinstruction fusion (--no-fusion turns it off). Pure execution
   /// strategy: architectural results, activation traces and obs artifacts
@@ -207,9 +206,6 @@ class CampaignRunner {
  private:
   void scan_faultloads();
   const swfit::Faultload& faultload_for(os::OsVersion v) const;
-  /// Runs `count` tasks on the worker pool; rethrows the first task error.
-  void run_tasks(std::size_t count,
-                 const std::function<void(std::size_t)>& task) const;
 
   RunnerOptions opt_;
   std::vector<std::pair<os::OsVersion, swfit::Faultload>> faultloads_;

@@ -1,11 +1,10 @@
 // Deterministic work-stealing campaign scheduler with fault-granular
-// chunking.
+// chunking — the one worker pool every campaign run goes through.
 //
-// The campaign runner used to fan a *static* (cell, task, shard) slot grid
-// across the worker pool: every shard was fixed up front, so workers sat
-// idle while the unlucky one drained its worst-case faults (ZOFI's
+// Fault exposures have wildly skewed costs, so any fixed partition leaves
+// workers idle while the unlucky one drains its worst-case faults (ZOFI's
 // campaign-throughput argument, inverted: the tail dominates wall-clock).
-// This module replaces the grid with two orthogonal pieces:
+// This module has two orthogonal pieces:
 //
 //   1. A cost model + chunk planner that decomposes one iteration's fault
 //      schedule into contiguous *chunks* of roughly equal estimated cost —
@@ -41,7 +40,8 @@
 
 namespace gf::depbench {
 
-/// One schedulable unit (a fault chunk or a baseline run). `run` must be
+/// One schedulable unit (a fault chunk, a baseline run, a snapshot capture
+/// or a Table 4 run). `run` must be
 /// safe to execute on any worker thread and must only write state owned by
 /// the unit (the runner's preallocated slots).
 struct WorkUnit {

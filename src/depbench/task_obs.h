@@ -1,6 +1,6 @@
 // Per-task observability bundle.
 //
-// Each campaign shard task owns one TaskObs — its private metrics registry,
+// Each campaign run owns one TaskObs — its private metrics registry,
 // OS-API sink and event journal — so the hot path never synchronizes. The
 // runner merges the per-task bundles at the campaign join in slot order,
 // which (together with the canonical renderings in src/obs) makes the merged

@@ -1,7 +1,7 @@
 // Chrome trace-event exporter (chrome://tracing / Perfetto loadable).
 //
 // Two coordinated views of one campaign:
-//   pid 1 "host"    — one complete (X) event per shard task on host
+//   pid 1 "host"    — one complete (X) event per campaign run on host
 //                     wall-clock, showing the real parallel schedule;
 //   pid 2 "virtual" — each task's journal replayed as B/E/i events on the
 //                     VM's simulated clock, one tid per task, showing what

@@ -1,6 +1,6 @@
 // Cycle-stamped event journal: per-task append-only ring of spans/instants.
 //
-// Each campaign shard task owns a private journal; the controller stamps
+// Each campaign run owns a private journal; the controller stamps
 // every event with the deterministic simulated-time clock (ms) and the VM's
 // lifetime cycle counter — never host wall time — so the flushed JSONL is a
 // pure function of (seed, cell, task) and byte-identical for any --jobs.

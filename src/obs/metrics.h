@@ -1,6 +1,6 @@
 // Deterministic metrics registry: counters, gauges, fixed-bucket histograms.
 //
-// Every campaign shard task owns a private registry (no locks, no sharing)
+// Every campaign run owns a private registry (no locks, no sharing)
 // and the runner merges the per-task registries at the join, in slot order.
 // All merge operations are commutative folds (counter/histogram sums, gauge
 // max), every map is ordered by name, and the JSON rendering is canonical

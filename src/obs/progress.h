@@ -5,7 +5,7 @@
 // injects, and the reporter prints at most one stderr line per interval —
 // completed/total, faults/s, and the ETA extrapolated from the measured
 // rate. All state is atomic; the throttle is a CAS on the last-print stamp,
-// so concurrent shard tasks never double-print and the off path (no reporter
+// so concurrent campaign runs never double-print and the off path (no reporter
 // wired) costs nothing.
 #pragma once
 

@@ -44,7 +44,7 @@ struct BootReplay {
 /// Deep-copyable kernel state captured after boot (and, at the depbench
 /// layer, after server start): everything needed to reconstruct a Kernel
 /// without re-compiling MiniC sources or re-running the boot. Plain data —
-/// safe to share read-only across campaign shard threads; per-task copies
+/// safe to share read-only across campaign worker threads; per-task copies
 /// are cheap because SimDisk content is copy-on-write.
 struct KernelSnapshot {
   OsVersion version{};

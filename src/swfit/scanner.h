@@ -33,7 +33,7 @@ class Scanner {
   /// Results are memoized process-wide, keyed by (image content digest,
   /// options, function list): the scan is a pure function of those inputs,
   /// and campaigns scan the same pristine image once per runner, bench
-  /// binary, and capture pass. The cache is mutex-guarded (the sharded
+  /// binary, and capture pass. The cache is mutex-guarded (the campaign
   /// runner scans from worker threads).
   Faultload scan(const isa::Image& img,
                  const std::vector<std::string>& functions) const;

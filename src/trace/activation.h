@@ -7,9 +7,9 @@
 // injected fault yields one ActivationRecord that says whether the mutated
 // window executed, how the error propagated, and what the client saw.
 //
-// Records are keyed by the absolute faultload index, so shard results merge
+// Records are keyed by the absolute faultload index, so per-fault runs merge
 // order-independently: sorting by (fault index) restores a canonical order
-// regardless of worker count or shard interleave.
+// regardless of worker count or run interleave.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +101,7 @@ std::string activation_summary_json(const ActivationStats& stats);
 /// Folds record tallies into an obs registry: trace.records / activated /
 /// benign / latent / external counters plus a trace.window_hits histogram
 /// (how often each activated fault's window was entered). Fault-indexed and
-/// outcome-derived only, so the export is shard-invariant like the records.
+/// outcome-derived only, so the export is schedule-invariant like the records.
 void export_metrics(const std::vector<ActivationRecord>& records,
                     obs::Registry& r);
 

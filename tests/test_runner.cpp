@@ -2,6 +2,8 @@
 // results (per-task seeds are derived, slots are preallocated).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "depbench/runner.h"
 
 namespace gf::depbench {
@@ -24,12 +26,13 @@ void expect_same_metrics(const spec::WindowMetrics& a,
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.errors, b.errors);
   EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_DOUBLE_EQ(a.duration_ms, b.duration_ms);
-  EXPECT_DOUBLE_EQ(a.thr, b.thr);
-  EXPECT_DOUBLE_EQ(a.rtm_ms, b.rtm_ms);
-  EXPECT_DOUBLE_EQ(a.er_pct, b.er_pct);
+  // Exact, not within-ULPs: worker count must not change a single bit.
+  EXPECT_EQ(a.duration_ms, b.duration_ms);
+  EXPECT_EQ(a.thr, b.thr);
+  EXPECT_EQ(a.rtm_ms, b.rtm_ms);
+  EXPECT_EQ(a.er_pct, b.er_pct);
   EXPECT_EQ(a.spc, b.spc);
-  EXPECT_DOUBLE_EQ(a.cc_pct, b.cc_pct);
+  EXPECT_EQ(a.cc_pct, b.cc_pct);
 }
 
 void expect_same_counters(const CampaignCounters& a,
@@ -83,6 +86,41 @@ TEST(CampaignRunnerTest, IntrusivenessPairsRunsPerCell) {
   // throughput overhead stays tiny.
   EXPECT_GE(cells[0].profile.spc + 1, cells[0].max_perf.spc);
   EXPECT_GT(cells[0].profile.thr, cells[0].max_perf.thr * 0.97);
+}
+
+TEST(CampaignRunnerTest, IntrusivenessJobsDoNotChangeResults) {
+  auto opt = quick_options();
+  opt.jobs = 1;
+  const auto sequential = CampaignRunner(opt).run_intrusiveness();
+  opt.jobs = 4;
+  const auto parallel = CampaignRunner(opt).run_intrusiveness();
+
+  ASSERT_EQ(sequential.size(), parallel.size());
+  for (std::size_t c = 0; c < sequential.size(); ++c) {
+    SCOPED_TRACE(sequential[c].os_name + "/" + sequential[c].server_name);
+    EXPECT_EQ(sequential[c].os_name, parallel[c].os_name);
+    EXPECT_EQ(sequential[c].server_name, parallel[c].server_name);
+    expect_same_metrics(sequential[c].max_perf, parallel[c].max_perf);
+    expect_same_metrics(sequential[c].profile, parallel[c].profile);
+  }
+}
+
+TEST(CampaignRunnerTest, UnknownServerPropagatesFromThePool) {
+  // The worker pool rethrows a unit's error on the calling thread: from the
+  // snapshot capture in run_campaign and from a Table 4 run alike.
+  auto opt = quick_options();
+  opt.servers = {"apex", "nosuch"};
+  opt.jobs = 4;
+  auto expect_unknown_server = [](auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "unknown server: nosuch");
+    }
+  };
+  expect_unknown_server([&] { CampaignRunner(opt).run_campaign(); });
+  expect_unknown_server([&] { CampaignRunner(opt).run_intrusiveness(); });
 }
 
 TEST(CampaignRunnerTest, DeriveSeedIsStableAndSpreads) {

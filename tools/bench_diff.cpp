@@ -13,7 +13,8 @@
 // A boolean leaf that was true in the baseline and false in the new run is
 // always a breach (e.g. artifacts_identical flipping off). Missing gated
 // leaves breach; extra leaves are informational. Exit 0 when within
-// tolerance, 1 on any breach, 2 on usage/parse errors.
+// tolerance, 1 on any breach, 2 on usage/parse errors (a --tolerance
+// that is not a number >= 0 included).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -97,7 +99,9 @@ int main(int argc, char** argv) {
   std::vector<const char*> files;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
+      const char* value = argv[++i];
+      gf::util::check_flag("--tolerance", value,
+                           gf::util::parse_real(value, true, tolerance));
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       std::fprintf(stderr,
                    "usage: bench_diff BASELINE.json NEW.json "

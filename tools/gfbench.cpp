@@ -36,6 +36,7 @@
 #include "store/campaign_codec.h"
 #include "store/store.h"
 #include "swfit/scanner.h"
+#include "util/flags.h"
 #include "util/log.h"
 
 namespace {
@@ -220,6 +221,11 @@ int cmd_store(int argc, char** argv) {
   const std::string action = argv[2];
   const auto flags = parse_flags(argc, argv, 3, {"store", "max-bytes"});
   if (!flags.count("store")) usage();
+  std::uint64_t max_bytes = 0;
+  if (flags.count("max-bytes")) {
+    util::check_flag("--max-bytes", flags.at("max-bytes"),
+                     util::parse_int(flags.at("max-bytes"), 0, max_bytes));
+  }
   store::CampaignStore st(flags.at("store"));
   if (action == "ls") {
     std::vector<std::uint8_t> payload;
@@ -248,8 +254,6 @@ int cmd_store(int argc, char** argv) {
     return bad == 0 ? 0 : 1;
   }
   if (action == "gc") {
-    const std::uint64_t max_bytes =
-        flags.count("max-bytes") ? std::stoull(flags.at("max-bytes")) : 0;
     const auto dropped = st.gc(max_bytes);
     const auto s = st.stats();
     std::printf("gc: dropped %zu records, %llu live (%llu payload bytes)\n",
@@ -267,6 +271,12 @@ int cmd_diff(int argc, char** argv) {
     usage();
   }
   const auto flags = parse_flags(argc, argv, 4, {"threshold", "json"});
+  depbench::DiffOptions dopt;
+  if (flags.count("threshold")) {
+    const auto& value = flags.at("threshold");
+    util::check_flag("--threshold", value,
+                     util::parse_real(value, true, dopt.threshold_pct));
+  }
   auto slurp = [](const char* path, std::string& out) {
     std::ifstream f(path);
     if (!f) {
@@ -281,10 +291,6 @@ int cmd_diff(int argc, char** argv) {
   std::string old_text, new_text;
   if (!slurp(argv[2], old_text) || !slurp(argv[3], new_text)) return 1;
 
-  depbench::DiffOptions dopt;
-  if (flags.count("threshold")) {
-    dopt.threshold_pct = std::stod(flags.at("threshold"));
-  }
   const auto d = depbench::diff_campaigns(old_text, new_text, dopt);
   if (!d.ok) {
     std::fprintf(stderr, "error: %s\n", d.error.c_str());
@@ -306,6 +312,11 @@ int cmd_diff(int argc, char** argv) {
 
 int cmd_show(const std::map<std::string, std::string>& flags) {
   if (!flags.count("faultload")) usage();
+  std::size_t limit = 20;
+  if (flags.count("limit")) {
+    util::check_flag("--limit", flags.at("limit"),
+                     util::parse_int(flags.at("limit"), 0, limit));
+  }
   std::ifstream f(flags.at("faultload"));
   if (!f) {
     std::fprintf(stderr, "cannot read %s\n", flags.at("faultload").c_str());
@@ -316,9 +327,6 @@ int cmd_show(const std::map<std::string, std::string>& flags) {
   const auto fl = swfit::Faultload::parse(buf.str());
   std::printf("target %s, digest %016llx, %zu faults\n", fl.target.c_str(),
               static_cast<unsigned long long>(fl.digest), fl.faults.size());
-  const auto limit = flags.count("limit")
-                         ? static_cast<std::size_t>(std::stoul(flags.at("limit")))
-                         : std::size_t{20};
   for (std::size_t i = 0; i < fl.faults.size() && i < limit; ++i) {
     const auto& fault = fl.faults[i];
     std::printf("%4zu  %-5s %-30s 0x%llx\n", i,

@@ -13,9 +13,12 @@
 #include "os/kernel.h"
 #include "os/layout.h"
 #include "snapshot/warmboot.h"
+#include "spec/client.h"
+#include "spec/fileset.h"
 #include "swfit/injector.h"
 #include "swfit/scanner.h"
 #include "vm/machine.h"
+#include "web/server.h"
 
 namespace {
 
@@ -293,6 +296,41 @@ void BM_ControllerReset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ControllerReset);
+
+/// The content layer on its own: a warm apex serves a dynamic GET of the
+/// largest class-3 file from its in-process cache (no guest code runs), and
+/// the client validates the body. This is the host cost of producing and
+/// checking response bytes that every campaign request pays.
+void BM_ServeDynamicGet(benchmark::State& state) {
+  os::Kernel kernel(os::OsVersion::kVos2000);
+  os::OsApi api(kernel);
+  const spec::Fileset fileset(kernel.disk());
+  const auto server = web::make_server("apex", api);
+  if (!server->start()) {
+    state.SkipWithError("apex did not start");
+    return;
+  }
+  const spec::FileInfo* largest = nullptr;
+  for (const auto idx : fileset.class_members(3)) {
+    const auto& f = fileset.files()[idx];
+    if (largest == nullptr || f.size > largest->size) largest = &f;
+  }
+  web::Request req{web::Method::kGet, largest->path, false, ""};
+  server->handle(req);  // the static miss fills the cache
+  req.dynamic = true;
+  for (auto _ : state) {
+    const auto resp = server->handle(req);
+    const bool ok = spec::SpecClient::validate(req, resp, largest->size);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError("dynamic GET failed validation");
+      break;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(largest->size));
+}
+BENCHMARK(BM_ServeDynamicGet);
 
 void BM_FaultloadSerialize(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVosXp);

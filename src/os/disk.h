@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,11 @@ namespace gf::os {
 
 class SimDisk {
  public:
+  /// Largest file a write may produce. Positions come from guest memory a
+  /// fault can corrupt; a write past this bound fails like a device error
+  /// instead of asking the host for an arbitrary allocation.
+  static constexpr std::int64_t kMaxFileSize = std::int64_t{1} << 30;
+
   /// Returns the file id, or nullopt if the path does not exist.
   std::optional<int> find(const std::string& path) const;
 
@@ -33,12 +39,14 @@ class SimDisk {
 
   std::optional<std::int64_t> size(int id) const;
 
-  /// Reads up to `len` bytes at `offset`; returns bytes read (0 at EOF) or
-  /// nullopt for a bad id/offset.
-  std::optional<std::int64_t> read(int id, std::int64_t offset,
-                                   std::uint8_t* dst, std::int64_t len) const;
+  /// Read-only view of up to `len` bytes at `offset` (empty at EOF), or
+  /// nullopt for a bad id/offset/length. The view is valid until the next
+  /// mutation of this disk.
+  std::optional<std::span<const std::uint8_t>> view(int id, std::int64_t offset,
+                                                    std::int64_t len) const;
 
-  /// Writes, extending the file as needed; returns bytes written.
+  /// Writes, extending the file as needed; returns bytes written, or nullopt
+  /// for a bad id/offset/length or a file that would exceed kMaxFileSize.
   std::optional<std::int64_t> write(int id, std::int64_t offset,
                                     const std::uint8_t* src, std::int64_t len);
 

@@ -265,18 +265,17 @@ vm::Trap Kernel::handle_syscall(vm::Machine& m, std::int32_t num) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-      const auto n = disk_.read(id, off, buf.data(), len);
-      if (!n) {
+      const auto bytes = disk_.view(id, off, len);
+      if (!bytes) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
       // Copying into guest memory can fault if the guest passed a bad
       // buffer (e.g. a mutated pointer) — surface that as a memory trap.
-      if (!m.write_bytes(dst, buf.data(), static_cast<std::size_t>(*n))) {
+      if (!m.write_bytes(dst, bytes->data(), bytes->size())) {
         return vm::Trap::kBadMemory;
       }
-      m.set_reg(0, *n);
+      m.set_reg(0, static_cast<std::int64_t>(bytes->size()));
       return vm::Trap::kNone;
     }
     case lay::kSysDiskWrite: {
@@ -288,12 +287,13 @@ vm::Trap Kernel::handle_syscall(vm::Machine& m, std::int32_t num) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
-      std::vector<std::uint8_t> buf(static_cast<std::size_t>(len));
-      if (!m.read_bytes(src, buf.data(), buf.size())) {
-        return vm::Trap::kBadMemory;
-      }
-      const auto n = disk_.write(id, off, buf.data(), len);
-      m.set_reg(0, n ? *n : -1);
+      // One checked guest read, under read_bytes' rules: a zero-length
+      // source is never dereferenced, otherwise the null page is unmapped.
+      const auto n = static_cast<std::size_t>(len);
+      const auto* bytes = src < vm::Machine::kNullPageSize ? nullptr : m.raw(src, n);
+      if (n > 0 && bytes == nullptr) return vm::Trap::kBadMemory;
+      const auto w = disk_.write(id, off, bytes, len);
+      m.set_reg(0, w ? *w : -1);
       return vm::Trap::kNone;
     }
     case lay::kSysTick:

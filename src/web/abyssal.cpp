@@ -109,9 +109,7 @@ class AbyssalServer final : public WebServer {
     die_on_crash(api().rtl_free(data));  // leaked on the error paths above
 
     if (open.value <= 0) return Response{500, {}};
-    if (req.dynamic) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
-    }
+    if (req.dynamic) dynamic_transform(resp.body);
     return resp;
   }
 

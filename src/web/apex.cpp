@@ -209,9 +209,7 @@ class ApexServer final : public WebServer {
       const auto hit = cache_.find(req.path);
       if (hit != cache_.end()) {
         Response resp{200, *hit->second};
-        if (req.dynamic) {
-          for (auto& b : resp.body) b = dynamic_transform(b);
-        }
+        if (req.dynamic) dynamic_transform(resp.body);
         return resp;
       }
     }
@@ -300,9 +298,7 @@ class ApexServer final : public WebServer {
       cache_[req.path] =
           std::make_shared<const std::vector<std::uint8_t>>(resp.body);
     }
-    if (req.dynamic) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
-    }
+    if (req.dynamic) dynamic_transform(resp.body);
     return resp;
   }
 

@@ -109,9 +109,7 @@ class SambarServer final : public WebServer {
       if (n < static_cast<std::uint64_t>(kChunk)) break;
     }
     die_on_crash(api().close_handle(h));
-    if (req.dynamic) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
-    }
+    if (req.dynamic) dynamic_transform(resp.body);
     return resp;
   }
 
@@ -221,7 +219,7 @@ class SavantServer final : public WebServer {
     Response resp = req.method == Method::kPost ? serve_post(req) : serve_get();
     die_on_crash(api().rtl_free(static_cast<std::uint64_t>(session.value)));
     if (resp.status == 200 && req.dynamic && req.method == Method::kGet) {
-      for (auto& b : resp.body) b = dynamic_transform(b);
+      dynamic_transform(resp.body);
     }
     return resp;
   }

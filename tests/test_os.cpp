@@ -2,6 +2,7 @@
 // functions, for both OS versions. These run real guest code on the VM.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "os/api.h"
@@ -171,6 +172,64 @@ TEST_P(OsTest, InvalidHandlesRejected) {
   EXPECT_LT(api_.nt_close(7).value, 0);  // never opened
   EXPECT_LT(api_.nt_read_file(7, 0x150000, 4).value, 0);
   EXPECT_LT(api_.nt_write_file(7, 0x150000, 4).value, 0);
+}
+
+// kSysDiskRead copies from a view of the file straight into guest memory;
+// each of its outcomes (-1, 0, n, memory trap) must reach the API caller
+// unchanged.
+TEST_P(OsTest, DiskReadOutcomesReachTheCaller) {
+  kernel_.disk().add_file("/f", {'a', 'b', 'c', 'd', 'e', 'f'});
+  const auto h = api_.nt_open_file(guest_path("/f"));
+  ASSERT_GT(h.value, 0);
+  const auto entry = lay::kHandleTable + static_cast<std::uint64_t>(h.value - 1) * 32;
+  auto set_entry = [&](std::uint64_t field, std::int64_t v) {
+    ASSERT_TRUE(api_.write_bytes(entry + field, &v, sizeof v));
+  };
+
+  // A file id the disk does not know: the device fails, the API reports
+  // an I/O error.
+  set_entry(8, 999);
+  EXPECT_EQ(api_.nt_read_file(h.value, 0x150000, 4).value, lay::kStatusIoError);
+  const auto id = *kernel_.disk().find("/f");
+  set_entry(8, id);
+
+  // At and past EOF the device reads nothing.
+  set_entry(16, 6);
+  EXPECT_EQ(api_.nt_read_file(h.value, 0x150000, 4).value, 0);
+  set_entry(16, 1000);
+  EXPECT_EQ(api_.nt_read_file(h.value, 0x150000, 4).value, 0);
+  set_entry(16, -1);
+  EXPECT_EQ(api_.nt_read_file(h.value, 0x150000, 4).value, lay::kStatusIoError);
+
+  // A destination in the null page crashes the call.
+  set_entry(16, 0);
+  EXPECT_TRUE(api_.nt_read_file(h.value, 0x10, 4).crashed());
+
+  // A short read is accepted when dst + len runs past memory but dst + n
+  // fits: only the bytes read are copied.
+  set_entry(16, 0);
+  const auto dst = lay::kMemSize - 2048;
+  const auto r = api_.nt_read_file(h.value, dst, 4096);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value, 6);
+  char back[6];
+  ASSERT_TRUE(api_.read_bytes(dst, back, sizeof back));
+  EXPECT_EQ(std::string(back, sizeof back), "abcdef");
+}
+
+// kSysDiskWrite reads its source with one checked guest access: the null
+// page stays unmapped, and a corrupted file position fails as an I/O error.
+TEST_P(OsTest, DiskWriteOutcomesReachTheCaller) {
+  const auto h = api_.nt_create_file(guest_path("/tmp/w"));
+  ASSERT_GT(h.value, 0);
+  EXPECT_TRUE(api_.nt_write_file(h.value, 0x10, 4).crashed());
+
+  const auto entry = lay::kHandleTable + static_cast<std::uint64_t>(h.value - 1) * 32;
+  const std::int64_t huge = std::int64_t{1} << 50;
+  ASSERT_TRUE(api_.write_bytes(entry + 16, &huge, sizeof huge));
+  ASSERT_TRUE(api_.write_bytes(0x150000, "abcd", 4));
+  EXPECT_EQ(api_.nt_write_file(h.value, 0x150000, 4).value, lay::kStatusIoError);
+  EXPECT_EQ(kernel_.disk().size(*kernel_.disk().find("/tmp/w")), 0);
 }
 
 TEST_P(OsTest, CloseReleasesHandleSlot) {
@@ -445,9 +504,10 @@ TEST(SimDisk, CreateFindReadWrite) {
   const std::uint8_t data[] = {1, 2, 3};
   EXPECT_EQ(d.write(id, 0, data, 3), 3);
   EXPECT_EQ(d.size(id), 3);
-  std::uint8_t out[3] = {};
-  EXPECT_EQ(d.read(id, 1, out, 2), 2);
-  EXPECT_EQ(out[0], 2);
+  const auto v = d.view(id, 1, 2);
+  ASSERT_TRUE(v.has_value());
+  ASSERT_EQ(v->size(), 2u);
+  EXPECT_EQ((*v)[0], 2);
 }
 
 TEST(SimDisk, WriteExtendsWithZeros) {
@@ -456,18 +516,54 @@ TEST(SimDisk, WriteExtendsWithZeros) {
   const std::uint8_t b = 9;
   EXPECT_EQ(d.write(id, 5, &b, 1), 1);
   EXPECT_EQ(d.size(id), 6);
-  std::uint8_t out[6];
-  EXPECT_EQ(d.read(id, 0, out, 6), 6);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[5], 9);
+  const auto v = d.view(id, 0, 6);
+  ASSERT_TRUE(v.has_value());
+  ASSERT_EQ(v->size(), 6u);
+  EXPECT_EQ((*v)[0], 0);
+  EXPECT_EQ((*v)[5], 9);
+}
+
+TEST(SimDisk, ViewIsClippedAtEof) {
+  SimDisk d;
+  const int id = d.add_file("/x", {1, 2, 3});
+  EXPECT_EQ(d.view(id, 1, 100).value().size(), 2u);
+  EXPECT_TRUE(d.view(id, 3, 1).value().empty());
+  EXPECT_TRUE(d.view(id, 1000, 1).value().empty());
+  EXPECT_TRUE(d.view(id, 0, 0).value().empty());
+  EXPECT_FALSE(d.view(id, -1, 1).has_value());
+  EXPECT_FALSE(d.view(id, 0, -1).has_value());
 }
 
 TEST(SimDisk, BadIdsRejected) {
   SimDisk d;
-  std::uint8_t b;
-  EXPECT_FALSE(d.read(0, 0, &b, 1).has_value());
+  std::uint8_t b = 0;
+  EXPECT_FALSE(d.view(0, 0, 1).has_value());
   EXPECT_FALSE(d.write(-1, 0, &b, 1).has_value());
   EXPECT_FALSE(d.size(3).has_value());
+}
+
+// Write positions come from guest memory that a fault can corrupt. A huge
+// offset must fail like a device error, not throw bad_alloc out of the
+// syscall handler or overflow offset + len.
+TEST(SimDisk, WritePastMaxFileSizeFails) {
+  SimDisk d;
+  const int id = d.add_file("/x", {1, 2, 3});
+  const std::uint8_t b[2] = {7, 8};
+  EXPECT_FALSE(d.write(id, std::int64_t{1} << 50, b, 1).has_value());
+  EXPECT_FALSE(d.write(id, SimDisk::kMaxFileSize, b, 1).has_value());
+  EXPECT_FALSE(d.write(id, SimDisk::kMaxFileSize - 1, b, 2).has_value());
+  EXPECT_EQ(d.size(id), 3);
+}
+
+TEST(SimDisk, WriteNearInt64MaxFails) {
+  SimDisk d;
+  const int id = d.add_file("/x", {1, 2, 3});
+  const std::uint8_t b[2] = {7, 8};
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_FALSE(d.write(id, kMax, b, 1).has_value());
+  EXPECT_FALSE(d.write(id, kMax - 1, b, 2).has_value());
+  EXPECT_FALSE(d.write(id, 0, b, kMax).has_value());
+  EXPECT_EQ(d.size(id), 3);
 }
 
 TEST(SimDisk, CreateTruncatesExisting) {

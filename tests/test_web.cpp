@@ -36,6 +36,30 @@ TEST(Http, DynamicBodyDiffersFromStatic) {
   EXPECT_NE(expected_body("/x", 16, true), expected_body("/x", 16, false));
 }
 
+// The whole-buffer helpers must equal the per-byte definitions at every
+// length around the vector widths and from an unaligned start.
+TEST(Http, BulkFormsEqualPerByteDefinition) {
+  const std::uint64_t seed = path_seed("/file_set/dir00000/class3_0");
+  for (const std::size_t len : {0, 1, 15, 16, 17, 31, 32, 33, 4097}) {
+    for (const std::size_t start : {0, 1}) {
+      SCOPED_TRACE(testing::Message() << "len " << len << " start " << start);
+      std::vector<std::uint8_t> buf(start + len, 0xEE);
+      const std::span<std::uint8_t> out(buf.data() + start, len);
+      fill_expected(seed, out);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], expected_content_byte(seed, i)) << i;
+      }
+      dynamic_transform(out);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], dynamic_transform(expected_content_byte(seed, i))) << i;
+      }
+      if (start > 0) {
+        EXPECT_EQ(buf[0], 0xEE);  // nothing before the span
+      }
+    }
+  }
+}
+
 class ServerTest : public ::testing::TestWithParam<const char*> {
  protected:
   ServerTest()

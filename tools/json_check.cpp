@@ -504,7 +504,7 @@ bool check_micro(const std::string& file, const Value& root) {
       "BM_InjectRestoreInvalidate", "BM_ApiCallAlloc", "BM_ApiCallAllocObs",
       "BM_JournalAppend", "BM_ApiCallOpenReadClose", "BM_ColdReboot",
       "BM_SnapshotRestore", "BM_ControllerBuildCold", "BM_ControllerBuildWarm",
-      "BM_ControllerReset", "BM_FaultloadSerialize"};
+      "BM_ControllerReset", "BM_FaultloadSerialize", "BM_ServeDynamicGet"};
   if (root.type != Value::Type::kObject) return fail(file, "root not object");
   const auto* ctx = root.find("context");
   if (!is_object(ctx)) return fail(file, "missing context{}");

@@ -150,7 +150,7 @@ obs_json=$(awk '
 
 # Acceptance bar: the armed sampler (stride 4096) must retain >= 80% of the
 # plain dispatch rate. Disarmed retention is covered by BM_VmDispatch itself
-# (the countdown idles; the branch never fires) and the committed-baseline
+# (the countdown idles, so the horizon is the budget) and the committed-baseline
 # gate below.
 echo "$obs_json" | awk '/profiler_armed_retention_rate/ {
     r = $0; sub(/.*: /, "", r); sub(/,.*/, "", r)

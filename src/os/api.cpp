@@ -1,5 +1,7 @@
 #include "os/api.h"
 
+#include <algorithm>
+
 namespace gf::os {
 
 OsApi::OsApi(Kernel& kernel, std::uint64_t cycle_budget)
@@ -127,13 +129,17 @@ bool OsApi::write_cstr(std::uint64_t addr, const std::string& s) {
 }
 
 bool OsApi::write_wstr(std::uint64_t addr, const std::string& s) {
+  // The UTF-16LE bytes (terminator included) are built on the host and
+  // stored in one checked write. Outcome as a store of byte after byte: a
+  // start in the null page or past memory writes nothing, and a string
+  // running off the end of memory keeps its in-range prefix, then fails.
   auto& m = kernel_.machine();
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (!m.write_u8(addr + i * 2, static_cast<std::uint8_t>(s[i]))) return false;
-    if (!m.write_u8(addr + i * 2 + 1, 0)) return false;
-  }
-  return m.write_u8(addr + s.size() * 2, 0) &&
-         m.write_u8(addr + s.size() * 2 + 1, 0);
+  if (addr < vm::Machine::kNullPageSize || addr >= m.mem_size()) return false;
+  std::string wide((s.size() + 1) * 2, '\0');
+  for (std::size_t i = 0; i < s.size(); ++i) wide[i * 2] = s[i];
+  const auto n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(wide.size(), m.mem_size() - addr));
+  return m.write_bytes(addr, wide.data(), n) && n == wide.size();
 }
 
 bool OsApi::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {

@@ -156,7 +156,7 @@ std::vector<TraceEdge> WatchTrace::edges() const {
 
 Machine::Machine(std::size_t mem_size)
     : mem_(mem_size, 0),
-      dirty_((mem_size + kDirtyPageSize - 1) >> kDirtyPageShift, 0) {
+      page_state_((mem_size + kDirtyPageSize - 1) >> kDirtyPageShift, 0) {
   // Default stack: top 64 KiB of memory.
   stack_hi_ = mem_.size();
   stack_lo_ = mem_.size() > (64u << 10) ? mem_.size() - (64u << 10) : 0;
@@ -164,7 +164,7 @@ Machine::Machine(std::size_t mem_size)
 
 Machine::Machine(const State& s)
     : mem_(s.mem),
-      dirty_((mem_.size() + kDirtyPageSize - 1) >> kDirtyPageShift, 0),
+      page_state_((mem_.size() + kDirtyPageSize - 1) >> kDirtyPageShift, 0),
       flags_(s.flags),
       total_cycles_(s.total_cycles) {
   std::memcpy(regs_, s.regs.data(), sizeof regs_);
@@ -189,12 +189,16 @@ void Machine::clear_dirty(std::uint64_t addr, std::uint64_t len) noexcept {
   for (std::uint64_t p = addr >> kDirtyPageShift,
                      last = (addr + len - 1) >> kDirtyPageShift;
        p <= last; ++p) {
-    dirty_[p] = 0;
+    page_state_[p] &= static_cast<std::uint8_t>(~kPageDirty);
   }
 }
 
-void Machine::clear_all_dirty() noexcept {
-  std::fill(dirty_.begin(), dirty_.end(), 0);
+void Machine::clear_all_dirty() noexcept { set_page_bit(kPageDirty, false); }
+
+void Machine::set_page_bit(std::uint8_t bit, bool on) noexcept {
+  for (auto& ps : page_state_) {
+    ps = static_cast<std::uint8_t>(on ? ps | bit : ps & ~bit);
+  }
 }
 
 Machine::State Machine::snapshot() {
@@ -214,8 +218,8 @@ void Machine::restore(const State& s) {
   // Copy back only pages dirtied since snapshot(); pages overlapping the
   // code hull additionally re-decode so the predecode cache never serves
   // instructions for bytes that just changed under it.
-  for (std::size_t p = 0; p < dirty_.size(); ++p) {
-    if (!dirty_[p]) continue;
+  for (std::size_t p = 0; p < page_state_.size(); ++p) {
+    if (!(page_state_[p] & kPageDirty)) continue;
     const std::uint64_t addr = static_cast<std::uint64_t>(p) << kDirtyPageShift;
     const std::size_t len = static_cast<std::size_t>(
         std::min<std::uint64_t>(kDirtyPageSize, mem_.size() - addr));
@@ -231,10 +235,12 @@ void Machine::restore(const State& s) {
 void Machine::begin_write_capture() {
   capture_ = true;
   captured_.clear();
+  set_page_bit(kPageCapture, true);  // no guest store may skip the capture
 }
 
 std::vector<WriteSpan> Machine::end_write_capture() {
   capture_ = false;
+  set_page_bit(kPageCapture, false);
   return std::move(captured_);
 }
 
@@ -402,6 +408,10 @@ void Machine::rebuild_predecode() {
   slot_flags_.clear();
   xop_.clear();
   code_lo_ = code_hi_ = 0;
+  // kPageCode marks the pages a guest store must run invalidate_code for:
+  // those overlapping the hull, and none while there is no cache to keep
+  // fresh.
+  set_page_bit(kPageCode, false);
   if (!predecode_ || code_ranges_.empty()) return;
   code_lo_ = code_ranges_.front().lo;
   for (const auto& r : code_ranges_) {
@@ -434,6 +444,11 @@ void Machine::rebuild_predecode() {
   }
   apply_watch_bits();
   rebuild_xop(0, slots);
+  if (code_hi_ <= code_lo_) return;
+  for (std::uint64_t p = code_lo_ >> kDirtyPageShift;
+       p <= (code_hi_ - 1) >> kDirtyPageShift && p < page_state_.size(); ++p) {
+    page_state_[p] |= kPageCode;
+  }
 }
 
 void Machine::apply_watch_bits() noexcept {
@@ -491,17 +506,6 @@ void Machine::arm_sampler(std::uint64_t stride) {
 void Machine::disarm_sampler() {
   sample_stride_ = 0;
   sample_left_ = kSamplerIdle;
-}
-
-std::int64_t Machine::note_sample(std::uint64_t pc, std::int64_t left) {
-  // Overshoot carries into the next period so the sample cadence stays an
-  // exact function of consumed cycles; the loop handles instructions whose
-  // cost spans several strides (e.g. SYS at a small stride).
-  do {
-    ++samples_[pc];
-    left += static_cast<std::int64_t>(sample_stride_);
-  } while (left <= 0);
-  return left;
 }
 
 void Machine::set_stack_region(std::uint64_t lo, std::uint64_t hi) {
@@ -639,31 +643,98 @@ RunResult Machine::run(std::uint64_t pc, std::uint64_t cycle_budget) {
 RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   std::uint64_t cycles = 0;
   std::uint64_t steps = 0;
-  // Sampler countdown, carried in a register across the run (kSamplerIdle
-  // when disarmed, so the per-step tick is one sub + never-taken branch).
-  std::int64_t sleft = sample_left_;
-  // Single exit: every termination path funnels through here so the
-  // lifetime counters and dispatch stats are folded in exactly once per run
-  // (the loop itself only touches the two local accumulators). `steps`
-  // counts architecturally retired instructions — fused handlers bump it
-  // once per half, and the fetch-failure tokens (kXBadJump / kXBadOp), which
-  // flow through dispatch after the increment, give it back.
-  auto stop = [&](Trap t) {
-    total_cycles_ += cycles;
-    sample_left_ = sleft;
-    stats_.instructions += steps;
-    ++stats_.runs;
-    ++stats_.traps[static_cast<std::size_t>(t)];
-    return RunResult{t, cycles, pc, 0};
+  // Event horizon: the run-relative cycle count at which the next sample is
+  // due, folded with the budget into the one test every retire makes. The
+  // sampler's countdown becomes an absolute due cycle here and a countdown
+  // again at the exit, so the carry across runs is exact. Disarmed, `due`
+  // sits near 2^62 and the horizon is the budget.
+  std::uint64_t due = static_cast<std::uint64_t>(sample_left_);
+  std::uint64_t horizon = std::min(cycle_budget, due);
+  // Single exit (`out:`): every termination path records its trap (and any
+  // terminal cycles the sampler must not see) and jumps there, so the
+  // lifetime counters and dispatch stats are folded in exactly once per run.
+  // `steps` counts architecturally retired instructions — fused handlers
+  // bump it once per half, and the fetch-failure tokens (kXBadJump /
+  // kXBadOp), which flow through dispatch after the increment, give it back.
+  Trap trap = Trap::kNone;
+  std::uint64_t unsampled = 0;
+
+  // Register-resident machine state for the handlers. Guest stores go
+  // through a uint8_t pointer, which may alias any member, so the compiler
+  // would otherwise reload each of these after every store. Only a syscall
+  // handler can change them mid-run (it may load code, toggle predecode,
+  // move the stack or arm a watch), so they are refreshed after SYS, and
+  // `edge_live` also at the armed-watch hit that sets it. The full fetch
+  // reads the hull and coverage members directly: hoisting them too costs
+  // more in register pressure than the loads it saves.
+  std::uint8_t* mem = nullptr;
+  std::uint64_t span8 = 0;  // valid 8-byte access starts: kNullPageSize + [0, span8)
+  std::uint64_t span1 = 0;  // valid byte addresses: kNullPageSize + [0, span1)
+  const std::uint8_t* pages = nullptr;
+  const Instr* pre = nullptr;  // nullptr: per-step decode fallback
+  const std::uint8_t* xtab = nullptr;
+  std::uint64_t stack_lo = 0, stack_hi = 0;
+  bool edge_live = false;
+  auto refresh = [&] {
+    mem = mem_.data();
+    const std::uint64_t size = mem_.size();
+    span8 = size >= kNullPageSize + 8 ? size - kNullPageSize - 7 : 0;
+    span1 = size > kNullPageSize ? size - kNullPageSize : 0;
+    pages = page_state_.data();
+    pre = predecoded_.empty() ? nullptr : predecoded_.data();
+    xtab = xop_.data();
+    stack_lo = stack_lo_;
+    stack_hi = stack_hi_;
+    edge_live = edge_live_;
   };
+  refresh();
 
   auto& R = regs_;
   Instr in{};   // instruction being dispatched
   Instr b{};    // second half of a fused pair
   std::uint8_t xop = 0;
   std::size_t slot = 0;
-  std::uint64_t next = 0;
-  std::uint64_t cost = 0;
+  std::uint64_t next = 0;  // successor pc of a control transfer
+
+#define VM_STOP(t) \
+  do {             \
+    trap = (t);    \
+    goto out;      \
+  } while (0)
+
+  // Guest memory access on the register-resident bounds. A store takes the
+  // inline path when it is in range and every page it touches reads exactly
+  // kPageDirty: the dirty bit is already set, the page holds no predecoded
+  // slot, and no write capture is recording, so write_u64/write_u8 would do
+  // nothing beyond the copy. Anything else (a clean, code or capture page,
+  // or a bad address) falls back to the checked accessor unchanged.
+#define VM_LD64(addr, dst)                                  \
+  do {                                                      \
+    const std::uint64_t a_ = (addr);                        \
+    if (a_ - kNullPageSize >= span8) [[unlikely]] {         \
+      VM_STOP(Trap::kBadMemory);                            \
+    }                                                       \
+    std::uint64_t v_;                                       \
+    std::memcpy(&v_, mem + a_, 8);                          \
+    (dst) = static_cast<std::int64_t>(v_);                  \
+  } while (0)
+#define VM_ST64(addr, val)                                          \
+  do {                                                              \
+    const std::uint64_t a_ = (addr);                                \
+    const auto v_ = static_cast<std::uint64_t>(val);                \
+    if (a_ - kNullPageSize < span8 &&                               \
+        pages[a_ >> kDirtyPageShift] == kPageDirty &&               \
+        pages[(a_ + 7) >> kDirtyPageShift] == kPageDirty) {         \
+      std::memcpy(mem + a_, &v_, 8);                                \
+    } else if (!write_u64(a_, v_)) {                                \
+      VM_STOP(Trap::kBadMemory);                                    \
+    }                                                               \
+  } while (0)
+  // PUSH/CALL/RET/POP bounds against the stack region.
+#define VM_STACK_CHECK(sp)                                        \
+  if ((sp) < stack_lo || (sp) + 8 > stack_hi) [[unlikely]] {      \
+    VM_STOP(Trap::kStackFault);                                   \
+  }
 
 #if GF_VM_THREADED_DISPATCH
   // Indexed by (xop & kXopMask); entries past kXopCount_ are unreachable by
@@ -678,55 +749,93 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   };
   static_assert(kXopCount_ == 47, "update the kXopLabels padding");
 #define VM_CASE(name) H_##name:
+#define VM_DISPATCH() goto* kXopLabels[xop & kXopMask]
 #else
 #define VM_CASE(name) case kX##name:
+#define VM_DISPATCH() goto dispatch
 #endif
 
-  // Sampler tick, placed wherever an instruction's cycle cost is committed
-  // while `pc` still names the retiring instruction: at `tail:` and at the
-  // head-retire point inside VM_FUSE_NEXT. Those are exactly the retired
-  // architectural-step boundaries, so fused and unfused execution (and both
-  // dispatch lowerings) decrement by identical (pc, cost) sequences and
-  // produce bit-identical sample streams. Terminal cycle commits on the
-  // stop paths (HALT, sentinel RET, failed SYS) are excluded in all modes
-  // alike. Disarmed, the countdown sits at kSamplerIdle: one decrement and
-  // a never-taken branch.
-#define VM_SAMPLE(c)                             \
-  sleft -= static_cast<std::int64_t>(c);         \
-  if (sleft <= 0) [[unlikely]] sleft = note_sample(pc, sleft)
+  // Retire tails, shared by both lowerings. Each handler expands its own,
+  // so under threaded dispatch every handler ends in its own indirect jump
+  // (one host branch-predictor entry per handler); under the switch,
+  // VM_DISPATCH re-enters the switch. The retire is the one event-horizon
+  // test: the cycle budget and the next sample both live behind it, so a
+  // retire below the horizon needs no further check and the glue path may
+  // enter the successor directly. The test runs while `pc` still names the
+  // retiring instruction, which is the pc a due sample records.
+  //
+  // VM_SEQ(c): a straight-line op of cost `c`; its successor is pc + 8 and
+  // it never transfers control, so it needs neither `next` nor the edge
+  // ring.
+#define VM_SEQ(c)                                  \
+  cycles += (c);                                   \
+  if (cycles >= horizon) [[unlikely]] {            \
+    next = pc + kInstrSize;                        \
+    goto at_horizon;                               \
+  }                                                \
+  pc += kInstrSize;                                \
+  if (xop & kXGlue) {                              \
+    ++slot;                                        \
+    in = pre[slot];                                \
+    xop = xtab[slot];                              \
+    ++steps;                                       \
+    VM_DISPATCH();                                 \
+  }                                                \
+  goto fetch
+  // VM_JUMP(c): a control transfer of cost `c` to `next`. Error-propagation
+  // edges are only live between the first watch hit and disarm, i.e. while
+  // an injected fault is both armed and activated.
+#define VM_JUMP(c)                                               \
+  if (edge_live) [[unlikely]] {                                  \
+    if (next != pc + kInstrSize) note_watch_edge(pc, next);      \
+  }                                                              \
+  cycles += (c);                                                 \
+  if (cycles >= horizon) [[unlikely]] goto at_horizon;           \
+  if ((xop & kXGlue) && next == pc + kInstrSize) {               \
+    pc = next;                                                   \
+    ++slot;                                                      \
+    in = pre[slot];                                              \
+    xop = xtab[slot];                                            \
+    ++steps;                                                     \
+    VM_DISPATCH();                                               \
+  }                                                              \
+  pc = next;                                                     \
+  goto fetch
 
   // Architectural boundary between the two halves of a fused pair: the head
-  // has fully retired (its cycles and pc advance are committed), so a budget
-  // stop before the second half or a trap inside it is indistinguishable
-  // from unfused execution. The head never transfers control, so no
-  // edge-ring check is due at this boundary.
-#define VM_FUSE_NEXT(head_cost)                        \
-  cycles += (head_cost);                               \
-  VM_SAMPLE(head_cost);                                \
-  pc += kInstrSize;                                    \
-  if (cycles >= cycle_budget) [[unlikely]] goto fetch; \
-  ++steps;                                             \
-  ++slot;                                              \
-  b = predecoded_[slot];                               \
-  xop = xop_[slot];                                    \
-  next = pc + kInstrSize;                              \
-  cost = 1
+  // retires through the same horizon test as any instruction, so a budget
+  // stop or a due sample before the second half is indistinguishable from
+  // unfused execution (at the horizon the run continues from a full fetch
+  // of the second half). The head never transfers control, so no edge-ring
+  // check is due at this boundary.
+#define VM_FUSE_NEXT(head_cost)                 \
+  cycles += (head_cost);                        \
+  if (cycles >= horizon) [[unlikely]] {         \
+    next = pc + kInstrSize;                     \
+    goto at_horizon;                            \
+  }                                             \
+  pc += kInstrSize;                             \
+  ++steps;                                      \
+  ++slot;                                       \
+  b = pre[slot];                                \
+  xop = xtab[slot]
+
+  if (cycles >= cycle_budget) VM_STOP(Trap::kCycleLimit);
 
 fetch:
-  if (cycles >= cycle_budget) return stop(Trap::kCycleLimit);
-  if (!predecoded_.empty()) {
+  if (pre != nullptr) {
     // Fast path: one hull check + token/side-table fetch. The short-circuit
     // keeps the slot index in-bounds before the tables are touched;
-    // pc - code_lo_ may wrap but is then never used. Validity, armedness and
+    // pc - code_lo may wrap but is then never used. Validity, armedness and
     // undecodability are pre-folded into the token, so the only per-fetch
     // branches are the hull check and the (normally false) coverage test.
     const std::uint64_t rel = pc - code_lo_;
     slot = static_cast<std::size_t>(rel / kInstrSize);
     if (pc < code_lo_ || pc + kInstrSize > code_hi_ || rel % kInstrSize != 0) {
-      return stop(Trap::kBadJump);
+      VM_STOP(Trap::kBadJump);
     }
-    in = predecoded_[slot];
-    xop = xop_[slot];
+    in = pre[slot];
+    xop = xtab[slot];
     if (coverage_) {
       if (xop != kXBadJump) {  // holes were never recorded as executed
         const std::size_t idx = pc / kInstrSize;
@@ -737,10 +846,11 @@ fetch:
       }
     }
   } else {
-    if (!in_code(pc) || pc % kInstrSize != 0) return stop(Trap::kBadJump);
+    if (!in_code(pc) || pc % kInstrSize != 0) VM_STOP(Trap::kBadJump);
     // Fallback decode path: no slot table, so the watch is a range compare.
     if (watch_hi_ != 0 && pc >= watch_lo_ && pc < watch_hi_) [[unlikely]] {
       note_watch_hit(cycles);
+      edge_live = edge_live_;
     }
     if (coverage_) {
       const std::size_t idx = pc / kInstrSize;
@@ -749,384 +859,345 @@ fetch:
         executed_.push_back(pc);
       }
     }
-    if (!isa::decode_into(mem_.data() + pc, in)) return stop(Trap::kBadOpcode);
+    if (!isa::decode_into(mem + pc, in)) VM_STOP(Trap::kBadOpcode);
     xop = static_cast<std::uint8_t>(in.op);
   }
   ++steps;
-  next = pc + kInstrSize;
-  cost = 1;
 
-dispatch:
 #if GF_VM_THREADED_DISPATCH
-  goto* kXopLabels[xop & kXopMask];
+  VM_DISPATCH();
 #else
+dispatch:
   switch (xop & kXopMask) {
 #endif
 
-  // --- base opcodes (shared by both lowerings; each body ends in a goto) ---
-  VM_CASE(Nop) { goto tail; }
+  // --- base opcodes (shared by both lowerings; each body ends in a retire) --
+  VM_CASE(Nop) { VM_SEQ(1); }
   VM_CASE(Halt) {
-    ++cycles;
-    return stop(Trap::kHalt);
+    unsampled = 1;
+    VM_STOP(Trap::kHalt);
   }
   VM_CASE(MovI) {
     R[in.rd] = static_cast<std::int64_t>(in.imm);
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Mov) {
     R[in.rd] = R[in.rs1];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Ld) {
-    std::uint64_t v;
-    if (!read_u64(static_cast<std::uint64_t>(
-                      R[in.rs1] + static_cast<std::int64_t>(in.imm)), v)) {
-      return stop(Trap::kBadMemory);
-    }
-    R[in.rd] = static_cast<std::int64_t>(v);
-    cost = 2;
-    goto tail;
+    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
+            R[in.rd]);
+    VM_SEQ(2);
   }
   VM_CASE(St) {
-    if (!write_u64(static_cast<std::uint64_t>(
-                       R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-                   static_cast<std::uint64_t>(R[in.rs2]))) {
-      return stop(Trap::kBadMemory);
-    }
-    cost = 2;
-    goto tail;
+    VM_ST64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
+            R[in.rs2]);
+    VM_SEQ(2);
   }
   VM_CASE(LdB) {
-    std::uint8_t v;
-    if (!read_u8(static_cast<std::uint64_t>(
-                     R[in.rs1] + static_cast<std::int64_t>(in.imm)), v)) {
-      return stop(Trap::kBadMemory);
-    }
-    R[in.rd] = v;
-    cost = 2;
-    goto tail;
+    const auto a = static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm));
+    if (a - kNullPageSize >= span1) [[unlikely]] VM_STOP(Trap::kBadMemory);
+    R[in.rd] = mem[a];
+    VM_SEQ(2);
   }
   VM_CASE(StB) {
-    if (!write_u8(static_cast<std::uint64_t>(
-                      R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-                  static_cast<std::uint8_t>(R[in.rs2]))) {
-      return stop(Trap::kBadMemory);
+    const auto a = static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm));
+    const auto v = static_cast<std::uint8_t>(R[in.rs2]);
+    if (a - kNullPageSize < span1 && pages[a >> kDirtyPageShift] == kPageDirty) {
+      mem[a] = v;
+    } else if (!write_u8(a, v)) {
+      VM_STOP(Trap::kBadMemory);
     }
-    cost = 2;
-    goto tail;
+    VM_SEQ(2);
   }
   VM_CASE(Add) {
     R[in.rd] = R[in.rs1] + R[in.rs2];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Sub) {
     R[in.rd] = R[in.rs1] - R[in.rs2];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Mul) {
     R[in.rd] = R[in.rs1] * R[in.rs2];
-    cost = 3;
-    goto tail;
+    VM_SEQ(3);
   }
   VM_CASE(Div) {
-    if (R[in.rs2] == 0) return stop(Trap::kDivZero);
+    if (R[in.rs2] == 0) VM_STOP(Trap::kDivZero);
     R[in.rd] = R[in.rs1] / R[in.rs2];
-    cost = 10;
-    goto tail;
+    VM_SEQ(10);
   }
   VM_CASE(Mod) {
-    if (R[in.rs2] == 0) return stop(Trap::kDivZero);
+    if (R[in.rs2] == 0) VM_STOP(Trap::kDivZero);
     R[in.rd] = R[in.rs1] % R[in.rs2];
-    cost = 10;
-    goto tail;
+    VM_SEQ(10);
   }
   VM_CASE(And) {
     R[in.rd] = R[in.rs1] & R[in.rs2];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Or) {
     R[in.rd] = R[in.rs1] | R[in.rs2];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Xor) {
     R[in.rd] = R[in.rs1] ^ R[in.rs2];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Shl) {
     R[in.rd] = static_cast<std::int64_t>(static_cast<std::uint64_t>(R[in.rs1])
                                          << (R[in.rs2] & 63));
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Shr) {
     R[in.rd] = static_cast<std::int64_t>(static_cast<std::uint64_t>(R[in.rs1]) >>
                                          (R[in.rs2] & 63));
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(AddI) {
     R[in.rd] = R[in.rs1] + static_cast<std::int64_t>(in.imm);
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Not) {
     R[in.rd] = ~R[in.rs1];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Neg) {
     R[in.rd] = -R[in.rs1];
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Cmp) {
     flags_ = R[in.rs1] < R[in.rs2] ? -1 : (R[in.rs1] > R[in.rs2] ? 1 : 0);
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(CmpI) {
     const auto imm = static_cast<std::int64_t>(in.imm);
     flags_ = R[in.rs1] < imm ? -1 : (R[in.rs1] > imm ? 1 : 0);
-    goto tail;
+    VM_SEQ(1);
   }
   VM_CASE(Jmp) {
     next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    VM_JUMP(1);
   }
   VM_CASE(Jz) {
-    if (flags_ == 0) next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    next = flags_ == 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+                       : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(Jnz) {
-    if (flags_ != 0) next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    next = flags_ != 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+                       : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(Jlt) {
-    if (flags_ < 0) next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    next = flags_ < 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+                      : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(Jle) {
-    if (flags_ <= 0) next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    next = flags_ <= 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+                       : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(Jgt) {
-    if (flags_ > 0) next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    next = flags_ > 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+                      : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(Jge) {
-    if (flags_ >= 0) next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    goto tail;
+    next = flags_ >= 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+                       : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(Call) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
-    if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-    if (!write_u64(sp, next)) return stop(Trap::kBadMemory);
+    VM_STACK_CHECK(sp);
+    VM_ST64(sp, pc + kInstrSize);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp);
     next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    cost = 2;
-    goto tail;
+    VM_JUMP(2);
   }
   VM_CASE(CallR) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
-    if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-    if (!write_u64(sp, next)) return stop(Trap::kBadMemory);
+    VM_STACK_CHECK(sp);
+    VM_ST64(sp, pc + kInstrSize);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp);
     next = static_cast<std::uint64_t>(R[in.rs1]);
-    cost = 2;
-    goto tail;
+    VM_JUMP(2);
   }
   VM_CASE(Ret) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]);
-    if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-    std::uint64_t ra;
-    if (!read_u64(sp, ra)) return stop(Trap::kBadMemory);
+    VM_STACK_CHECK(sp);
+    std::int64_t ra;
+    VM_LD64(sp, ra);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp + 8);
-    if (ra == kReturnSentinel) {
-      ++cycles;
-      return stop(Trap::kHalt);
+    next = static_cast<std::uint64_t>(ra);
+    if (next == kReturnSentinel) {
+      unsampled = 1;
+      VM_STOP(Trap::kHalt);
     }
-    next = ra;
-    cost = 2;
-    goto tail;
+    VM_JUMP(2);
   }
   VM_CASE(Push) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
-    if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-    if (!write_u64(sp, static_cast<std::uint64_t>(R[in.rs1]))) {
-      return stop(Trap::kBadMemory);
-    }
+    VM_STACK_CHECK(sp);
+    VM_ST64(sp, R[in.rs1]);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp);
-    cost = 2;
-    goto tail;
+    VM_SEQ(2);
   }
   VM_CASE(Pop) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]);
-    if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-    std::uint64_t v;
-    if (!read_u64(sp, v)) return stop(Trap::kBadMemory);
-    R[in.rd] = static_cast<std::int64_t>(v);
+    VM_STACK_CHECK(sp);
+    VM_LD64(sp, R[in.rd]);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp + 8);
-    cost = 2;
-    goto tail;
+    VM_SEQ(2);
   }
   VM_CASE(Sys) {
-    if (!syscall_) return stop(Trap::kBadOpcode);
+    if (!syscall_) VM_STOP(Trap::kBadOpcode);
     const Trap t = syscall_(*this, in.imm);
+    refresh();  // the handler may have reshaped any hoisted state
     if (t != Trap::kNone) {
-      cycles += 20;
-      return stop(t);
+      unsampled = 20;
+      VM_STOP(t);
     }
-    cost = 20;
-    goto tail;
+    VM_SEQ(20);
   }
   VM_CASE(BadOp) {
     // Fetch-time failure routed through dispatch: not a retired instruction.
     --steps;
-    return stop(Trap::kBadOpcode);
+    VM_STOP(Trap::kBadOpcode);
   }
 
   // --- fetch-failure tokens -------------------------------------------------
   VM_CASE(BadJump) {
     --steps;  // hole between images: nothing retired
-    return stop(Trap::kBadJump);
+    VM_STOP(Trap::kBadJump);
   }
   VM_CASE(Armed) {
     // Single-step fallback inside the fault window: record the hit, then
     // dispatch the base opcode (nothing in the window fuses or glues, and
     // the predecessor's glue was cleared, so every entry lands here).
     note_watch_hit(cycles);
+    edge_live = edge_live_;
     xop = static_cast<std::uint8_t>(in.op);
-    goto dispatch;
+    VM_DISPATCH();
   }
 
   // --- fused pairs ----------------------------------------------------------
   VM_CASE(CmpBr) {
     flags_ = R[in.rs1] < R[in.rs2] ? -1 : (R[in.rs1] > R[in.rs2] ? 1 : 0);
     VM_FUSE_NEXT(1);
-    if (branch_taken(b.op, flags_)) {
-      next = static_cast<std::uint64_t>(static_cast<std::int64_t>(b.imm));
-    }
-    goto tail;
+    next = branch_taken(b.op, flags_)
+               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(b.imm))
+               : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(CmpIBr) {
     const auto imm = static_cast<std::int64_t>(in.imm);
     flags_ = R[in.rs1] < imm ? -1 : (R[in.rs1] > imm ? 1 : 0);
     VM_FUSE_NEXT(1);
-    if (branch_taken(b.op, flags_)) {
-      next = static_cast<std::uint64_t>(static_cast<std::int64_t>(b.imm));
-    }
-    goto tail;
+    next = branch_taken(b.op, flags_)
+               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(b.imm))
+               : pc + kInstrSize;
+    VM_JUMP(1);
   }
   VM_CASE(LdLd) {
-    std::uint64_t v;
-    if (!read_u64(static_cast<std::uint64_t>(
-                      R[in.rs1] + static_cast<std::int64_t>(in.imm)), v)) {
-      return stop(Trap::kBadMemory);
-    }
-    R[in.rd] = static_cast<std::int64_t>(v);
+    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
+            R[in.rd]);
     VM_FUSE_NEXT(2);
-    if (!read_u64(static_cast<std::uint64_t>(
-                      R[b.rs1] + static_cast<std::int64_t>(b.imm)), v)) {
-      return stop(Trap::kBadMemory);
-    }
-    R[b.rd] = static_cast<std::int64_t>(v);
-    cost = 2;
-    goto tail;
+    VM_LD64(static_cast<std::uint64_t>(R[b.rs1] + static_cast<std::int64_t>(b.imm)),
+            R[b.rd]);
+    VM_SEQ(2);
   }
   VM_CASE(LdAlu) {
-    std::uint64_t v;
-    if (!read_u64(static_cast<std::uint64_t>(
-                      R[in.rs1] + static_cast<std::int64_t>(in.imm)), v)) {
-      return stop(Trap::kBadMemory);
-    }
-    R[in.rd] = static_cast<std::int64_t>(v);
+    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
+            R[in.rd]);
     VM_FUSE_NEXT(2);
     R[b.rd] = alu_eval(b.op, R[b.rs1], R[b.rs2]);
-    cost = alu_cost(b.op);
-    goto tail;
+    VM_SEQ(alu_cost(b.op));
   }
   VM_CASE(LdPush) {
-    std::uint64_t v;
-    if (!read_u64(static_cast<std::uint64_t>(
-                      R[in.rs1] + static_cast<std::int64_t>(in.imm)), v)) {
-      return stop(Trap::kBadMemory);
-    }
-    R[in.rd] = static_cast<std::int64_t>(v);
+    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
+            R[in.rd]);
     VM_FUSE_NEXT(2);
     {
       const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
-      if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-      if (!write_u64(sp, static_cast<std::uint64_t>(R[b.rs1]))) {
-        return stop(Trap::kBadMemory);
-      }
+      VM_STACK_CHECK(sp);
+      VM_ST64(sp, R[b.rs1]);
       R[isa::kRegSp] = static_cast<std::int64_t>(sp);
     }
-    cost = 2;
-    goto tail;
+    VM_SEQ(2);
   }
   VM_CASE(MovIAlu) {
     R[in.rd] = static_cast<std::int64_t>(in.imm);
     VM_FUSE_NEXT(1);
     R[b.rd] = alu_eval(b.op, R[b.rs1], R[b.rs2]);
-    cost = alu_cost(b.op);
-    goto tail;
+    VM_SEQ(alu_cost(b.op));
   }
   VM_CASE(MovPop) {
     R[in.rd] = R[in.rs1];
     VM_FUSE_NEXT(1);
     {
       const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]);
-      if (sp < stack_lo_ || sp + 8 > stack_hi_) return stop(Trap::kStackFault);
-      std::uint64_t v;
-      if (!read_u64(sp, v)) return stop(Trap::kBadMemory);
-      R[b.rd] = static_cast<std::int64_t>(v);
+      VM_STACK_CHECK(sp);
+      VM_LD64(sp, R[b.rd]);
       R[isa::kRegSp] = static_cast<std::int64_t>(sp + 8);
     }
-    cost = 2;
-    goto tail;
+    VM_SEQ(2);
   }
   VM_CASE(AluSt) {
     R[in.rd] = alu_eval(in.op, R[in.rs1], R[in.rs2]);
     VM_FUSE_NEXT(alu_cost(in.op));
-    if (!write_u64(static_cast<std::uint64_t>(
-                       R[b.rs1] + static_cast<std::int64_t>(b.imm)),
-                   static_cast<std::uint64_t>(R[b.rs2]))) {
-      return stop(Trap::kBadMemory);
-    }
-    cost = 2;
-    goto tail;
+    VM_ST64(static_cast<std::uint64_t>(R[b.rs1] + static_cast<std::int64_t>(b.imm)),
+            R[b.rs2]);
+    VM_SEQ(2);
   }
 
 #if !GF_VM_THREADED_DISPATCH
   default:
     // Unreachable: every token value has a case above.
     --steps;
-    return stop(Trap::kBadOpcode);
+    VM_STOP(Trap::kBadOpcode);
   }
 #endif
 
-tail:
-  // Error-propagation edges: only live between the first watch hit and
-  // disarm, i.e. while an injected fault is both armed and activated.
-  if (edge_live_) [[unlikely]] {
-    if (next != pc + kInstrSize) note_watch_edge(pc, next);
+at_horizon:
+  // Cold: the instruction at `pc` just retired at or past the horizon, its
+  // successor is `next`. Overshoot carries into the next period so the
+  // sample cadence stays an exact function of consumed cycles; the loop
+  // handles instructions whose cost spans several strides (e.g. SYS at a
+  // small stride).
+  if (cycles >= due) {
+    do {
+      ++samples_[pc];
+      due += sample_stride_;
+    } while (due <= cycles);
   }
-  cycles += cost;
-  VM_SAMPLE(cost);
-  // Glue fast path: the successor slot is statically valid, unarmed and
-  // in-hull, so a fall-through skips the full fetch. Everything the skipped
-  // checks guard is write-immune (validity, armedness, coverage off) or
-  // re-read fresh right here (instruction bytes, token).
-  if ((xop & kXGlue) != 0 && next == pc + kInstrSize && cycles < cycle_budget) {
-    pc = next;
-    ++slot;
-    in = predecoded_[slot];
-    xop = xop_[slot];
-    ++steps;
-    next = pc + kInstrSize;
-    cost = 1;
-    goto dispatch;
-  }
+  horizon = std::min(cycle_budget, due);
   pc = next;
+  if (cycles >= cycle_budget) VM_STOP(Trap::kCycleLimit);
   goto fetch;
 
+out:
+  // Terminal cycles (HALT, sentinel RET, failed SYS) are charged to the
+  // ledger but never sampled, in every lowering and fusion mode alike.
+  total_cycles_ += cycles + unsampled;
+  sample_left_ = static_cast<std::int64_t>(due - cycles);
+  stats_.instructions += steps;
+  ++stats_.runs;
+  ++stats_.traps[static_cast<std::size_t>(trap)];
+  return RunResult{trap, cycles + unsampled, pc, 0};
+
 #undef VM_CASE
+#undef VM_DISPATCH
+#undef VM_SEQ
+#undef VM_JUMP
 #undef VM_FUSE_NEXT
-#undef VM_SAMPLE
+#undef VM_STACK_CHECK
+#undef VM_ST64
+#undef VM_LD64
+#undef VM_STOP
 }
 
 }  // namespace gf::vm

@@ -108,7 +108,7 @@ class Machine {
   /// Sentinel return address: a top-level RET to this address ends the run.
   static constexpr std::uint64_t kReturnSentinel = 0xFFFFFFFFFFFF0000ULL;
 
-  /// Dirty-tracking granularity (one bit of bookkeeping per 4 KiB page).
+  /// Dirty-tracking granularity (one state byte per 4 KiB page).
   static constexpr std::uint64_t kDirtyPageShift = 12;
   static constexpr std::uint64_t kDirtyPageSize = 1u << kDirtyPageShift;
 
@@ -124,7 +124,7 @@ class Machine {
   };
 
   /// Warm construction: memory, registers, flags and cycle counter straight
-  /// from a snapshot (one copy, no zero-fill), dirty bitmap clear. The
+  /// from a snapshot (one copy, no zero-fill), every page clean. The
   /// snapshot already holds the code bytes; register their executable range
   /// with map_image.
   explicit Machine(const State& s);
@@ -219,7 +219,7 @@ class Machine {
   /// instead of O(memory).
   bool page_dirty(std::uint64_t addr) const noexcept {
     const std::uint64_t page = addr >> kDirtyPageShift;
-    return page < dirty_.size() && dirty_[page];
+    return page < page_state_.size() && (page_state_[page] & kPageDirty) != 0;
   }
   /// Marks [addr, addr+len) dirty (for external mutations of raw state).
   void mark_dirty(std::uint64_t addr, std::uint64_t len) noexcept;
@@ -228,13 +228,13 @@ class Machine {
   void clear_all_dirty() noexcept;
 
   /// Captures the full machine state (memory + registers + flags + lifetime
-  /// cycle counter) and clears the dirty bitmap, establishing the baseline
+  /// cycle counter) and clears every dirty bit, establishing the baseline
   /// restore() diffs against.
   State snapshot();
   /// Restores to `s` by copying back only pages dirtied since the snapshot
   /// (plus registers/flags/cycles), invalidating the predecode cache over any
   /// restored code pages so they re-decode lazily. `s.mem` must match
-  /// mem_size(). Clears the dirty bitmap.
+  /// mem_size(). Clears every dirty bit.
   void restore(const State& s);
 
   /// Comparison-flag state (CMP result sign); call() preserves registers but
@@ -304,15 +304,18 @@ class Machine {
   /// dispatch lowering. Overshoot carries into the next period (an
   /// instruction costing more than a stride yields multiple samples), so the
   /// cadence is exact regardless of per-instruction cost granularity. The
-  /// hot loop pays one decrement plus a never-taken branch when disarmed
-  /// (the countdown idles at a sentinel no campaign can exhaust — the same
-  /// trick as the armed-watch bit). Re-arming resets the accumulated
-  /// samples; `stride == 0` disarms.
+  /// next sample is folded with the cycle budget into one event horizon, so
+  /// the hot loop pays nothing extra per retired instruction, armed or not
+  /// (disarmed, the countdown idles at a sentinel no campaign can exhaust).
+  /// Re-arming resets the accumulated samples; `stride == 0` disarms.
   void arm_sampler(std::uint64_t stride);
   /// Disarms the sampler; accumulated samples stay readable.
   void disarm_sampler();
   bool sampler_armed() const noexcept { return sample_stride_ != 0; }
   std::uint64_t sampler_stride() const noexcept { return sample_stride_; }
+  /// Sampled cycles left until the next sample: the phase one run carries
+  /// into the next (idles near 2^62 while disarmed).
+  std::int64_t sampler_countdown() const noexcept { return sample_left_; }
   /// Accumulated samples since the last arm, keyed by instruction address.
   const std::map<std::uint64_t, std::uint64_t>& samples() const noexcept {
     return samples_;
@@ -347,9 +350,6 @@ class Machine {
   /// Cold path of the armed-bit branch: updates the watch trace.
   void note_watch_hit(std::uint64_t cycles) noexcept;
   void note_watch_edge(std::uint64_t from, std::uint64_t to) noexcept;
-  /// Cold path of the sampler countdown (taken once per stride cycles):
-  /// records the sample(s) and returns the replenished countdown.
-  std::int64_t note_sample(std::uint64_t pc, std::int64_t left);
   /// Cheap overlap test before the full invalidate — inlined into every
   /// checked write so guest stores into the code region (possible under
   /// mutated pointers) can never leave the predecode cache stale.
@@ -359,21 +359,36 @@ class Machine {
     }
   }
   /// Dirty-marking + optional write-capture tail shared by every mutation
-  /// path. The bitmap update is one or two byte stores for typical writes;
+  /// path. The page-state update is one or two byte ORs for typical writes;
   /// the capture branch is never taken outside the one-time boot recording.
   void note_write(std::uint64_t addr, std::uint64_t len) noexcept {
     for (std::uint64_t p = addr >> kDirtyPageShift,
                        last = (addr + len - 1) >> kDirtyPageShift;
          p <= last; ++p) {
-      dirty_[p] = 1;
+      page_state_[p] |= kPageDirty;
     }
     if (capture_) [[unlikely]] {
       captured_.push_back({addr, {&mem_[addr], &mem_[addr] + len}});
     }
   }
+  /// Sets `bit` on every page when `on`, else clears it everywhere.
+  void set_page_bit(std::uint8_t bit, bool on) noexcept;
+
+  // Page-state bits, one byte per kDirtyPageSize page. A guest store whose
+  // pages all read exactly kPageDirty may skip the rest of the write path:
+  // the dirty bit is already set, no predecoded slot can overlap it, and no
+  // capture is recording (see the execute() comment in machine.cpp).
+  static constexpr std::uint8_t kPageDirty = 1;  ///< written since the last clear
+  static constexpr std::uint8_t kPageCode = 2;   ///< overlaps the predecode hull
+  /// Mirrors capture_ on every page (set and cleared only with it, one
+  /// sweep per capture, i.e. per first cold boot), so the store fast path
+  /// stays one byte compare per page: testing a hoisted copy of capture_
+  /// instead measured 5-11% slower on BM_VmDispatchNoPredecode and 1-4%
+  /// on BM_VmDispatchMemMix.
+  static constexpr std::uint8_t kPageCapture = 4;
 
   std::vector<std::uint8_t> mem_;
-  std::vector<std::uint8_t> dirty_;  ///< one byte per kDirtyPageSize page
+  std::vector<std::uint8_t> page_state_;  ///< kPage* bits per kDirtyPageSize page
   bool capture_ = false;
   std::vector<WriteSpan> captured_;
   std::int64_t regs_[isa::kNumRegs] = {};
@@ -403,9 +418,8 @@ class Machine {
   std::vector<std::uint64_t> executed_;
   std::vector<bool> covered_;  // indexed by addr / kInstrSize
 
-  /// Sampler countdown idle sentinel: one decrement per retired step can
-  /// never drive it to zero within any realistic machine lifetime, so a
-  /// disarmed sampler costs exactly one sub + never-taken branch per step.
+  /// Sampler countdown idle sentinel: no realistic machine lifetime retires
+  /// this many cycles, so a disarmed sampler's horizon is always the budget.
   static constexpr std::int64_t kSamplerIdle = std::int64_t{1} << 62;
   std::uint64_t sample_stride_ = 0;          ///< 0 = disarmed
   std::int64_t sample_left_ = kSamplerIdle;  ///< cycles until the next sample
@@ -414,8 +428,8 @@ class Machine {
   // Armed watch window [watch_lo_, watch_hi_); hi == 0 means disarmed.
   std::uint64_t watch_lo_ = 0, watch_hi_ = 0;
   /// True once the armed window was entered: taken control transfers are
-  /// recorded from that point on (checked once per instruction, but only
-  /// while a fault is actually live and activated).
+  /// recorded from that point on (checked by control-transfer handlers only,
+  /// and true only while a fault is actually live and activated).
   bool edge_live_ = false;
   WatchTrace watch_;
 };

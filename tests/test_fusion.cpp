@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "isa/assembler.h"
@@ -142,6 +143,9 @@ TEST(Fusion, CycleBudgetSweepMatchesUnfused) {
 /// the pair before the pc reaches it, so the patched instruction (not the
 /// stale fused body) executes. The donor instruction's bytes are loaded
 /// from the image itself, so the test needs no knowledge of the encoding.
+/// The second store lands on a code page the first store (and the load
+/// before it) already dirtied: being dirty must not let a store into code
+/// skip the invalidation.
 TEST(Fusion, GuestStoreSplitsFusedPair) {
   const char* src = R"(
     f:
@@ -154,24 +158,147 @@ TEST(Fusion, GuestStoreSplitsFusedPair) {
       cmp r1, r2
     target:
       jgt @wrong
+      movi r3, @donor2
+      ld r4, [r3]
+      movi r5, @target2
+      st [r5], r4
+      cmpi r0, 99
+    target2:
+      jz @wrong2
       ret
     wrong:
       movi r0, 55
       ret
+    wrong2:
+      movi r0, 77
+      ret
     donor:
       movi r0, 99
+    donor2:
+      addi r0, r0, 1
   )";
   const auto img = assemble(src, "t", 0x1000);
+  const auto target2 = img.find_symbol("target2")->addr;
+  ASSERT_EQ(target2 >> Machine::kDirtyPageShift,
+            img.find_symbol("target")->addr >> Machine::kDirtyPageShift);
   Machine fused, plain;
   fused.load_image(img);
   plain.load_image(img);
   plain.set_fusion(false);
+  ASSERT_TRUE(fused.page_dirty(target2));
   const auto pf = probe_call(fused, img, {});
   const auto pp = probe_call(plain, img, {});
   expect_same(pf, pp, "guest store split");
-  // The overwritten instruction must have executed: r0 = 99, then ret. A
-  // stale fused cmp+jgt would fall through to the original ret with r0 = 0.
-  EXPECT_EQ(pf.r.ret, 99);
+  // Both overwritten instructions must have executed: r0 = 99, then
+  // r0 + 1 = 100. A stale first pair leaves r0 below 2; a stale second
+  // pair jumps to wrong2 (77).
+  EXPECT_EQ(pf.r.ret, 100);
+}
+
+/// The event horizon folds the cycle budget and the sampler's next due
+/// cycle into one test per retire. Sweep budgets against sampler strides
+/// over a chain of runs that stop every way a run can stop (budget, failed
+/// SYS, HALT, sentinel RET): fused, unfused and per-step-decode machines
+/// must agree on every result, sample stream, carried countdown and state
+/// digest. The program's fused pairs put budget stops between two halves.
+TEST(Fusion, HorizonSweepMatchesUnfused) {
+  const char* src = R"(
+    f:
+      movi r3, 0x8000
+      movi r4, 0
+    loop:
+      cmpi r1, 0
+    mid_br:
+      jle @done
+      st [r3], r1
+      ld r5, [r3]
+    mid_alu:
+      add r4, r4, r5
+      movi r6, 1
+      sub r1, r1, r6
+      push r4
+      mov r7, r4
+    mid_pop:
+      pop r8
+      mul r9, r8, r8
+    mid_st:
+      st [r3, 8], r9
+      jmp @loop
+    done:
+      mov r0, r4
+      ret
+    g:
+      movi r0, 1
+      sys 2
+      ret
+    h:
+      movi r0, 5
+      addi r0, r0, 1
+      halt
+  )";
+  const auto img = assemble(src, "t", 0x1000);
+  const auto f = img.find_symbol("f")->addr;
+  const auto g = img.find_symbol("g")->addr;
+  const auto h = img.find_symbol("h")->addr;
+  std::set<std::uint64_t> mids;
+  for (const char* m : {"mid_br", "mid_alu", "mid_pop", "mid_st"}) {
+    mids.insert(img.find_symbol(m)->addr);
+  }
+  std::set<std::uint64_t> split_stops;
+  bool sample_on_budget = false;
+
+  for (const std::uint64_t stride : {1u, 2u, 3u, 7u, 4096u}) {
+    for (std::uint64_t budget = 1; budget <= 90; ++budget) {
+      // A small memory keeps the per-step state digests cheap.
+      Machine fused(0x10000), plain(0x10000), nopre(0x10000);
+      plain.set_fusion(false);
+      nopre.set_predecode(false);
+      std::vector<Machine*> ms = {&fused, &plain, &nopre};
+      for (Machine* m : ms) {
+        m->load_image(img);
+        m->set_syscall_handler(
+            [](Machine&, std::int32_t) { return Trap::kBadMemory; });
+        m->arm_sampler(stride);
+      }
+      // Each link of the chain runs on every machine, then all are compared.
+      auto step = [&](const char* what, auto&& run) {
+        std::vector<RunResult> rs;
+        std::vector<std::uint64_t> digests;
+        for (Machine* m : ms) {
+          rs.push_back(run(*m));
+          digests.push_back(m->state_digest());
+        }
+        for (std::size_t i = 1; i < ms.size(); ++i) {
+          const auto ctx = ::testing::Message() << what << " stride " << stride
+                                                << " budget " << budget << " m" << i;
+          EXPECT_EQ(rs[i].trap, rs[0].trap) << ctx;
+          EXPECT_EQ(rs[i].cycles, rs[0].cycles) << ctx;
+          EXPECT_EQ(rs[i].pc, rs[0].pc) << ctx;
+          EXPECT_EQ(rs[i].ret, rs[0].ret) << ctx;
+          EXPECT_EQ(ms[i]->samples(), ms[0]->samples()) << ctx;
+          EXPECT_EQ(ms[i]->sampler_countdown(), ms[0]->sampler_countdown()) << ctx;
+          EXPECT_EQ(digests[i], digests[0]) << ctx;
+          EXPECT_EQ(ms[i]->dispatch_stats().instructions,
+                    ms[0]->dispatch_stats().instructions) << ctx;
+        }
+        return rs[0];
+      };
+      const auto r1 = step("budget call", [&](Machine& m) { return m.call(f, {4}, budget); });
+      if (r1.trap == Trap::kCycleLimit) {
+        if (mids.count(r1.pc) != 0) split_stops.insert(r1.pc);
+        if (stride > 1 && fused.sampler_countdown() == static_cast<std::int64_t>(stride)) {
+          sample_on_budget = true;
+        }
+      }
+      step("failed sys", [&](Machine& m) { return m.call(g, {}, budget + 40); });
+      step("halt", [&](Machine& m) { return m.run(h, budget + 40); });
+      step("sentinel ret", [&](Machine& m) { return m.call(f, {3}, 1000); });
+      step("budget call again", [&](Machine& m) { return m.call(f, {4}, budget); });
+    }
+  }
+  // The sweep really covered the boundaries it exists for.
+  EXPECT_EQ(split_stops, mids);
+  EXPECT_TRUE(sample_on_budget);
 }
 
 /// Same property for a 1-byte guest store: stb into the immediate field of

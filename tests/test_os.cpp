@@ -2,8 +2,11 @@
 // functions, for both OS versions. These run real guest code on the VM.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "os/api.h"
 #include "os/filesystem.h"
@@ -230,6 +233,61 @@ TEST_P(OsTest, DiskWriteOutcomesReachTheCaller) {
   ASSERT_TRUE(api_.write_bytes(0x150000, "abcd", 4));
   EXPECT_EQ(api_.nt_write_file(h.value, 0x150000, 4).value, lay::kStatusIoError);
   EXPECT_EQ(kernel_.disk().size(*kernel_.disk().find("/tmp/w")), 0);
+}
+
+// write_wstr stores the UTF-16LE bytes in one bulk write; its outcome must
+// equal a store of byte after byte, which stops at the first unmapped byte.
+TEST_P(OsTest, WideStringBulkWriteMatchesPerByteStores) {
+  auto& m = kernel_.machine();
+  auto per_byte = [&m](std::uint64_t addr, const std::string& s) {
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      if (!m.write_u8(addr + i * 2, static_cast<std::uint8_t>(s[i]))) return false;
+      if (!m.write_u8(addr + i * 2 + 1, 0)) return false;
+    }
+    return m.write_u8(addr + s.size() * 2, 0) &&
+           m.write_u8(addr + s.size() * 2 + 1, 0);
+  };
+  const std::string s = "/index.html";
+  const std::uint64_t top = m.mem_size();
+  const std::uint64_t len = (s.size() + 1) * 2;
+  std::vector<std::uint64_t> addrs = {0,          vm::Machine::kNullPageSize - len,
+                                      vm::Machine::kNullPageSize - 3,
+                                      vm::Machine::kNullPageSize - 1,
+                                      vm::Machine::kNullPageSize, top,
+                                      top + 1,    ~std::uint64_t{0} - 3};
+  for (std::uint64_t back = 0; back <= len + 1; ++back) addrs.push_back(top - back);
+
+  // Every candidate write lands in one of two windows: the null-page edge
+  // and the top of memory.
+  const std::uint64_t win = vm::Machine::kNullPageSize + 2 * len;
+  auto windows = [&] {
+    const auto* lo = m.raw(0, win);
+    const auto* hi = m.raw(top - win, win);
+    std::vector<std::uint8_t> out(lo, lo + win);
+    out.insert(out.end(), hi, hi + win);
+    return out;
+  };
+  auto put_windows = [&](const std::vector<std::uint8_t>& w) {
+    ASSERT_TRUE(m.patch_code(0, w.data(), win));
+    ASSERT_TRUE(m.patch_code(top - win, w.data() + win, win));
+  };
+  const auto pristine = windows();
+  for (const auto addr : addrs) {
+    const bool want = per_byte(addr, s);
+    const auto want_mem = windows();
+    put_windows(pristine);
+    const bool got = api_.write_wstr(addr, s);
+    EXPECT_EQ(got, want) << "addr " << addr;
+    EXPECT_TRUE(windows() == want_mem) << "addr " << addr;
+    put_windows(pristine);
+  }
+  // The in-range prefix really is written when the string runs off the end.
+  ASSERT_FALSE(api_.write_wstr(top - 3, s));
+  std::uint8_t tail[3] = {};
+  ASSERT_TRUE(m.read_bytes(top - 3, tail, sizeof tail));
+  EXPECT_EQ(tail[0], '/');
+  EXPECT_EQ(tail[1], 0);
+  EXPECT_EQ(tail[2], 'i');
 }
 
 TEST_P(OsTest, CloseReleasesHandleSlot) {

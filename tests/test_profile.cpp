@@ -11,6 +11,7 @@
 #include "depbench/campaign_diff.h"
 #include "depbench/campaign_report.h"
 #include "depbench/runner.h"
+#include "isa/assembler.h"
 #include "minic/compiler.h"
 #include "obs/profile.h"
 #include "store/store.h"
@@ -93,6 +94,64 @@ TEST(SamplerTest, FusionNeverChangesTheSampleStream) {
     nopre.arm_sampler(stride);
     nopre.call(addr, {5000}, 1u << 24);
     EXPECT_EQ(fused.samples(), nopre.samples()) << "stride " << stride;
+  }
+}
+
+// The sampler's due cycle shares one event horizon with the cycle budget.
+// Over a chain of runs that stop every way a run can stop, the samples and
+// the carried countdown must account for exactly the sampled cycles: every
+// consumed cycle except the terminal ones (HALT and sentinel RET charge 1,
+// a failed SYS 20), which stay unsampled. Fused and unfused machines agree.
+TEST(SamplerTest, CarryIsExactAcrossChainedStops) {
+  const auto loop = loop_image();
+  const auto stops = isa::assemble(R"(
+    g:
+      movi r0, 1
+      sys 2
+      ret
+    h:
+      movi r0, 5
+      halt
+  )", "stops", 0x40000);
+  const auto f = loop.find_symbol("f")->addr;
+  const auto g = stops.find_symbol("g")->addr;
+  const auto h = stops.find_symbol("h")->addr;
+  for (const std::uint64_t stride : {1u, 2u, 3u, 7u, 4096u}) {
+    vm::Machine fused, unfused;
+    unfused.set_fusion(false);
+    std::uint64_t sampled = 0;  // cycles the sampler must have seen (fused)
+    for (vm::Machine* m : {&fused, &unfused}) {
+      m->load_image(loop);
+      m->load_image(stops);
+      m->set_syscall_handler(
+          [](vm::Machine&, std::int32_t) { return vm::Trap::kBadMemory; });
+      m->arm_sampler(stride);
+    }
+    for (std::uint64_t k = 0; k < 12; ++k) {
+      for (vm::Machine* m : {&fused, &unfused}) {
+        // Budgets both below and above the loop's length: budget stops and
+        // sentinel RETs alternate with failed SYS and HALT stops.
+        const auto rf = m->call(f, {static_cast<std::int64_t>(k * 5)},
+                                k % 2 == 0 ? 37 * k + 5 : 1u << 20);
+        EXPECT_EQ(rf.trap, k % 2 == 0 ? vm::Trap::kCycleLimit : vm::Trap::kHalt);
+        const auto rg = m->call(g, {}, 1000);
+        const auto rh = m->run(h, 1000);
+        EXPECT_EQ(rg.trap, vm::Trap::kBadMemory);
+        EXPECT_EQ(rh.trap, vm::Trap::kHalt);
+        if (m == &fused) {
+          sampled += rf.cycles - (rf.trap == vm::Trap::kHalt ? 1 : 0);
+          sampled += rg.cycles - 20;
+          sampled += rh.cycles - 1;
+        }
+      }
+      EXPECT_EQ(fused.samples(), unfused.samples()) << "stride " << stride;
+      EXPECT_EQ(fused.sampler_countdown(), unfused.sampler_countdown())
+          << "stride " << stride;
+      EXPECT_EQ(total_samples(fused), sampled / stride) << "stride " << stride;
+      EXPECT_EQ(static_cast<std::uint64_t>(fused.sampler_countdown()),
+                stride - sampled % stride)
+          << "stride " << stride;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 // any worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "depbench/controller.h"
 #include "depbench/runner.h"
+#include "isa/assembler.h"
 #include "minic/compiler.h"
 #include "os/api.h"
 #include "os/kernel.h"
@@ -39,7 +42,7 @@ void expect_same_machine_state(const vm::Machine::State& a,
 }
 
 // ---------------------------------------------------------------------------
-// VM layer: dirty bitmap, snapshot/restore, write capture
+// VM layer: dirty pages, snapshot/restore, write capture
 // ---------------------------------------------------------------------------
 
 TEST(MachineSnapshotTest, CheckedWritesMarkPagesDirty) {
@@ -93,6 +96,85 @@ TEST(MachineSnapshotTest, WriteCaptureRecordsEveryCheckedWrite) {
   EXPECT_EQ(spans[0].bytes[0], 7u);
   EXPECT_EQ(spans[1].addr, 0x2008u);
   EXPECT_EQ(spans[1].bytes.size(), 8u);
+}
+
+// Guest stores (St, StB, Push, Call) into pages that are already dirty
+// take the dispatch loop's inline store path; a capture in progress must
+// still see every one of them.
+TEST(MachineSnapshotTest, GuestStoresIntoDirtyPagesAreCaptured) {
+  const auto img = isa::assemble(R"(
+    f:
+      movi r3, 0x100000
+      st [r3], r1
+      stb [r3, 16], r2
+      push r1
+      pop r4
+      call @g
+    back:
+      ret
+    g:
+      ret
+  )", "t", 0x1000);
+  vm::Machine m;
+  m.load_image(img);
+  const auto f = img.find_symbol("f")->addr;
+  // A first run dirties the data and stack pages the second run stores to.
+  ASSERT_TRUE(m.call(f, {0x1111, 0x22}, 1000).ok());
+  const std::uint64_t top = m.mem_size();
+  ASSERT_TRUE(m.page_dirty(0x100000));
+  ASSERT_TRUE(m.page_dirty(top - 16));
+
+  m.begin_write_capture();
+  ASSERT_TRUE(m.call(f, {0x3333, 0x44}, 1000).ok());
+  const auto spans = m.end_write_capture();
+
+  auto u64 = [](const vm::WriteSpan& w) {
+    std::uint64_t v = 0;
+    EXPECT_EQ(w.bytes.size(), 8u);
+    std::memcpy(&v, w.bytes.data(), std::min<std::size_t>(8, w.bytes.size()));
+    return v;
+  };
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[0].addr, top - 8);  // call()'s sentinel return address
+  EXPECT_EQ(u64(spans[0]), vm::Machine::kReturnSentinel);
+  EXPECT_EQ(spans[1].addr, 0x100000u);  // st
+  EXPECT_EQ(u64(spans[1]), 0x3333u);
+  EXPECT_EQ(spans[2].addr, 0x100010u);  // stb
+  ASSERT_EQ(spans[2].bytes.size(), 1u);
+  EXPECT_EQ(spans[2].bytes[0], 0x44u);
+  EXPECT_EQ(spans[3].addr, top - 16);  // push
+  EXPECT_EQ(u64(spans[3]), 0x3333u);
+  EXPECT_EQ(spans[4].addr, top - 16);  // call's return address
+  EXPECT_EQ(u64(spans[4]), img.find_symbol("back")->addr);
+}
+
+// An 8-byte guest store that starts on a dirty page and ends on a clean one
+// must dirty the second page too, so restore reverts both.
+TEST(MachineSnapshotTest, GuestStoreCrossingIntoCleanPageIsRestored) {
+  const auto img = isa::assemble(R"(
+    f:
+      st [r1], r2
+      ret
+  )", "t", 0x1000);
+  vm::Machine m;
+  m.load_image(img);
+  const std::uint64_t pattern = 0x0123456789ABCDEFULL;
+  ASSERT_TRUE(m.write_u64(0x100FF8, pattern));
+  ASSERT_TRUE(m.write_u64(0x101000, pattern));
+  const auto base = m.snapshot();
+  const auto f = img.find_symbol("f")->addr;
+
+  ASSERT_TRUE(m.call(f, {0x100010, -1}, 1000).ok());  // dirties page 0x100000
+  ASSERT_TRUE(m.page_dirty(0x100000));
+  ASSERT_FALSE(m.page_dirty(0x101000));
+  ASSERT_TRUE(m.call(f, {0x100FFC, -1}, 1000).ok());  // crosses into 0x101000
+  EXPECT_TRUE(m.page_dirty(0x101000));
+  std::uint64_t v = 0;
+  ASSERT_TRUE(m.read_u64(0x101000, v));
+  EXPECT_EQ(v, 0x01234567FFFFFFFFULL);  // low four bytes overwritten
+
+  m.restore(base);
+  expect_same_machine_state(m.snapshot(), base);
 }
 
 TEST(MachineSnapshotTest, RestoreInvalidatesPredecodedCode) {

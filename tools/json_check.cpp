@@ -499,7 +499,7 @@ bool check_micro(const std::string& file, const Value& root) {
   static const char* kFamilies[] = {
       "BM_VmDispatch", "BM_VmDispatchPredecoded", "BM_VmDispatchNoPredecode",
       "BM_VmDispatchNoFusion", "BM_VmDispatchTraceDisarmed",
-      "BM_VmDispatchProfiled",
+      "BM_VmDispatchProfiled", "BM_VmDispatchMemMix",
       "BM_MiniCCompileOs", "BM_FaultloadScan", "BM_InjectRestore",
       "BM_InjectRestoreInvalidate", "BM_ApiCallAlloc", "BM_ApiCallAllocObs",
       "BM_JournalAppend", "BM_ApiCallOpenReadClose", "BM_ColdReboot",

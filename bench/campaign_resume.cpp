@@ -7,14 +7,13 @@
 //   incremental  one fault type's mutations edited ("the fault was fixed");
 //                only that type's keys — and nothing else — re-execute
 //
-// The bench asserts the store's core contract — the merged campaign
-// artifacts (manifest JSON + slot-ordered journal) of the all-hit resume
-// run are byte-identical to the cold run's — and exits nonzero when they
-// are not. Timings, speedups and the three runs' hit/miss telemetry land
-// in BENCH_store.json ("genfault-store-bench/1"), which run_benches.sh
-// validates with `json_check --schema store` (including the semantic
-// hit/miss cross-checks: cold has no hits, resume has no misses, the
-// incremental run mixes both).
+// The bench asserts the store's core contract — every deterministic campaign
+// artifact of the all-hit resume run is byte-identical to the cold run's —
+// and exits nonzero when one is not. Timings, speedups and the three runs'
+// hit/miss telemetry land in BENCH_store.json ("genfault-store-bench/1"),
+// which run_benches.sh validates with `json_check --schema store`
+// (including the semantic hit/miss cross-checks: cold has no hits, resume
+// has no misses, the incremental run mixes both).
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -36,15 +35,9 @@ namespace {
 
 using namespace gf;
 
-struct Artifacts {
-  std::string manifest;
-  std::string journal;
-  bool operator==(const Artifacts&) const = default;
-};
-
 struct RunOutcome {
   double ms = 0;
-  Artifacts artifacts;
+  std::vector<std::pair<std::string, std::string>> artifacts;
   store::StoreStats stats;
 };
 
@@ -105,11 +98,8 @@ int main(int argc, char** argv) {
     const auto t1 = std::chrono::steady_clock::now();
     RunOutcome o;
     o.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    o.artifacts.manifest = depbench::campaign_manifest_json(
-        cells, runner.options(), runner.campaign_obs());
-    std::ostringstream j;
-    depbench::write_campaign_journal(j, *runner.campaign_obs());
-    o.artifacts.journal = j.str();
+    o.artifacts = depbench::render_campaign_artifacts(
+        {cells, runner.options(), runner.campaign_obs()});
     o.stats = *runner.store_stats();
     return o;
   };

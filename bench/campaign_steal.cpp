@@ -8,15 +8,14 @@
 //     workers idle while the unlucky one drains its worst-case range.
 //   B (steal):  adaptive cost-balanced chunks + LPT seeding + steal-half.
 //
-// Both runs produce byte-identical campaign artifacts (manifest JSON,
-// journal JSONL, activation JSONL) — the bench fails hard if they diverge.
+// Both runs produce byte-identical campaign artifacts (every deterministic
+// artifact of the artifact table) — the bench fails hard if they diverge.
 // Results go to BENCH_sched.json (schema genfault-sched-bench/1, validated
 // by tools/json_check --schema sched), including each run's SchedStats.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "depbench/campaign_report.h"
@@ -25,7 +24,6 @@
 #include "os/kernel.h"
 #include "os/sources.h"
 #include "swfit/scanner.h"
-#include "trace/activation.h"
 #include "util/flags.h"
 
 namespace {
@@ -35,9 +33,7 @@ using namespace gf;
 struct AbRun {
   double wall_ms = 0;
   double makespan_ms = 0;  ///< max per-worker thread-CPU (dedicated-core wall)
-  std::string manifest;
-  std::string journal;
-  std::string activations;
+  std::vector<std::pair<std::string, std::string>> artifacts;
   std::string sched_json;
 };
 
@@ -55,21 +51,8 @@ AbRun run_campaign(depbench::RunnerOptions ropt, bool steal, int chunk) {
                     std::chrono::steady_clock::now() - t0)
                     .count();
 
-  const auto* obs = runner.campaign_obs();
-  out.manifest = depbench::campaign_manifest_json(cells, runner.options(), obs);
-  std::ostringstream journal;
-  depbench::write_campaign_journal(journal, *obs);
-  out.journal = journal.str();
-  std::ostringstream act;
-  for (const auto& cell : cells) {
-    for (std::size_t it = 0; it < cell.iterations.size(); ++it) {
-      trace::write_jsonl(act,
-                         cell.os_name + "/" + cell.server_name + "/iter" +
-                             std::to_string(it),
-                         cell.iterations[it].activations);
-    }
-  }
-  out.activations = act.str();
+  out.artifacts = depbench::render_campaign_artifacts(
+      {cells, runner.options(), runner.campaign_obs()});
   out.makespan_ms = runner.scheduler_stats()->makespan_cpu_us() / 1000.0;
   out.sched_json = runner.scheduler_stats()->to_json();
   return out;
@@ -143,9 +126,7 @@ int main(int argc, char** argv) {
                ropt.jobs);
   const auto steal = run_campaign(ropt, /*steal=*/true, /*chunk=*/0);
 
-  const bool identical = stat.manifest == steal.manifest &&
-                         stat.journal == steal.journal &&
-                         stat.activations == steal.activations;
+  const bool identical = stat.artifacts == steal.artifacts;
   const double speedup = steal.wall_ms > 0 ? stat.wall_ms / steal.wall_ms : 0;
   // Wall-clock only separates the two schedules when the host actually has
   // `jobs` cores to idle; the thread-CPU makespan (longest per-worker work

@@ -20,7 +20,8 @@
 // API traffic inside every task, so the merged obs registry/journal/profile
 // differ by design. The fuzzer therefore shares a random warm_boot between
 // reference and variant for the full-artifact oracle, and adds a separate
-// warm/cold flip compared through the results-only artifacts.
+// warm/cold flip compared through the results-only artifacts: the table
+// rendered without obs.
 //
 // A random subset of cases additionally wires a persistent store through the
 // variant shape: the cold run (all misses, everything committed) and an
@@ -52,7 +53,6 @@
 #include "os/sources.h"
 #include "store/store.h"
 #include "swfit/scanner.h"
-#include "trace/activation.h"
 #include "util/rng.h"
 
 namespace gf::check {
@@ -78,73 +78,17 @@ const swfit::Faultload& full_faultload(os::OsVersion v) {
   return it->second;
 }
 
-/// Every deterministic artifact of one finished campaign, rendered with a
-/// FIXED options struct so runs of different scheduling shape compare equal.
-struct Artifacts {
-  std::string manifest;
-  std::string journal;
-  std::string activations;
-  std::string activation_summary;
-  std::string profile;
-  std::string flame;
-  std::string derived;  ///< §3.2 metrics, canonical exact-precision text
-};
+using Files = std::vector<std::pair<std::string, std::string>>;
 
-Artifacts render_results(const std::vector<depbench::ExperimentCell>& cells,
-                         const depbench::RunnerOptions& render_opt);
-
-Artifacts render(const std::vector<depbench::ExperimentCell>& cells,
-                 const depbench::RunnerOptions& render_opt,
-                 const depbench::CampaignRunner& runner) {
-  Artifacts art = render_results(cells, render_opt);
-  const auto* obs = runner.campaign_obs();
-  art.manifest = depbench::campaign_manifest_json(cells, render_opt, obs);
-  if (obs != nullptr) {
-    std::ostringstream j;
-    depbench::write_campaign_journal(j, *obs);
-    art.journal = j.str();
-    art.flame = depbench::campaign_flamegraph(*obs);
-    if (render_opt.profile) {
-      art.profile = depbench::campaign_profile_json(cells, render_opt, *obs);
-    }
-  }
-  return art;
-}
-
-/// Byte-compares every artifact pair, tagging failures with `shape`.
-void compare(const Artifacts& ref, const Artifacts& got,
-             const std::string& shape, CheckReport& report) {
-  expect_same("manifest [" + shape + "]", ref.manifest, got.manifest, report);
-  expect_same("journal [" + shape + "]", ref.journal, got.journal, report);
-  expect_same("activations [" + shape + "]", ref.activations, got.activations,
-              report);
-  expect_same("activation summary [" + shape + "]", ref.activation_summary,
-              got.activation_summary, report);
-  expect_same("profile [" + shape + "]", ref.profile, got.profile, report);
-  expect_same("flamegraph [" + shape + "]", ref.flame, got.flame, report);
-  expect_same("derived metrics [" + shape + "]", ref.derived, got.derived,
-              report);
-}
-
-/// Results-only artifacts: everything the warm/cold snapshot contract
-/// promises to preserve (cells without the merged obs registry, activation
-/// records, derived metrics) — no journal/profile/api counters.
-Artifacts render_results(const std::vector<depbench::ExperimentCell>& cells,
-                         const depbench::RunnerOptions& render_opt) {
-  Artifacts art;
-  art.manifest =
-      depbench::campaign_manifest_json(cells, render_opt, /*obs=*/nullptr);
-  if (render_opt.trace) {
-    std::ostringstream a;
-    trace::ActivationStats stats;
-    for (const auto& cell : cells) {
-      const auto recs = depbench::collect_activations(cell);
-      trace::write_jsonl(a, cell.os_name + "/" + cell.server_name, recs);
-      for (const auto& r : recs) stats.add(r);
-    }
-    art.activations = a.str();
-    art.activation_summary = trace::activation_summary_json(stats);
-  }
+/// Every deterministic artifact of one finished campaign (the artifact
+/// table's output) plus the §3.2 metrics at exact precision, stricter than
+/// the manifest's. Rendered through a FIXED options struct so runs of
+/// different scheduling shape compare equal; a null `obs` leaves the
+/// results-only set the warm/cold snapshot contract covers.
+Files render(const std::vector<depbench::ExperimentCell>& cells,
+             const depbench::RunnerOptions& render_opt,
+             const depbench::CampaignObs* obs) {
+  auto files = depbench::render_campaign_artifacts({cells, render_opt, obs});
   std::ostringstream d;
   for (const auto& cell : cells) {
     const auto m = depbench::derive_metrics(cell);
@@ -155,8 +99,19 @@ Artifacts render_results(const std::vector<depbench::ExperimentCell>& cells,
                   m.thrf, m.rtmf, m.erf_pct, m.admf, m.spc_rel, m.thr_rel);
     d << line;
   }
-  art.derived = d.str();
-  return art;
+  files.emplace_back("derived metrics", d.str());
+  return files;
+}
+
+/// Byte-compares two renderings file by file, tagging failures with `shape`.
+void compare(const Files& ref, const Files& got, const std::string& shape,
+             CheckReport& report) {
+  const auto set = "artifact set differs [" + shape + "]";
+  if (!expect(ref.size() == got.size(), set, report)) return;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    expect_same(ref[i].first + " [" + shape + "]", ref[i].second,
+                got[i].second, report);
+  }
 }
 
 fs::path scratch_root(const CheckOptions& opt) {
@@ -223,7 +178,7 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
 
   depbench::CampaignRunner ref_runner(ref_opt);
   const auto ref_cells = ref_runner.run_campaign();
-  const auto ref_art = render(ref_cells, ref_opt, ref_runner);
+  const auto ref_art = render(ref_cells, ref_opt, ref_runner.campaign_obs());
 
   const std::string shape =
       "jobs=" + std::to_string(var_opt.jobs) +
@@ -237,7 +192,8 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
     const auto var_cells = var_runner.run_campaign();
     // Render through the REFERENCE options: the schedule knobs are allowed
     // in the manifest's options section, not in the results.
-    compare(ref_art, render(var_cells, ref_opt, var_runner), shape, report);
+    compare(ref_art, render(var_cells, ref_opt, var_runner.campaign_obs()),
+            shape, report);
   }
 
   // Snapshot oracle: flip warm/cold at the variant's parallel shape and
@@ -247,8 +203,8 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
     flip_opt.warm_boot = !base.warm_boot;
     depbench::CampaignRunner flip_runner(flip_opt);
     const auto flip_cells = flip_runner.run_campaign();
-    compare(render_results(ref_cells, ref_opt),
-            render_results(flip_cells, ref_opt),
+    compare(render(ref_cells, ref_opt, nullptr),
+            render(flip_cells, ref_opt, nullptr),
             shape + (flip_opt.warm_boot ? " warm-flip=warm" : " warm-flip=cold"),
             report);
   }
@@ -266,7 +222,7 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
 
       depbench::CampaignRunner cold_runner(cold_opt);
       const auto cold_cells = cold_runner.run_campaign();
-      compare(ref_art, render(cold_cells, ref_opt, cold_runner),
+      compare(ref_art, render(cold_cells, ref_opt, cold_runner.campaign_obs()),
               shape + " store=cold", report);
       const auto* st = cold_runner.store_stats();
       expect(st != nullptr && st->hits == 0,
@@ -274,7 +230,7 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
 
       depbench::CampaignRunner hit_runner(cold_opt);
       const auto hit_cells = hit_runner.run_campaign();
-      compare(ref_art, render(hit_cells, ref_opt, hit_runner),
+      compare(ref_art, render(hit_cells, ref_opt, hit_runner.campaign_obs()),
               shape + " store=all-hit", report);
       const auto* ht = hit_runner.store_stats();
       expect(ht != nullptr && ht->misses == 0,

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "depbench/campaign_report.h"
-#include "depbench/report.h"
 #include "trace/activation.h"
 #include "util/flags.h"
 #include "util/log.h"
@@ -31,16 +30,20 @@ std::string set_path(Value text, std::string& out) {
 }
 
 struct FlagDef {
-  FlagDef(const char* n, void (*s)(Flags&)) : name(n), on(s) {}
-  FlagDef(const char* n, const char* m, std::string (*s)(Flags&, Value))
-      : name(n), meta(m), set(s) {}
+  FlagDef(const char* n, void (*s)(Flags&), unsigned nd = 0)
+      : name(n), needs(nd), on(s) {}
+  FlagDef(const char* n, const char* m, std::string (*s)(Flags&, Value),
+          unsigned nd = 0)
+      : name(n), meta(m), needs(nd), set(s) {}
   const char* name;            ///< without the leading "--"
   const char* meta = nullptr;  ///< value placeholder in the usage line
+  unsigned needs = 0;  ///< Need bits without which the flag changes nothing
   void (*on)(Flags&) = nullptr;                 ///< a switch
   std::string (*set)(Flags&, Value) = nullptr;  ///< a flag with a value
 };
 
-// The campaign flag table: the one definition of every campaign flag.
+// The campaign flag table: every campaign flag that is not an artifact. The
+// artifact flags are the rows of campaign_artifacts().
 const FlagDef kFlags[] = {
     {"quick",
      [](Flags& f) {
@@ -74,36 +77,37 @@ const FlagDef kFlags[] = {
     {"cold-boot", [](Flags& f) { f.opt.warm_boot = false; }},
     {"no-fusion", [](Flags& f) { f.opt.fusion = false; }},
     {"progress", [](Flags& f) { f.progress = true; }},
-    {"metrics-json", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.metrics_json); }},
-    {"html-report", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.html_report); }},
-    {"journal-out", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.journal_out); }},
-    {"chrome-trace", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.chrome_trace); }},
-    {"profile-json", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.profile_json); }},
-    {"flame-out", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.flame_out); }},
     {"profile-stride", "N",
-     [](Flags& f, Value v) { return parse_int(v, 1, f.opt.profile_stride); }},
-    {"sched-json", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.sched_json); }},
+     [](Flags& f, Value v) { return parse_int(v, 1, f.opt.profile_stride); },
+     kNeedProfile},
     {"activation-report", [](Flags& f) { f.activation_report = true; }},
-    {"trace-out", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.trace_out); }},
-    {"activation-json", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.activation_json); }},
     {"store", "DIR",
      [](Flags& f, Value v) { return set_path(v, f.store_dir); }},
-    {"resume", [](Flags& f) { f.resume = true; }},
-    {"no-cache", [](Flags& f) { f.opt.store_read = false; }},
-    {"store-json", "FILE",
-     [](Flags& f, Value v) { return set_path(v, f.store_json); }},
+    {"resume", [](Flags& f) { f.resume = true; }, kNeedStore},
+    {"no-cache", [](Flags& f) { f.opt.store_read = false; }, kNeedStore},
     {"crash-after-puts", "N",
-     [](Flags& f, Value v) { return parse_int(v, 0, f.crash_after_puts); }},
+     [](Flags& f, Value v) { return parse_int(v, 0, f.crash_after_puts); },
+     kNeedStore},
 };
+
+const CampaignArtifact* find_artifact(Value name) {
+  for (const auto& a : campaign_artifacts()) {
+    if (name == a.flag) return &a;
+  }
+  return nullptr;
+}
+
+// The flags that make a campaign collect `need`, for a diagnostic.
+std::string providers(unsigned need) {
+  if (need & kNeedStore) return "--store DIR";
+  std::string out;
+  for (const auto& a : campaign_artifacts()) {
+    if (a.need & need) {
+      out += (out.empty() ? "--" : " or --") + std::string(a.flag);
+    }
+  }
+  return out;
+}
 
 bool is_flag(Value arg) {
   return arg.size() > 2 && arg.compare(0, 2, "--") == 0;
@@ -114,6 +118,7 @@ bool is_flag(Value arg) {
 std::string parse_campaign_flags(const std::vector<std::string>& args,
                                  CampaignFlags& flags,
                                  const std::vector<std::string>& extra_flags) {
+  std::vector<std::pair<std::string, unsigned>> needs;  // per flag given
   for (std::size_t i = 0; i < args.size(); ++i) {
     const auto& arg = args[i];
     if (!is_flag(arg)) return "unexpected argument '" + arg + "'";
@@ -121,11 +126,16 @@ std::string parse_campaign_flags(const std::vector<std::string>& args,
     const auto def =
         std::find_if(std::begin(kFlags), std::end(kFlags),
                      [&](const FlagDef& d) { return name == d.name; });
-    const bool extra = def == std::end(kFlags) &&
-                       std::find(extra_flags.begin(), extra_flags.end(),
-                                 name) != extra_flags.end();
-    if (def == std::end(kFlags) && !extra) return "unknown flag " + arg;
-    if (!extra && def->on != nullptr) {
+    const auto* artifact = find_artifact(name);
+    const bool known = def != std::end(kFlags) || artifact != nullptr;
+    const bool extra = !known && std::find(extra_flags.begin(),
+                                           extra_flags.end(),
+                                           name) != extra_flags.end();
+    if (!known && !extra) return "unknown flag " + arg;
+    if (known) {
+      needs.emplace_back(arg, artifact != nullptr ? artifact->need : def->needs);
+    }
+    if (artifact == nullptr && !extra && def->on != nullptr) {
       def->on(flags);
       continue;
     }
@@ -133,24 +143,33 @@ std::string parse_campaign_flags(const std::vector<std::string>& args,
       return arg + ": missing value";
     }
     const auto& value = args[++i];
+    std::string err;
     if (extra) {
       flags.extra[name] = value;
-      continue;
+    } else if (artifact != nullptr) {
+      err = set_path(value, flags.artifacts[name]);
+    } else {
+      err = def->set(flags, value);
     }
-    const auto err = def->set(flags, value);
     if (!err.empty()) return arg + ": " + err + ", got '" + value + "'";
   }
-  if (flags.resume && flags.store_dir.empty()) {
-    return "--resume requires --store DIR";
+  // What the campaign collects follows from the artifacts requested; only
+  // --store provides a store. A flag that needs something nothing collects
+  // would change nothing, so it is refused.
+  unsigned collect = flags.activation_report ? kNeedTrace : 0u;
+  for (const auto& a : campaign_artifacts()) {
+    if (flags.artifacts.count(a.flag) != 0) collect |= a.need & ~kNeedStore;
+  }
+  if (!flags.store_dir.empty()) collect |= kNeedStore;
+  for (const auto& [arg, need] : needs) {
+    if (need & ~collect) {
+      return arg + ": requires " + providers(need & ~collect);
+    }
   }
   auto& opt = flags.opt;
-  opt.trace = flags.activation_report || !flags.trace_out.empty() ||
-              !flags.activation_json.empty();
-  opt.profile = !flags.profile_json.empty() || !flags.flame_out.empty();
-  // Every artifact rendered from per-task TaskObs bundles needs them.
-  opt.obs = opt.profile || !flags.metrics_json.empty() ||
-            !flags.html_report.empty() || !flags.journal_out.empty() ||
-            !flags.chrome_trace.empty();
+  opt.obs = collect & kNeedObs;
+  opt.trace = collect & kNeedTrace;
+  opt.profile = collect & kNeedProfile;
   return {};
 }
 
@@ -164,16 +183,18 @@ void parse_campaign_flags_or_exit(int argc, char** argv, CampaignFlags& flags) {
 
 std::string campaign_flags_usage(const std::string& indent) {
   std::string out, line;
-  for (const auto& d : kFlags) {
-    std::string item = std::string("[--") + d.name;
-    if (d.meta != nullptr) item += std::string(" ") + d.meta;
+  auto add = [&](const char* name, const char* meta) {
+    std::string item = std::string("[--") + name;
+    if (meta != nullptr) item += std::string(" ") + meta;
     item += "]";
     if (!line.empty() && line.size() + 1 + item.size() > 64) {
       out += line + "\n" + indent;
       line.clear();
     }
     line += (line.empty() ? "" : " ") + item;
-  }
+  };
+  for (const auto& d : kFlags) add(d.name, d.meta);
+  for (const auto& a : campaign_artifacts()) add(a.flag, "FILE");
   return out + line;
 }
 
@@ -217,69 +238,31 @@ bool CampaignSession::run() {
 }
 
 bool CampaignSession::write_artifacts() const {
-  bool ok = true;
-  auto write = [&ok](const std::string& path, const char* what,
-                     const auto& render) {
-    if (!ok || path.empty()) return;
-    std::ofstream out(path);
-    if (out) render(out);
-    if (!out.flush()) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      ok = false;
-      return;
-    }
-    std::fprintf(stderr, "[campaign] %s -> %s\n", what, path.c_str());
-  };
-  const auto& opt = runner_->options();
-  if (const auto* obs = runner_->campaign_obs()) {
-    write(flags_.metrics_json, "campaign manifest", [&](std::ostream& o) {
-      o << campaign_manifest_json(cells_, opt, obs);
-    });
-    write(flags_.html_report, "html report", [&](std::ostream& o) {
-      o << campaign_html_report(cells_, opt, obs);
-    });
-    write(flags_.journal_out, "event journal",
-          [&](std::ostream& o) { write_campaign_journal(o, *obs); });
-    write(flags_.chrome_trace, "chrome trace",
-          [&](std::ostream& o) { o << campaign_chrome_trace(*obs); });
-    write(flags_.profile_json, "cycle profile", [&](std::ostream& o) {
-      o << campaign_profile_json(cells_, opt, *obs);
-    });
-    write(flags_.flame_out, "flamegraph",
-          [&](std::ostream& o) { o << campaign_flamegraph(*obs); });
-  }
-  if (const auto* stats = runner_->store_stats()) {
-    write(flags_.store_json, "store telemetry",
-          [&](std::ostream& o) { o << stats->to_json(); });
-  }
-  if (const auto* stats = runner_->scheduler_stats()) {
-    write(flags_.sched_json, "scheduler telemetry",
-          [&](std::ostream& o) { o << stats->to_json(); });
-  }
-  if (!opt.trace) return ok;
-
-  trace::ActivationStats stats;
-  for (const auto& cell : cells_) {
-    stats.merge(trace::aggregate(collect_activations(cell)));
-  }
+  const CampaignResults results{cells_, runner_->options(),
+                                runner_->campaign_obs(),
+                                runner_->scheduler_stats(),
+                                runner_->store_stats()};
   if (flags_.activation_report) {
     std::printf("\nActivation & error propagation (per traced exposure)\n%s\n",
-                trace::render_activation_report(stats).c_str());
+                trace::render_activation_report(
+                    campaign_activation_stats(cells_))
+                    .c_str());
   }
-  write(flags_.trace_out, "activation event log", [&](std::ostream& o) {
-    for (const auto& cell : cells_) {
-      for (std::size_t it = 0; it < cell.iterations.size(); ++it) {
-        trace::write_jsonl(o,
-                           cell.os_name + "/" + cell.server_name + "/iter" +
-                               std::to_string(it),
-                           cell.iterations[it].activations);
-      }
+  for (const auto& artifact : campaign_artifacts()) {
+    const auto path = flags_.artifacts.find(artifact.flag);
+    if (path == flags_.artifacts.end() || !renders(artifact, results)) {
+      continue;
     }
-  });
-  write(flags_.activation_json, "activation summary", [&](std::ostream& o) {
-    o << trace::activation_summary_json(stats);
-  });
-  return ok;
+    std::ofstream out(path->second);
+    if (out) out << artifact.render(results);
+    if (!out.flush()) {
+      std::fprintf(stderr, "error: cannot write %s\n", path->second.c_str());
+      return false;
+    }
+    std::fprintf(stderr, "[campaign] %s -> %s\n", artifact.what,
+                 path->second.c_str());
+  }
+  return true;
 }
 
 }  // namespace gf::depbench

@@ -3,10 +3,11 @@
 // (bench/table5_campaign, bench/fig5_comparison, `gfbench campaign`).
 //
 // Flags parse straight into RunnerOptions; the artifact paths and the store
-// flags live next to it in CampaignFlags. Whether a campaign collects obs
-// bundles, activation traces or profiles is derived from which artifacts
-// were requested, never set on its own, so two front-ends given the same
-// command line run the same campaign and write the same bytes.
+// flags live next to it in CampaignFlags. The artifact flags are the rows of
+// the artifact table (depbench/campaign_report.h). Whether a campaign
+// collects obs bundles, activation traces or profiles is derived from which
+// artifacts were requested, never set on its own, so two front-ends given
+// the same command line run the same campaign and write the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +28,8 @@ struct CampaignFlags {
   /// `trace`, `obs` and `profile` are derived from the artifact paths.
   RunnerOptions opt;
 
-  // Artifact paths; empty = not written.
-  std::string metrics_json;     ///< genfault-campaign/1 manifest
-  std::string html_report;      ///< self-contained HTML report
-  std::string journal_out;      ///< slot-ordered event journal, JSONL
-  std::string chrome_trace;     ///< Perfetto-loadable trace-event JSON
-  std::string profile_json;     ///< genfault-profile/1
-  std::string flame_out;        ///< collapsed-stack flamegraph
-  std::string sched_json;       ///< scheduler telemetry (genfault-sched/1)
-  std::string store_json;       ///< store telemetry (genfault-store/1)
-  std::string trace_out;        ///< activation event log, JSONL
-  std::string activation_json;  ///< activation summary stats
+  /// Requested artifacts: artifact-table flag (without "--") -> file path.
+  std::map<std::string, std::string> artifacts;
   bool activation_report = false;  ///< print the per-type x function table
 
   // Result store (src/store). --no-cache parses into opt.store_read.
@@ -58,8 +50,10 @@ struct CampaignFlags {
 /// Parses `args` (flags only, no program name) over the defaults already in
 /// `flags`. Returns an empty string on success, otherwise a one-line
 /// diagnostic naming the offending flag: an unknown flag, a missing value,
-/// a non-numeric value or an out-of-range one. Never throws. `extra_flags`
-/// names value flags the caller handles itself; they land in flags.extra.
+/// a non-numeric value, an out-of-range one, or a flag that would change
+/// nothing (a store flag without --store, --profile-stride without a
+/// profile artifact). Never throws. `extra_flags` names value flags the
+/// caller handles itself; they land in flags.extra.
 std::string parse_campaign_flags(
     const std::vector<std::string>& args, CampaignFlags& flags,
     const std::vector<std::string>& extra_flags = {});

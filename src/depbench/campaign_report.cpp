@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <ostream>
+#include <sstream>
 
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
@@ -79,6 +80,84 @@ std::string fmt2(double v) {
 }
 
 }  // namespace
+
+const std::vector<CampaignArtifact>& campaign_artifacts() {
+  using R = const CampaignResults&;
+  static const std::vector<CampaignArtifact> table = {
+      {"metrics-json", "manifest.json", "campaign manifest", kNeedObs,
+       kNeedObs, true,
+       [](R r) { return campaign_manifest_json(r.cells, r.opt, r.obs); }},
+      {"html-report", "report.html", "html report", kNeedObs, 0, true,
+       [](R r) { return campaign_html_report(r.cells, r.opt, r.obs); }},
+      {"journal-out", "journal.jsonl", "event journal", kNeedObs, 0, true,
+       [](R r) {
+         std::ostringstream out;
+         write_campaign_journal(out, *r.obs);
+         return out.str();
+       }},
+      {"chrome-trace", "chrome_trace.json", "chrome trace", kNeedObs, 0, false,
+       [](R r) { return campaign_chrome_trace(*r.obs); }},
+      {"profile-json", "profile.json", "cycle profile",
+       kNeedObs | kNeedProfile, 0, true,
+       [](R r) { return campaign_profile_json(r.cells, r.opt, *r.obs); }},
+      {"flame-out", "flame.txt", "flamegraph", kNeedObs | kNeedProfile, 0,
+       true, [](R r) { return campaign_flamegraph(*r.obs); }},
+      {"store-json", "store.json", "store telemetry", kNeedStore, 0, false,
+       [](R r) { return r.store->to_json(); }},
+      {"sched-json", "sched.json", "scheduler telemetry", 0, 0, false,
+       [](R r) { return r.sched->to_json(); }},
+      {"trace-out", "activations.jsonl", "activation event log", kNeedTrace, 0,
+       true,
+       [](R r) {
+         std::ostringstream out;
+         for (const auto& cell : r.cells) {
+           for (std::size_t it = 0; it < cell.iterations.size(); ++it) {
+             trace::write_jsonl(out,
+                                cell.os_name + "/" + cell.server_name +
+                                    "/iter" + std::to_string(it),
+                                cell.iterations[it].activations);
+           }
+         }
+         return out.str();
+       }},
+      {"activation-json", "activation_summary.json", "activation summary",
+       kNeedTrace, 0, true,
+       [](R r) {
+         return trace::activation_summary_json(
+             campaign_activation_stats(r.cells));
+       }},
+  };
+  return table;
+}
+
+bool renders(const CampaignArtifact& artifact, const CampaignResults& results) {
+  unsigned have = 0;
+  if (results.obs != nullptr) have |= kNeedObs;
+  if (results.opt.trace) have |= kNeedTrace;
+  if (results.opt.profile) have |= kNeedProfile;
+  if (results.store != nullptr) have |= kNeedStore;
+  return (artifact.need & ~artifact.optional & ~have) == 0;
+}
+
+std::vector<std::pair<std::string, std::string>> render_campaign_artifacts(
+    const CampaignResults& results) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& artifact : campaign_artifacts()) {
+    if (artifact.deterministic && renders(artifact, results)) {
+      files.emplace_back(artifact.file, artifact.render(results));
+    }
+  }
+  return files;
+}
+
+trace::ActivationStats campaign_activation_stats(
+    const std::vector<ExperimentCell>& cells) {
+  trace::ActivationStats stats;
+  for (const auto& cell : cells) {
+    stats.merge(trace::aggregate(collect_activations(cell)));
+  }
+  return stats;
+}
 
 std::string campaign_manifest_json(const std::vector<ExperimentCell>& cells,
                                    const RunnerOptions& opt,

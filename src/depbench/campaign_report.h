@@ -1,5 +1,10 @@
-// Campaign report generator: machine-readable manifest + human-readable
-// HTML, both derived from the same merged results and obs artifacts.
+// Campaign artifacts: the one table that defines them, and their renderers.
+//
+// Every file a campaign can write is one row of campaign_artifacts(): its
+// CLI flag, its canonical file name, what the campaign must collect for it
+// and whether it is deterministic. The campaign CLI, the gfcheck matrix
+// oracle, the golden corpus and the identity suites all go through the
+// table, so an artifact added as a row is covered by every oracle at once.
 //
 // The manifest (schema "genfault-campaign/1") carries the Table 5 / Fig 5
 // results next to the merged metrics registry so a single JSON file fully
@@ -11,11 +16,59 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "depbench/runner.h"
+#include "trace/activation.h"
 
 namespace gf::depbench {
+
+/// What a campaign must collect for an artifact, beyond its cell results.
+enum Need : unsigned {
+  kNeedObs = 1u << 0,      ///< per-task obs bundles (RunnerOptions::obs)
+  kNeedTrace = 1u << 1,    ///< activation traces (RunnerOptions::trace)
+  kNeedProfile = 1u << 2,  ///< cycle profiles (RunnerOptions::profile)
+  kNeedStore = 1u << 3,    ///< a result store (RunnerOptions::store)
+};
+
+/// A finished campaign as the renderers see it, rendered through `opt`
+/// (whose trace and profile bits say what was collected). Null = absent.
+struct CampaignResults {
+  const std::vector<ExperimentCell>& cells;
+  const RunnerOptions& opt;
+  const CampaignObs* obs = nullptr;
+  const SchedStats* sched = nullptr;
+  const store::StoreStats* store = nullptr;
+};
+
+/// One row of the artifact table.
+struct CampaignArtifact {
+  const char* flag;  ///< CLI flag, without the leading "--"
+  const char* file;  ///< canonical file name
+  const char* what;  ///< the CLI's "[campaign] WHAT -> FILE" notice
+  unsigned need;     ///< Need bits the campaign must collect for it
+  unsigned optional;  ///< of those, the ones it renders without
+  /// Byte-identical for any schedule, fusion, boot mode or store-hit
+  /// pattern; not so the Chrome trace (wall-clock host view) and telemetry.
+  bool deterministic;
+  std::string (*render)(const CampaignResults&);
+};
+
+/// Every campaign artifact, in the order the CLI writes them.
+const std::vector<CampaignArtifact>& campaign_artifacts();
+
+/// Whether `results` collected everything `artifact` cannot render without.
+bool renders(const CampaignArtifact& artifact, const CampaignResults& results);
+
+/// (file name, bytes) of every deterministic artifact `results` renders, in
+/// table order: the set the determinism oracles byte-compare.
+std::vector<std::pair<std::string, std::string>> render_campaign_artifacts(
+    const CampaignResults& results);
+
+/// Activation statistics over every cell's traced fault runs.
+trace::ActivationStats campaign_activation_stats(
+    const std::vector<ExperimentCell>& cells);
 
 /// JSON manifest of a whole campaign: options, per-cell results (baseline,
 /// iterations, derived §3.2 metrics), and — when `obs` is non-null — the

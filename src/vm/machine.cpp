@@ -36,7 +36,7 @@ namespace {
 //
 // plus the kXGlue bit when the fall-through successor slot is statically
 // valid, unarmed and in-hull: the dispatch tail may then skip the full fetch
-// (hull check, flag byte, coverage test). Safety: validity and armedness are
+// (hull check, flag byte). Safety: validity and armedness are
 // immune to guest writes (invalidate_code re-decodes content but never
 // touches flags), and the glue path re-reads predecoded_/xop_ fresh, so a
 // stale in-register glue bit can never execute stale bytes. Fused-pair HEADS
@@ -44,8 +44,8 @@ namespace {
 // executes, cannot have been invalidated mid-handler; writes by the second
 // half only matter at the next dispatch, which reads the tables fresh.
 //
-// Fusion/glue is disabled entirely under per-pc coverage (the glue path skips
-// the coverage test) and inside the armed window (single-step contract).
+// Fusion/glue is disabled entirely inside the armed window (single-step
+// contract).
 //
 // The name list mirrors Op order exactly — static_asserts below pin it.
 #define GF_VM_XOPS(X)                                                       \
@@ -345,10 +345,9 @@ std::uint8_t Machine::xop_for_slot(std::size_t s) const noexcept {
   if (f & kSlotArmed) return kXArmed;  // single-step inside the fault window
   const Instr& a = predecoded_[s];
   const auto base = static_cast<std::uint8_t>(a.op);
-  // Undecodable slots trap, syscall handlers may rewrite anything (including
-  // these tables), and coverage records per-pc at the full fetch: none of
-  // them glue or fuse.
-  if (a.op == Op::kOpCount_ || a.op == Op::kSys || !fusion_ || coverage_) {
+  // Undecodable slots trap and syscall handlers may rewrite anything
+  // (including these tables): neither glues or fuses.
+  if (a.op == Op::kOpCount_ || a.op == Op::kSys || !fusion_) {
     return base;
   }
   if (s + 1 >= predecoded_.size()) return base;
@@ -596,19 +595,6 @@ bool Machine::in_code(std::uint64_t addr) const noexcept {
   return false;
 }
 
-void Machine::set_coverage(bool enabled) {
-  coverage_ = enabled;
-  if (enabled && covered_.empty()) covered_.resize(mem_.size() / kInstrSize, false);
-  // Coverage records per-pc at the full fetch, which glue would skip:
-  // re-tokenize so coverage runs execute strictly unfused.
-  if (!predecoded_.empty()) rebuild_xop(0, predecoded_.size());
-}
-
-void Machine::clear_coverage() {
-  executed_.clear();
-  std::fill(covered_.begin(), covered_.end(), false);
-}
-
 RunResult Machine::call(std::uint64_t addr, const std::vector<std::int64_t>& args,
                         std::uint64_t cycle_budget) {
   // Fresh frame at the top of the stack region with the sentinel as the
@@ -665,8 +651,8 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   // handler can change them mid-run (it may load code, toggle predecode,
   // move the stack or arm a watch), so they are refreshed after SYS, and
   // `edge_live` also at the armed-watch hit that sets it. The full fetch
-  // reads the hull and coverage members directly: hoisting them too costs
-  // more in register pressure than the loads it saves.
+  // reads the hull members directly: hoisting them too costs more in
+  // register pressure than the loads it saves.
   std::uint8_t* mem = nullptr;
   std::uint64_t span8 = 0;  // valid 8-byte access starts: kNullPageSize + [0, span8)
   std::uint64_t span1 = 0;  // valid byte addresses: kNullPageSize + [0, span1)
@@ -828,7 +814,7 @@ fetch:
     // keeps the slot index in-bounds before the tables are touched;
     // pc - code_lo may wrap but is then never used. Validity, armedness and
     // undecodability are pre-folded into the token, so the only per-fetch
-    // branches are the hull check and the (normally false) coverage test.
+    // branch is the hull check.
     const std::uint64_t rel = pc - code_lo_;
     slot = static_cast<std::size_t>(rel / kInstrSize);
     if (pc < code_lo_ || pc + kInstrSize > code_hi_ || rel % kInstrSize != 0) {
@@ -836,28 +822,12 @@ fetch:
     }
     in = pre[slot];
     xop = xtab[slot];
-    if (coverage_) {
-      if (xop != kXBadJump) {  // holes were never recorded as executed
-        const std::size_t idx = pc / kInstrSize;
-        if (!covered_[idx]) {
-          covered_[idx] = true;
-          executed_.push_back(pc);
-        }
-      }
-    }
   } else {
     if (!in_code(pc) || pc % kInstrSize != 0) VM_STOP(Trap::kBadJump);
     // Fallback decode path: no slot table, so the watch is a range compare.
     if (watch_hi_ != 0 && pc >= watch_lo_ && pc < watch_hi_) [[unlikely]] {
       note_watch_hit(cycles);
       edge_live = edge_live_;
-    }
-    if (coverage_) {
-      const std::size_t idx = pc / kInstrSize;
-      if (!covered_[idx]) {
-        covered_[idx] = true;
-        executed_.push_back(pc);
-      }
     }
     if (!isa::decode_into(mem + pc, in)) VM_STOP(Trap::kBadOpcode);
     xop = static_cast<std::uint8_t>(in.op);

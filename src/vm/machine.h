@@ -274,13 +274,6 @@ class Machine {
   const DispatchStats& dispatch_stats() const noexcept { return stats_; }
   void reset_dispatch_stats() noexcept { stats_ = {}; }
 
-  /// Optional per-instruction coverage recording (for fault-activation
-  /// measurements): when enabled, executed_pcs() reports distinct executed
-  /// instruction addresses within loaded code.
-  void set_coverage(bool enabled);
-  const std::vector<std::uint64_t>& executed_pcs() const noexcept { return executed_; }
-  void clear_coverage();
-
   // --- fault-activation watch ---------------------------------------------
   /// Arms an address watch on [lo, hi): the first time the PC enters the
   /// window the trace records the hit cycle, every re-entry bumps the hit
@@ -413,10 +406,6 @@ class Machine {
   SyscallHandler syscall_;
   std::uint64_t total_cycles_ = 0;
   DispatchStats stats_;
-
-  bool coverage_ = false;
-  std::vector<std::uint64_t> executed_;
-  std::vector<bool> covered_;  // indexed by addr / kInstrSize
 
   /// Sampler countdown idle sentinel: no realistic machine lifetime retires
   /// this many cycles, so a disarmed sampler's horizon is always the budget.

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Numeric flags outside the campaign flag table: a malformed or out-of-range
-# value must fail with "error: <flag>: ..." on stderr and exit status 2,
-# before any work is done.
+# Numeric flags outside the campaign flag table, and campaign flags that
+# would change nothing: a malformed or out-of-range value, or a flag missing
+# the flag it needs, must fail with "error: <flag>: ..." on stderr and exit
+# status 2, before any work is done.
 #
 #   flag_exit_status.sh GFBENCH BENCH_DIFF TABLE4 CAMPAIGN_STEAL \
 #                       CAMPAIGN_RESUME SOURCE_DIR
@@ -51,6 +52,19 @@ expect_rejected --jobs "$resume" --jobs abc --store-dir "$scratch/rs" \
   --out "$scratch/store.json"
 expect_rejected --scale "$resume" --scale x --store-dir "$scratch/rs" \
   --out "$scratch/store.json"
+
+# The store flags need --store; --profile-stride needs a profile artifact.
+campaign() {
+  "$gfbench" campaign --os 2000 --server apex --stride 101 --iterations 1 \
+    --scale 0.02 --baseline-ms 250 "$@"
+}
+expect_rejected --store-json campaign --store-json "$scratch/st.json"
+expect_rejected --crash-after-puts campaign --crash-after-puts 1
+expect_rejected --no-cache campaign --no-cache
+expect_rejected --resume campaign --resume
+expect_rejected --profile-stride campaign --profile-stride 512 \
+  --metrics-json "$scratch/m.json"
+test ! -e "$scratch/st.json" || { echo "FAIL: st.json written"; status=1; }
 
 rm -rf "$scratch"
 exit $status

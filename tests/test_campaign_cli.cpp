@@ -1,12 +1,15 @@
 // Tests for the shared campaign command line (depbench/campaign_cli): every
-// malformed flag is rejected with a diagnostic naming it, and every
-// accepted flag lands in RunnerOptions or the artifact paths.
+// malformed flag, and every flag that would change nothing, is rejected with
+// a diagnostic naming it, and every accepted flag lands in RunnerOptions or
+// the artifact paths.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "depbench/campaign_cli.h"
+#include "depbench/campaign_report.h"
 
 namespace gf::depbench {
 namespace {
@@ -51,9 +54,19 @@ TEST(CampaignCliTest, RejectsEachMalformedFlagByName) {
       {{"--scale", "-0.5"}, "--scale"},
       {{"--profile-stride", "0"}, "--profile-stride"},
       {{"--baseline-ms", "-1"}, "--baseline-ms"},
-      // An empty artifact path and a resume with nothing to resume.
+      // An empty artifact path.
       {{"--journal-out", ""}, "--journal-out"},
+      // Flags that change nothing: store flags without a store, a profile
+      // stride without a profile artifact.
       {{"--resume"}, "--resume"},
+      {{"--no-cache"}, "--no-cache"},
+      {{"--store-json", "st.json"}, "--store-json"},
+      {{"--crash-after-puts", "1"}, "--crash-after-puts"},
+      {{"--metrics-json", "m.json", "--crash-after-puts", "0"},
+       "--crash-after-puts"},
+      {{"--profile-stride", "512"}, "--profile-stride"},
+      {{"--metrics-json", "m.json", "--profile-stride", "512"},
+       "--profile-stride"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.flag);
@@ -118,19 +131,16 @@ TEST(CampaignCliTest, EveryAcceptedFlagRoundTrips) {
   EXPECT_TRUE(f.progress);
   EXPECT_EQ(o.profile_stride, 512u);
   EXPECT_FALSE(o.store_read);
-  EXPECT_EQ(f.metrics_json, "m.json");
-  EXPECT_EQ(f.html_report, "r.html");
-  EXPECT_EQ(f.journal_out, "j.jsonl");
-  EXPECT_EQ(f.chrome_trace, "t.json");
-  EXPECT_EQ(f.profile_json, "p.json");
-  EXPECT_EQ(f.flame_out, "f.txt");
-  EXPECT_EQ(f.sched_json, "s.json");
+  const std::map<std::string, std::string> artifacts = {
+      {"metrics-json", "m.json"},   {"html-report", "r.html"},
+      {"journal-out", "j.jsonl"},   {"chrome-trace", "t.json"},
+      {"profile-json", "p.json"},   {"flame-out", "f.txt"},
+      {"sched-json", "s.json"},     {"trace-out", "a.jsonl"},
+      {"activation-json", "a.json"}, {"store-json", "st.json"}};
+  EXPECT_EQ(f.artifacts, artifacts);
   EXPECT_TRUE(f.activation_report);
-  EXPECT_EQ(f.trace_out, "a.jsonl");
-  EXPECT_EQ(f.activation_json, "a.json");
   EXPECT_EQ(f.store_dir, "dir");
   EXPECT_TRUE(f.resume);
-  EXPECT_EQ(f.store_json, "st.json");
   EXPECT_EQ(f.crash_after_puts, 7u);
   EXPECT_TRUE(o.obs);
   EXPECT_TRUE(o.trace);
@@ -154,8 +164,8 @@ TEST(CampaignCliTest, ArtifactsDeriveObsTraceAndProfile) {
   };
   const std::vector<Case> cases = {
       {{}, false, false, false},
-      {{"--sched-json", "s.json", "--store-json", "t.json"}, false, false,
-       false},
+      {{"--sched-json", "s.json", "--store-json", "t.json", "--store", "dir"},
+       false, false, false},
       {{"--metrics-json", "m.json"}, true, false, false},
       {{"--html-report", "r.html"}, true, false, false},
       {{"--journal-out", "j.jsonl"}, true, false, false},
@@ -196,9 +206,13 @@ TEST(CampaignCliTest, UsageListsEveryFlag) {
   const auto usage = campaign_flags_usage("  ");
   for (const char* flag :
        {"[--quick]", "[--stride K]", "[--chunk N]", "[--no-steal]",
-        "[--metrics-json FILE]", "[--store DIR]", "[--resume]",
-        "[--crash-after-puts N]", "[--activation-json FILE]"}) {
+        "[--store DIR]", "[--resume]", "[--crash-after-puts N]"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  }
+  ASSERT_EQ(campaign_artifacts().size(), 10u);
+  for (const auto& a : campaign_artifacts()) {
+    const auto entry = "[--" + std::string(a.flag) + " FILE]";
+    EXPECT_NE(usage.find(entry), std::string::npos) << entry;
   }
   EXPECT_EQ(usage.find("shards"), std::string::npos);
 }

@@ -429,20 +429,21 @@ TEST(Fusion, ArmedWatchOverFusedPairTracesIdentically) {
               "after disarm");
 }
 
-/// Coverage mode records per-pc at the full fetch, so the tokenizer must
-/// refuse to fuse under it — and the recorded pc set must match unfused.
+/// A stride-1 sampler records every consumed cycle at the pc that retired
+/// it, so its sample map (pc -> cycles) sees every architectural pc — each
+/// half of every fused pair — and must match the unfused engine exactly.
 TEST(Fusion, CoverageSeesEveryArchitecturalPc) {
   const auto img = assemble(kAllPairsSrc, "t", 0x1000);
   Machine fused, plain;
   fused.load_image(img);
   plain.load_image(img);
   plain.set_fusion(false);
-  fused.set_coverage(true);
-  plain.set_coverage(true);
+  fused.arm_sampler(1);
+  plain.arm_sampler(1);
   expect_same(probe_call(fused, img, {9, 2}), probe_call(plain, img, {9, 2}),
-              "coverage");
-  EXPECT_EQ(fused.executed_pcs(), plain.executed_pcs());
-  EXPECT_FALSE(fused.executed_pcs().empty());
+              "stride-1 sampler");
+  EXPECT_EQ(fused.samples(), plain.samples());
+  EXPECT_FALSE(fused.samples().empty());
 }
 
 /// Toggling fusion mid-life re-tokenizes in place (no reload needed) and

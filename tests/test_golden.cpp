@@ -1,12 +1,15 @@
 // Golden-artifact regression corpus.
 //
 // One fixed, tiny campaign (VOS-2000/apex, one iteration, strided faultload,
-// seed 42, jobs=1) is rendered to its canonical artifacts and byte-compared
-// against the files committed under tests/golden/. The differential fuzzer
-// proves artifacts agree ACROSS execution shapes; this test pins them ACROSS
-// TIME — any rendering or semantic drift (a reordered JSON key, a changed
-// counter, a float formatted differently) fails loudly instead of sliding
-// through because both sides of a differential oracle moved together.
+// seed 42, jobs=1) is rendered through the artifact table and every
+// deterministic artifact is byte-compared against the files committed under
+// tests/golden/. The gfbench_golden ctest writes the same files from the
+// `gfbench campaign` command line and compares them too. The differential
+// fuzzer proves artifacts agree ACROSS execution shapes; this test pins them
+// ACROSS TIME — any rendering or semantic drift (a reordered JSON key, a
+// changed counter, a float formatted differently) fails loudly instead of
+// sliding through because both sides of a differential oracle moved
+// together.
 //
 // Intentional changes re-bless the corpus with:
 //
@@ -25,10 +28,8 @@
 #include <vector>
 
 #include "depbench/campaign_report.h"
-#include "depbench/report.h"
 #include "depbench/runner.h"
 #include "os/sources.h"
-#include "trace/activation.h"
 
 #ifndef GF_GOLDEN_DIR
 #error "GF_GOLDEN_DIR must be defined to the tests/golden source directory"
@@ -56,31 +57,13 @@ RunnerOptions golden_options() {
   return opt;
 }
 
+/// Every deterministic artifact of the pinned campaign, as the artifact
+/// table renders it: the files under tests/golden/, in table order.
 std::vector<std::pair<std::string, std::string>> generate_artifacts() {
   const auto opt = golden_options();
   CampaignRunner runner(opt);
   const auto cells = runner.run_campaign();
-
-  std::vector<std::pair<std::string, std::string>> out;
-  out.emplace_back("manifest.json",
-                   campaign_manifest_json(cells, opt, runner.campaign_obs()));
-
-  std::ostringstream journal;
-  write_campaign_journal(journal, *runner.campaign_obs());
-  out.emplace_back("journal.jsonl", journal.str());
-
-  std::ostringstream activations;
-  trace::ActivationStats stats;
-  for (const auto& cell : cells) {
-    const auto recs = collect_activations(cell);
-    trace::write_jsonl(activations, cell.os_name + "/" + cell.server_name,
-                       recs);
-    for (const auto& r : recs) stats.add(r);
-  }
-  out.emplace_back("activations.jsonl", activations.str());
-  out.emplace_back("activation_summary.json",
-                   trace::activation_summary_json(stats));
-  return out;
+  return render_campaign_artifacts({cells, opt, runner.campaign_obs()});
 }
 
 TEST(GoldenArtifactTest, CampaignArtifactsMatchCommittedCorpus) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "os/api.h"
 #include "os/kernel.h"
@@ -23,15 +24,15 @@ std::vector<std::string> all_api_names() {
 }
 
 /// Drives a fixed API workload and returns (return values, cycles, trace).
+/// The trace is a stride-1 sample map: the cycles each pc consumed.
 struct Probe {
   std::vector<std::int64_t> values;
   std::uint64_t cycles = 0;
-  std::vector<std::uint64_t> trace;
+  std::map<std::uint64_t, std::uint64_t> trace;
 };
 
 Probe run_probe(os::Kernel& kernel) {
-  kernel.machine().set_coverage(true);
-  kernel.machine().clear_coverage();
+  kernel.machine().arm_sampler(1);
   os::OsApi api(kernel);
   api.write_cstr(os::OsApi::kPathSlot, "/probe");
 
@@ -48,7 +49,8 @@ Probe run_probe(os::Kernel& kernel) {
   p.values.push_back(api.nt_close(h.value).value);
   p.values.push_back(api.rtl_free(static_cast<std::uint64_t>(mem.value)).value);
   p.cycles = kernel.machine().total_cycles() - start_cycles;
-  p.trace = kernel.machine().executed_pcs();
+  kernel.machine().disarm_sampler();
+  p.trace = kernel.machine().samples();
   return p;
 }
 

@@ -237,37 +237,38 @@ RunnerOptions profiled_options() {
   return opt;
 }
 
-struct Artifacts {
-  std::vector<ExperimentCell> cells;
-  std::string profile_json;
-  std::string flame;
-  std::string manifest;
-};
+using Files = std::vector<std::pair<std::string, std::string>>;
 
-Artifacts run_profiled(RunnerOptions opt) {
+/// Every deterministic artifact of a profiled campaign, rendered through
+/// `opt`: manifest, report, journal, profile and flamegraph.
+Files run_profiled(const RunnerOptions& opt) {
   CampaignRunner runner(opt);
-  Artifacts a;
-  a.cells = runner.run_campaign();
-  const auto* obs = runner.campaign_obs();
-  EXPECT_NE(obs, nullptr);
-  a.profile_json = campaign_profile_json(a.cells, opt, *obs);
-  a.flame = campaign_flamegraph(*obs);
-  a.manifest = campaign_manifest_json(a.cells, opt, obs);
-  return a;
+  const auto cells = runner.run_campaign();
+  EXPECT_NE(runner.campaign_obs(), nullptr);
+  return render_campaign_artifacts({cells, opt, runner.campaign_obs()});
+}
+
+/// The bytes of the artifact named `file` ("" when it was not rendered).
+std::string bytes_of(const Files& files, const std::string& file) {
+  for (const auto& [name, bytes] : files) {
+    if (name == file) return bytes;
+  }
+  return {};
 }
 
 /// The reference run (jobs=1, fusion on), shared across tests.
-const Artifacts& reference() {
-  static const Artifacts a = run_profiled(profiled_options());
+const Files& reference() {
+  static const Files a = run_profiled(profiled_options());
   return a;
 }
 
 TEST(ProfileCampaignTest, ArtifactsInvariantAcrossJobsAndFusion) {
   const auto& ref = reference();
-  EXPECT_NE(ref.profile_json.find("\"schema\": \"genfault-profile/1\""),
+  ASSERT_EQ(ref.size(), 5u);
+  EXPECT_NE(bytes_of(ref, "profile.json")
+                .find("\"schema\": \"genfault-profile/1\""),
             std::string::npos);
-  EXPECT_FALSE(ref.flame.empty());
-  EXPECT_NE(ref.flame.find(";baseline;"), std::string::npos);
+  EXPECT_NE(bytes_of(ref, "flame.txt").find(";baseline;"), std::string::npos);
 
   for (const int jobs : {1, 4}) {
     for (const bool fusion : {true, false}) {
@@ -275,12 +276,7 @@ TEST(ProfileCampaignTest, ArtifactsInvariantAcrossJobsAndFusion) {
       auto opt = profiled_options();
       opt.jobs = jobs;
       opt.fusion = fusion;
-      const auto run = run_profiled(opt);
-      EXPECT_EQ(ref.profile_json, run.profile_json)
-          << "jobs=" << jobs << " fusion=" << fusion;
-      EXPECT_EQ(ref.flame, run.flame)
-          << "jobs=" << jobs << " fusion=" << fusion;
-      EXPECT_EQ(ref.manifest, run.manifest)
+      EXPECT_EQ(run_profiled(opt), ref)
           << "jobs=" << jobs << " fusion=" << fusion;
     }
   }
@@ -295,8 +291,7 @@ TEST(ProfileCampaignTest, StoreResumeReplaysIdenticalProfiles) {
   opt.jobs = 4;
   store::CampaignStore cold_store(dir);
   opt.store = &cold_store;
-  const auto cold = run_profiled(opt);
-  EXPECT_EQ(cold.profile_json, reference().profile_json);
+  EXPECT_EQ(run_profiled(opt), reference());
 
   // All-hit resume: every profile comes back through the schema-2 codec.
   store::CampaignStore resume_store(dir);
@@ -307,10 +302,9 @@ TEST(ProfileCampaignTest, StoreResumeReplaysIdenticalProfiles) {
   ASSERT_NE(resumed.store_stats(), nullptr);
   EXPECT_EQ(resumed.store_stats()->misses, 0u);
   EXPECT_GT(resumed.store_stats()->hits, 0u);
-  const auto* obs = resumed.campaign_obs();
-  ASSERT_NE(obs, nullptr);
-  EXPECT_EQ(campaign_profile_json(cells, ropt, *obs), cold.profile_json);
-  EXPECT_EQ(campaign_flamegraph(*obs), cold.flame);
+  ASSERT_NE(resumed.campaign_obs(), nullptr);
+  EXPECT_EQ(render_campaign_artifacts({cells, ropt, resumed.campaign_obs()}),
+            reference());
 }
 
 TEST(ProfileCampaignTest, UnprofiledCampaignCarriesNoProfiles) {
@@ -329,21 +323,21 @@ TEST(ProfileCampaignTest, UnprofiledCampaignCarriesNoProfiles) {
 // ------------------------------------------------------------------- diff
 
 TEST(DiffTest, SelfDiffIsCleanAndInjectedDriftBreaches) {
-  const auto& ref = reference();
-  const auto self = diff_campaigns(ref.manifest, ref.manifest);
+  const auto manifest = bytes_of(reference(), "manifest.json");
+  const auto self = diff_campaigns(manifest, manifest);
   ASSERT_TRUE(self.ok) << self.error;
   EXPECT_FALSE(self.breached);
   EXPECT_EQ(self.text, "no drift\n");
   EXPECT_NE(self.json.find("\"breached\": false"), std::string::npos);
 
   // Inject derived-metric drift well beyond any threshold.
-  auto drifted = ref.manifest;
+  auto drifted = manifest;
   const auto pos = drifted.find("\"spcf\": ");
   ASSERT_NE(pos, std::string::npos);
   const auto val_start = pos + 8;
   const auto val_end = drifted.find_first_of(",}", val_start);
   drifted.replace(val_start, val_end - val_start, "99999");
-  const auto d = diff_campaigns(ref.manifest, drifted);
+  const auto d = diff_campaigns(manifest, drifted);
   ASSERT_TRUE(d.ok) << d.error;
   EXPECT_TRUE(d.breached);
   EXPECT_NE(d.text.find("spcf"), std::string::npos);

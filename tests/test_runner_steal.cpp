@@ -10,7 +10,6 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "depbench/campaign_report.h"
@@ -202,38 +201,19 @@ RunnerOptions steal_options() {
   return opt;
 }
 
-struct Artifacts {
-  std::string metrics;
-  std::string journal;
-  std::string activations;
-};
-
-Artifacts run_artifacts(const RunnerOptions& opt) {
+/// Every deterministic artifact of the campaign, rendered through `opt`.
+std::vector<std::pair<std::string, std::string>> run_artifacts(
+    const RunnerOptions& opt) {
   CampaignRunner runner(opt);
   const auto cells = runner.run_campaign();
-  Artifacts a;
-  const auto* obs = runner.campaign_obs();
-  a.metrics = obs->metrics.to_json();
-  std::ostringstream journal;
-  write_campaign_journal(journal, *obs);
-  a.journal = journal.str();
-  std::ostringstream act;
-  for (const auto& cell : cells) {
-    for (std::size_t it = 0; it < cell.iterations.size(); ++it) {
-      trace::write_jsonl(act, "iter" + std::to_string(it),
-                         cell.iterations[it].activations);
-    }
-  }
-  a.activations = act.str();
-  return a;
+  return render_campaign_artifacts({cells, opt, runner.campaign_obs()});
 }
 
 TEST(SchedulerIdentityTest, ArtifactsIdenticalAcrossJobsAndChunks) {
   const auto base = steal_options();
   const auto ref = run_artifacts(base);
-  ASSERT_FALSE(ref.metrics.empty());
-  ASSERT_FALSE(ref.journal.empty());
-  ASSERT_FALSE(ref.activations.empty());
+  // manifest, report, journal, activation log and summary
+  ASSERT_EQ(ref.size(), 5u);
 
   for (const int jobs : {1, 2, 7, 16}) {
     for (const int chunk : {1, 3, 64}) {
@@ -242,10 +222,7 @@ TEST(SchedulerIdentityTest, ArtifactsIdenticalAcrossJobsAndChunks) {
       auto opt = base;
       opt.jobs = jobs;
       opt.chunk = chunk;
-      const auto got = run_artifacts(opt);
-      EXPECT_EQ(got.metrics, ref.metrics);
-      EXPECT_EQ(got.journal, ref.journal);
-      EXPECT_EQ(got.activations, ref.activations);
+      EXPECT_EQ(run_artifacts(opt), ref);
     }
   }
 }
@@ -258,10 +235,7 @@ TEST(SchedulerIdentityTest, StaticPartitionMatchesStealing) {
   auto no_steal = base;
   no_steal.jobs = 7;
   no_steal.steal = false;
-  const auto a = run_artifacts(no_steal);
-  EXPECT_EQ(a.metrics, ref.metrics);
-  EXPECT_EQ(a.journal, ref.journal);
-  EXPECT_EQ(a.activations, ref.activations);
+  EXPECT_EQ(run_artifacts(no_steal), ref);
 }
 
 TEST(SchedulerIdentityTest, SchedulerStatsAccountForEveryUnit) {

@@ -252,25 +252,6 @@ TEST(Vm, CyclesAccumulate) {
   EXPECT_GT(m.total_cycles(), c1);
 }
 
-TEST(Vm, CoverageRecordsDistinctPcs) {
-  Machine m;
-  const auto img = assemble(R"(
-    f:
-      movi r2, 3
-    loop:
-      addi r2, r2, -1
-      cmpi r2, 0
-      jgt @loop
-      ret
-  )", "t");
-  m.load_image(img);
-  m.set_coverage(true);
-  (void)m.call(img.find_symbol("f")->addr, {}, 1000);
-  EXPECT_EQ(m.executed_pcs().size(), 5u);  // distinct, despite the loop
-  m.clear_coverage();
-  EXPECT_TRUE(m.executed_pcs().empty());
-}
-
 TEST(Vm, ReadWriteHelpers) {
   Machine m;
   EXPECT_TRUE(m.write_u64(0x2000, 0xDEADBEEF));

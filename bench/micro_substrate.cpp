@@ -1,9 +1,15 @@
 // Substrate micro-benchmarks (google-benchmark): VM dispatch rate, MiniC
-// compilation, G-SWFIT scanning, inject/restore cost, and end-to-end OS API
-// call latency. These quantify the supporting claims: faultload generation
-// is fast ("less than 5 minutes" in the paper) and runtime injection is a
-// cheap patch operation.
+// compilation, G-SWFIT scanning, inject/restore cost, end-to-end OS API
+// call latency, and the result store's open (recovery) and get paths.
+// These quantify the supporting claims: faultload generation is fast
+// ("less than 5 minutes" in the paper) and runtime injection is a cheap
+// patch operation.
 #include <benchmark/benchmark.h>
+#include <stdlib.h>
+
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "depbench/controller.h"
 #include "minic/compiler.h"
@@ -15,6 +21,8 @@
 #include "snapshot/warmboot.h"
 #include "spec/client.h"
 #include "spec/fileset.h"
+#include "store/key.h"
+#include "store/store.h"
 #include "swfit/injector.h"
 #include "swfit/scanner.h"
 #include "vm/machine.h"
@@ -358,6 +366,96 @@ void BM_ServeDynamicGet(benchmark::State& state) {
                           static_cast<std::int64_t>(largest->size));
 }
 BENCHMARK(BM_ServeDynamicGet);
+
+/// A populated result store shaped like the one an incremental re-run of
+/// the e2e `store_incremental` workload opens: about 8k records of about
+/// 5.4 KB. Built once per process in a private temp directory, removed at
+/// exit.
+class StoreFixture {
+ public:
+  static constexpr std::uint64_t kRecords = 8192;
+
+  StoreFixture() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "micro-store-XXXXXX")
+            .string();
+    if (::mkdtemp(tmpl.data()) == nullptr) return;
+    dir_ = tmpl;
+    store::CampaignStore st(dir_);
+    std::vector<std::uint8_t> payload;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+      payload.resize(5000 + (i * 37) % 800);
+      for (std::size_t b = 0; b < payload.size(); ++b) {
+        payload[b] = static_cast<std::uint8_t>(i * 131 + b * 7);
+      }
+      st.put(key(i), payload);
+    }
+  }
+  ~StoreFixture() {
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+  StoreFixture(const StoreFixture&) = delete;
+  StoreFixture& operator=(const StoreFixture&) = delete;
+
+  static store::ResultKey key(std::uint64_t i) {
+    return store::KeyBuilder().u64(i).finish();
+  }
+  const std::string& dir() const noexcept { return dir_; }
+
+ private:
+  std::string dir_;
+};
+
+const StoreFixture& store_fixture() {
+  static const StoreFixture fixture;
+  return fixture;
+}
+
+/// Opening a populated store: map, decode the WAL, verify every payload
+/// checksum (in parallel), rebuild the index.
+void BM_StoreOpen(benchmark::State& state) {
+  const auto& fx = store_fixture();
+  if (fx.dir().empty()) {
+    state.SkipWithError("cannot create the store directory");
+    return;
+  }
+  for (auto _ : state) {
+    const store::CampaignStore st(fx.dir());
+    auto records = st.stats().records;
+    benchmark::DoNotOptimize(records);
+    if (records != StoreFixture::kRecords) {
+      state.SkipWithError("store recovered the wrong record count");
+      break;
+    }
+  }
+}
+// Real time: the verification threads' CPU is not the calling thread's.
+BENCHMARK(BM_StoreOpen)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// One cache hit: index lookup, pread of the payload, checksum. Keys are
+/// visited in a stride that defeats any locality in commit order.
+void BM_StoreGet(benchmark::State& state) {
+  const auto& fx = store_fixture();
+  if (fx.dir().empty()) {
+    state.SkipWithError("cannot create the store directory");
+    return;
+  }
+  store::CampaignStore st(fx.dir());
+  std::vector<std::uint8_t> payload;
+  std::uint64_t i = 0;
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    i = (i + 4099) % StoreFixture::kRecords;
+    if (!st.get(StoreFixture::key(i), payload)) {
+      state.SkipWithError("store get missed");
+      break;
+    }
+    bytes += static_cast<std::int64_t>(payload.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_StoreGet);
 
 void BM_FaultloadSerialize(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVosXp);

@@ -1,5 +1,14 @@
 #include "check/check.h"
 
+#include <stdlib.h>
+
+#include <cerrno>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <system_error>
+
+#include "check/internal.h"
 #include "util/rng.h"
 
 namespace gf::check {
@@ -11,5 +20,29 @@ std::uint64_t case_seed(std::uint64_t base, std::uint64_t index) noexcept {
   util::SplitMix64 g(base ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
   return g.next();
 }
+
+namespace internal {
+
+ScratchRoot::ScratchRoot(const CheckOptions& opt) {
+  if (!opt.scratch_dir.empty()) {
+    path_ = opt.scratch_dir;
+    return;
+  }
+  std::string tmpl =
+      (std::filesystem::temp_directory_path() / "gfcheck-XXXXXX").string();
+  if (::mkdtemp(tmpl.data()) == nullptr) {
+    throw std::runtime_error("gfcheck: cannot create a scratch directory " +
+                             tmpl + ": " + std::strerror(errno));
+  }
+  path_ = tmpl;
+  owned_ = true;
+}
+
+ScratchRoot::~ScratchRoot() {
+  std::error_code ec;
+  if (owned_) std::filesystem::remove_all(path_, ec);
+}
+
+}  // namespace internal
 
 }  // namespace gf::check

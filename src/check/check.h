@@ -45,7 +45,8 @@ struct CheckOptions {
   std::vector<std::uint64_t> explicit_seeds;
   bool verbose = false;      ///< narrate every case to stderr
   /// Scratch directory for store-backed cases (created/removed per case).
-  /// Empty = a "gfcheck-scratch" directory under the process temp dir.
+  /// Empty = a private directory under the process temp dir, created per
+  /// engine call and removed when it returns.
   std::string scratch_dir;
   /// Collect canonical per-case digest lines from the VM engine's reference
   /// configuration (CheckReport::dump_lines). CI compares the dumps of a

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
 
@@ -22,6 +23,26 @@ inline std::string repro_line(const std::string& engine, std::uint64_t seed) {
   return "gfcheck --engine " + engine + " --case-seed " + hex64(seed) +
          " --cases 1";
 }
+
+/// The scratch root of one engine call: `opt.scratch_dir` when set (left in
+/// place), otherwise a fresh mkdtemp directory under the temp dir, removed
+/// with its contents when the call returns. Concurrent engine calls, on
+/// threads or in processes, replay the same case seeds and so the same
+/// per-case directory names; a private root keeps one call from removing a
+/// store another still has open.
+class ScratchRoot {
+ public:
+  explicit ScratchRoot(const CheckOptions& opt);
+  ~ScratchRoot();
+  ScratchRoot(const ScratchRoot&) = delete;
+  ScratchRoot& operator=(const ScratchRoot&) = delete;
+
+  const std::filesystem::path& path() const noexcept { return path_; }
+
+ private:
+  std::filesystem::path path_;
+  bool owned_ = false;
+};
 
 /// Runs every case of `opt` through `body(case_seed, report)`. The body
 /// appends to report.failures on oracle violations; any escaped exception is

@@ -31,8 +31,6 @@
 // Another subset runs the reuse-order oracle (check/reuse.h) over the case's
 // faultload: each fault's run record on a fresh warm controller must equal
 // its record on one controller reset between faults in shuffled order.
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -114,16 +112,7 @@ void compare(const Files& ref, const Files& got, const std::string& shape,
   }
 }
 
-fs::path scratch_root(const CheckOptions& opt) {
-  if (!opt.scratch_dir.empty()) return fs::path(opt.scratch_dir);
-  // Per-process default: concurrent gfcheck/test processes replay the same
-  // case seeds, so a shared directory would let one process remove_all a
-  // store another still has open.
-  return fs::temp_directory_path() /
-         ("gfcheck-scratch-" + std::to_string(::getpid()));
-}
-
-void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
+void run_case(std::uint64_t cs, const fs::path& scratch, CheckReport& report) {
   util::Rng rng(cs);
 
   const auto version =
@@ -211,7 +200,7 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
 
   // Store oracle: cold commit then all-hit replay, both == reference.
   if (rng.chance(0.35)) {
-    const fs::path dir = scratch_root(copt) / ("case_" + hex64(cs));
+    const fs::path dir = scratch / ("case_" + hex64(cs));
     std::error_code ec;
     fs::remove_all(dir, ec);
     fs::create_directories(dir.parent_path(), ec);
@@ -266,9 +255,10 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
 }  // namespace
 
 CheckReport run_matrix_engine(const CheckOptions& opt) {
+  const internal::ScratchRoot scratch(opt);
   return internal::run_cases(opt, "matrix",
-                             [&opt](std::uint64_t cs, CheckReport& report) {
-                               run_case(cs, opt, report);
+                             [&scratch](std::uint64_t cs, CheckReport& report) {
+                               run_case(cs, scratch.path(), report);
                              });
 }
 

@@ -299,11 +299,8 @@ void faultload_fuzz(util::Rng& rng, const isa::Image& img,
   }
 }
 
-void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
+void run_case(std::uint64_t cs, const fs::path& scratch, CheckReport& report) {
   util::Rng rng(cs);
-  const fs::path scratch = copt.scratch_dir.empty()
-                               ? fs::temp_directory_path() / "gfcheck-scratch"
-                               : fs::path(copt.scratch_dir);
   store_fuzz(cs, scratch, rng, report);
 
   ProgramGen gen(rng);
@@ -315,9 +312,10 @@ void run_case(std::uint64_t cs, const CheckOptions& copt, CheckReport& report) {
 }  // namespace
 
 CheckReport run_structure_engine(const CheckOptions& opt) {
+  const internal::ScratchRoot scratch(opt);
   return internal::run_cases(opt, "structure",
-                             [&opt](std::uint64_t cs, CheckReport& report) {
-                               run_case(cs, opt, report);
+                             [&scratch](std::uint64_t cs, CheckReport& report) {
+                               run_case(cs, scratch.path(), report);
                              });
 }
 

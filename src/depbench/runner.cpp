@@ -110,6 +110,12 @@ store::KeyBuilder cell_key_base(const RunnerOptions& opt,
 constexpr std::uint64_t kKindBaseline = 1;
 constexpr std::uint64_t kKindFault = 2;
 
+/// Tasks one cache-resolution unit looks up, and the estimated cost of one
+/// warm-boot capture in units of such a block: a capture takes about 20 ms,
+/// a block of hits about 1 ms. The costs only steer the LPT seeding.
+constexpr std::size_t kResolveBlock = 64;
+constexpr double kCaptureCost = 16.0;
+
 /// The worker pool's shape: jobs = 0 resolves to the host's core count.
 SchedOptions sched_options(const RunnerOptions& opt) {
   SchedOptions sopt;
@@ -343,18 +349,34 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     obs_->tasks.resize(total_slots);
   }
 
+  // One pool pass before the schedule: the per-cell warm-boot captures and
+  // the cache resolution run as units side by side.
+  //
+  // Warm-boot snapshots: one bring-up per cell, shared read-only by every
+  // run of that cell. Each run then clones a private SUB from the snapshot
+  // in O(memory copy) instead of recompiling the OS image and re-running
+  // boot + file-set population + server start.
+  //
   // Cache resolution: fold every stored run into the slot a live run would
-  // have filled, and schedule only the misses. Records cached under a
-  // different obs/trace shape carry different keys, so a hit is always
-  // shape-compatible; the decode guard below is pure defense.
+  // have filled, and schedule only the misses. Each resolution unit covers
+  // one block of a cell's tasks and writes only those slots plus their hit
+  // bytes, so the store's shared-lock gets and the decodes run in parallel.
+  // Records cached under a different obs/trace shape carry different keys,
+  // so a hit is always shape-compatible; the decode guard below is pure
+  // defense.
+  //
+  // The pass's scheduler telemetry is dropped: SchedStats describes the
+  // fault schedule only.
   store::CampaignStore* st = opt_.store;
   const bool reading = st != nullptr && opt_.store_read;
   const store::StoreStats stats0 = st != nullptr ? st->stats()
                                                  : store::StoreStats{};
-  std::uint64_t cached_runs = 0;
-  std::vector<std::uint8_t> payload;
-  auto restore_run = [&](const CellPlan& cp, std::size_t task) {
-    if (!reading || !st->get(run_key(cp, task), payload)) return false;
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::vector<std::shared_ptr<const snapshot::WarmSnapshot>> warm(n_cells);
+  std::vector<std::uint8_t> hit(total_slots, 0);  ///< 1 = folded from store
+  auto restore_run = [&](const CellPlan& cp, std::size_t task,
+                         std::vector<std::uint8_t>& payload) {
+    if (!st->get(run_key(cp, task), payload)) return false;
     try {
       auto rec = store::decode_run_record(payload);
       if (opt_.obs && !rec.has_obs) return false;
@@ -365,16 +387,45 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
         slot.label = run_label(cp, task);
         slot.obs = std::move(rec.obs);
       }
-      ++cached_runs;
       return true;
     } catch (const store::WireError&) {
       return false;
     }
   };
+  {
+    std::vector<WorkUnit> setup;
+    for (std::size_t cell = 0; opt_.warm_boot && cell < n_cells; ++cell) {
+      setup.push_back({[&warm, &cp = plan[cell], cell] {
+                         warm[cell] = snapshot::capture_warm_boot(cp.version,
+                                                                  cp.server);
+                       },
+                       kCaptureCost});
+    }
+    for (std::size_t cell = 0; reading && cell < n_cells; ++cell) {
+      const std::size_t tasks = 1 + iters * plan[cell].positions;
+      for (std::size_t lo = 0; lo < tasks; lo += kResolveBlock) {
+        const std::size_t hi = std::min(tasks, lo + kResolveBlock);
+        setup.push_back({[&restore_run, &hit, &cp = plan[cell], lo, hi] {
+                           std::vector<std::uint8_t> payload;
+                           for (std::size_t task = lo; task < hi; ++task) {
+                             hit[cp.slot_base + task] =
+                                 restore_run(cp, task, payload) ? 1 : 0;
+                           }
+                         },
+                         static_cast<double>(hi - lo) / kResolveBlock});
+      }
+    }
+    run_units(std::move(setup), sopt);
+  }
+
+  // Miss lists, costs and chunk plans, serially in slot order: the schedule
+  // is the same whichever worker resolved which slot.
+  const auto cached_runs =
+      static_cast<std::uint64_t>(std::count(hit.begin(), hit.end(), 1));
   double total_cost = 0;
   std::uint64_t planned_faults = 0;
   for (auto& cp : plan) {
-    cp.baseline_cached = restore_run(cp, 0);
+    cp.baseline_cached = hit[cp.slot_base] != 0;
     if (!cp.baseline_cached) total_cost += baseline_cost;
     const auto fault_costs = estimate_fault_costs(*cp.fl, cost_model);
     cp.miss.resize(iters);
@@ -383,7 +434,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       std::vector<double> miss_cost;
       for (std::size_t pos = 0; pos < cp.positions; ++pos) {
         const auto task = fault_task(cp, it, pos);
-        if (restore_run(cp, task)) continue;
+        if (hit[cp.slot_base + task] != 0) continue;
         cp.miss[it].push_back(task);
         miss_cost.push_back(fault_costs[pos * stride]);
         total_cost += miss_cost.back();
@@ -404,24 +455,6 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     GF_INFO() << "campaign store: " << cached_runs
               << " cached runs folded, " << planned_faults
               << " fault runs to execute";
-  }
-  const auto wall0 = std::chrono::steady_clock::now();
-
-  // Warm-boot snapshots: one bring-up per cell, run on the worker pool and
-  // shared read-only by every run of that cell. Each run then clones a
-  // private SUB from the snapshot in O(memory copy) instead of recompiling
-  // the OS image and re-running boot + file-set population + server start.
-  // The capture's scheduler telemetry is dropped: SchedStats describes the
-  // fault schedule only.
-  std::vector<std::shared_ptr<const snapshot::WarmSnapshot>> warm(n_cells);
-  if (opt_.warm_boot) {
-    std::vector<WorkUnit> captures;
-    for (const auto& cp : plan) {
-      captures.push_back({[&warm, &cp, cell = captures.size()] {
-        warm[cell] = snapshot::capture_warm_boot(cp.version, cp.server);
-      }});
-    }
-    run_units(std::move(captures), sopt);
   }
 
   // Per-cell countdown over *work units* so campaign progress is narrated

@@ -1,11 +1,15 @@
 #include "store/store.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <system_error>
+#include <thread>
 
 #include "store/wire.h"
 #include "util/log.h"
@@ -51,21 +55,85 @@ bool decode_wal_entry(const std::uint8_t* p, WalEntry& out) {
   return r.u64() == fnv1a(p, kWalEntrySize - 8);
 }
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::vector<std::uint8_t> data;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return data;
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  if (size > 0) {
-    data.resize(static_cast<std::size_t>(size));
-    std::fseek(f, 0, SEEK_SET);
-    if (std::fread(data.data(), 1, data.size(), f) != data.size()) {
-      data.clear();
+/// A whole file mapped read-only for the duration of recovery. A missing
+/// or empty file maps as empty; any other failure throws StoreError, so an
+/// unreadable store is never mistaken for an empty one and truncated.
+class MappedFile {
+ public:
+  explicit MappedFile(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0 && errno == ENOENT) return;
+    struct ::stat st{};
+    void* p = MAP_FAILED;
+    if (fd >= 0 && ::fstat(fd, &st) == 0) {
+      size_ = static_cast<std::size_t>(st.st_size);
+      p = size_ == 0 ? nullptr
+                     : ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+    }
+    const int err = errno;
+    if (fd >= 0) ::close(fd);
+    if (p == MAP_FAILED) {
+      throw StoreError("store: cannot map " + path + ": " +
+                       std::strerror(err));
+    }
+    data_ = static_cast<const std::uint8_t*>(p);
+  }
+  ~MappedFile() {
+    if (data_ != nullptr) ::munmap(const_cast<std::uint8_t*>(data_), size_);
+  }
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  const std::uint8_t* data() const noexcept { return data_; }
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+/// Payload bytes one verification thread must have to itself before
+/// recovery starts it: below this a thread start costs more than it saves.
+constexpr std::uint64_t kVerifyBytesPerThread = 1u << 20;
+constexpr std::size_t kMaxVerifyThreads = 8;
+
+/// Index of the first entry whose payload fails its checksum, or
+/// entries.size() when every payload is intact. Contiguous ranges of
+/// entries are hashed on their own threads; a small store (or a host that
+/// refuses a thread) is hashed inline on the calling thread.
+std::size_t first_bad_payload(const std::vector<WalEntry>& entries,
+                              const std::uint8_t* segment) {
+  const std::size_t n = entries.size();
+  std::uint64_t bytes = 0;
+  for (const auto& e : entries) bytes += e.length;
+  const std::size_t parts = static_cast<std::size_t>(std::min<std::uint64_t>(
+      {bytes / kVerifyBytesPerThread,
+       std::max(1u, std::thread::hardware_concurrency()), kMaxVerifyThreads,
+       n}));
+  std::vector<std::size_t> first(std::max<std::size_t>(parts, 1), n);
+  auto scan = [&](std::size_t part) {
+    for (std::size_t i = n * part / first.size(),
+                     hi = n * (part + 1) / first.size();
+         i < hi; ++i) {
+      const auto& e = entries[i];
+      if (fnv1a(segment + e.offset, e.length) != e.payload_fnv) {
+        first[part] = i;
+        return;
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(first.size());
+  for (std::size_t part = 1; part < first.size(); ++part) {
+    try {
+      threads.emplace_back(scan, part);
+    } catch (const std::system_error&) {
+      scan(part);
     }
   }
-  std::fclose(f);
-  return data;
+  scan(0);
+  for (auto& t : threads) t.join();
+  return *std::min_element(first.begin(), first.end());
 }
 
 void truncate_or_throw(const std::string& path, std::uint64_t len) {
@@ -118,7 +186,7 @@ CampaignStore::CampaignStore(std::string dir) : dir_(std::move(dir)) {
   segment_path_ = dir_ + "/segment.gfs";
   wal_path_ = dir_ + "/wal.gfj";
   recover();
-  open_append_handles();
+  open_handles();
 }
 
 CampaignStore::~CampaignStore() { close_handles(); }
@@ -126,66 +194,82 @@ CampaignStore::~CampaignStore() { close_handles(); }
 void CampaignStore::close_handles() {
   if (segment_ != nullptr) std::fclose(segment_);
   if (wal_ != nullptr) std::fclose(wal_);
+  if (read_fd_ >= 0) ::close(read_fd_);
   segment_ = nullptr;
   wal_ = nullptr;
+  read_fd_ = -1;
 }
 
-void CampaignStore::open_append_handles() {
+void CampaignStore::open_handles() {
   segment_ = std::fopen(segment_path_.c_str(), "ab");
   wal_ = std::fopen(wal_path_.c_str(), "ab");
-  if (segment_ == nullptr || wal_ == nullptr) {
+  read_fd_ = ::open(segment_path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (segment_ == nullptr || wal_ == nullptr || read_fd_ < 0) {
     close_handles();
     throw StoreError("store: cannot open files in " + dir_);
   }
 }
 
-void CampaignStore::recover() {
-  const auto wal = read_file(wal_path_);
-  const auto segment = read_file(segment_path_);
+void CampaignStore::index_commit(const ResultKey& key, const Slot& slot) {
+  const auto [it, inserted] = index_.try_emplace(key, slot);
+  if (!inserted) {
+    stats_.bytes -= it->second.length;
+    it->second = slot;
+  }
+  stats_.bytes += slot.length;
+  stats_.records = index_.size();
+}
 
+void CampaignStore::recover() {
   index_.clear();
-  commit_order_.clear();
+  next_seq_ = 0;
+  stats_.records = 0;
+  stats_.bytes = 0;
+  std::uint64_t wal_size = 0;
+  std::uint64_t segment_size = 0;
   std::uint64_t good_entries = 0;
   std::uint64_t segment_good_end = 0;
+  {
+    const MappedFile wal(wal_path_);
+    const MappedFile segment(segment_path_);
+    wal_size = wal.size();
+    segment_size = segment.size();
 
-  for (std::size_t at = 0; at + kWalEntrySize <= wal.size();
-       at += kWalEntrySize) {
-    WalEntry e;
-    if (!decode_wal_entry(wal.data() + at, e)) break;
+    std::vector<WalEntry> entries;
+    entries.reserve(wal.size() / kWalEntrySize);
+    for (std::size_t at = 0; at + kWalEntrySize <= wal.size();
+         at += kWalEntrySize) {
+      WalEntry e;
+      if (!decode_wal_entry(wal.data() + at, e)) break;
+      if (e.length > segment.size() || e.offset > segment.size() - e.length) {
+        break;
+      }
+      entries.push_back(e);
+    }
     // The payload must be fully present and intact: a commit whose segment
     // bytes were torn (crash between the two appends cannot cause this, but
     // external corruption can) invalidates this entry and every later one —
     // recovery is strictly a tail truncation, never a hole punch.
-    if (e.offset + e.length > segment.size()) break;
-    if (fnv1a(segment.data() + e.offset, e.length) != e.payload_fnv) break;
-    const Slot slot{e.offset, e.length, e.payload_fnv};
-    auto [it, inserted] = index_.insert_or_assign(e.key, slot);
-    (void)it;
-    if (!inserted) {
-      commit_order_.erase(
-          std::find(commit_order_.begin(), commit_order_.end(), e.key));
+    good_entries = first_bad_payload(entries, segment.data());
+    for (std::size_t i = 0; i < good_entries; ++i) {
+      const auto& e = entries[i];
+      index_commit(e.key, Slot{e.offset, e.length, e.payload_fnv, next_seq_++});
+      segment_good_end = std::max(segment_good_end, e.offset + e.length);
     }
-    commit_order_.push_back(e.key);
-    ++good_entries;
-    segment_good_end = std::max(segment_good_end, e.offset + e.length);
-  }
+  }  // unmapped before any truncation
 
   const std::uint64_t wal_good_end = good_entries * kWalEntrySize;
-  const std::uint64_t torn = (wal.size() - wal_good_end) +
-                             (segment.size() > segment_good_end
-                                  ? segment.size() - segment_good_end
-                                  : 0);
-  if (wal_good_end < wal.size()) truncate_or_throw(wal_path_, wal_good_end);
-  if (segment_good_end < segment.size()) {
+  const std::uint64_t torn =
+      (wal_size - wal_good_end) +
+      (segment_size > segment_good_end ? segment_size - segment_good_end : 0);
+  if (wal_good_end < wal_size) truncate_or_throw(wal_path_, wal_good_end);
+  if (segment_good_end < segment_size) {
     truncate_or_throw(segment_path_, segment_good_end);
   }
   segment_end_ = segment_good_end;
 
   stats_.recovered_records = good_entries;
   stats_.torn_bytes_dropped = torn;
-  stats_.records = index_.size();
-  stats_.bytes = 0;
-  for (const auto& [key, slot] : index_) stats_.bytes += slot.length;
   if (torn > 0) {
     GF_INFO() << "store " << dir_ << ": recovered " << good_entries
               << " records, truncated " << torn << " torn tail bytes";
@@ -194,38 +278,43 @@ void CampaignStore::recover() {
 
 bool CampaignStore::read_payload(const Slot& s,
                                  std::vector<std::uint8_t>& payload) const {
-  std::FILE* f = std::fopen(segment_path_.c_str(), "rb");
-  if (f == nullptr) return false;
   payload.resize(s.length);
-  bool ok = std::fseek(f, static_cast<long>(s.offset), SEEK_SET) == 0 &&
-            std::fread(payload.data(), 1, s.length, f) == s.length;
-  std::fclose(f);
-  ok = ok && fnv1a(payload.data(), payload.size()) == s.payload_fnv;
+  std::size_t done = 0;
+  while (done < payload.size()) {
+    const ssize_t n =
+        ::pread(read_fd_, payload.data() + done, payload.size() - done,
+                static_cast<off_t>(s.offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  const bool ok = done == payload.size() &&
+                  fnv1a(payload.data(), payload.size()) == s.payload_fnv;
   if (!ok) payload.clear();
   return ok;
 }
 
 bool CampaignStore::get(const ResultKey& key,
                         std::vector<std::uint8_t>& payload) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::shared_lock lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end() || !read_payload(it->second, payload)) {
-    ++stats_.misses;
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  ++stats_.hits;
-  stats_.bytes_read += payload.size();
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  bytes_read_.fetch_add(payload.size(), std::memory_order_relaxed);
   return true;
 }
 
 bool CampaignStore::contains(const ResultKey& key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::shared_lock lock(mu_);
   return index_.count(key) > 0;
 }
 
 void CampaignStore::put(const ResultKey& key,
                         const std::vector<std::uint8_t>& payload) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard lock(mu_);
   WalEntry e{key, segment_end_, static_cast<std::uint32_t>(payload.size()),
              fnv1a(payload.data(), payload.size())};
   // Commit protocol: payload first, flush; WAL entry second, flush. Until
@@ -243,37 +332,34 @@ void CampaignStore::put(const ResultKey& key,
   }
   segment_end_ += payload.size();
 
-  const Slot slot{e.offset, e.length, e.payload_fnv};
-  auto [it, inserted] = index_.insert_or_assign(key, slot);
-  if (!inserted) {
-    commit_order_.erase(
-        std::find(commit_order_.begin(), commit_order_.end(), key));
-  } else {
-    ++stats_.records;
-  }
-  commit_order_.push_back(key);
-  stats_.bytes = 0;
-  for (const auto& [k, s] : index_) stats_.bytes += s.length;
+  index_commit(key, Slot{e.offset, e.length, e.payload_fnv, next_seq_++});
   ++stats_.puts;
   stats_.bytes_written += payload.size() + entry.size();
   ++commit_count_;
   if (commit_hook_) commit_hook_(commit_count_);
-  (void)it;
+}
+
+std::vector<std::pair<ResultKey, CampaignStore::Slot>>
+CampaignStore::by_commit_order() const {
+  std::vector<std::pair<ResultKey, Slot>> out(index_.begin(), index_.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second.seq < b.second.seq;
+  });
+  return out;
 }
 
 std::vector<RecordInfo> CampaignStore::list() const {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::shared_lock lock(mu_);
   std::vector<RecordInfo> out;
-  out.reserve(commit_order_.size());
-  for (const auto& key : commit_order_) {
-    const auto& slot = index_.at(key);
+  out.reserve(index_.size());
+  for (const auto& [key, slot] : by_commit_order()) {
     out.push_back({key, slot.offset, slot.length});
   }
   return out;
 }
 
 std::size_t CampaignStore::verify() {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::shared_lock lock(mu_);
   std::size_t corrupt = 0;
   std::vector<std::uint8_t> payload;
   for (const auto& [key, slot] : index_) {
@@ -283,15 +369,14 @@ std::size_t CampaignStore::verify() {
 }
 
 std::size_t CampaignStore::gc(std::uint64_t max_bytes) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard lock(mu_);
   // Live set in commit order; evict oldest-first until under budget.
-  std::vector<ResultKey> keep = commit_order_;
-  std::uint64_t live_bytes = 0;
-  for (const auto& key : keep) live_bytes += index_.at(key).length;
+  const auto keep = by_commit_order();
+  std::uint64_t live_bytes = stats_.bytes;
   std::size_t evict = 0;
   if (max_bytes > 0) {
     while (evict < keep.size() && live_bytes > max_bytes) {
-      live_bytes -= index_.at(keep[evict]).length;
+      live_bytes -= keep[evict].second.length;
       ++evict;
     }
   }
@@ -309,21 +394,19 @@ std::size_t CampaignStore::gc(std::uint64_t max_bytes) {
     throw StoreError("store: cannot create gc tmp files in " + dir_);
   }
   std::map<ResultKey, Slot> new_index;
-  std::vector<ResultKey> new_order;
   std::uint64_t offset = 0;
   bool ok = true;
   std::vector<std::uint8_t> payload;
   for (std::size_t i = evict; i < keep.size() && ok; ++i) {
-    const auto& key = keep[i];
-    const auto& slot = index_.at(key);
+    const auto& [key, slot] = keep[i];
     ok = read_payload(slot, payload);
     if (!ok) break;
     ok = std::fwrite(payload.data(), 1, payload.size(), seg) == payload.size();
     const auto entry = encode_wal_entry(
         {key, offset, slot.length, slot.payload_fnv});
     ok = ok && std::fwrite(entry.data(), 1, entry.size(), wal) == entry.size();
-    new_index.insert_or_assign(key, Slot{offset, slot.length, slot.payload_fnv});
-    new_order.push_back(key);
+    new_index.insert_or_assign(
+        key, Slot{offset, slot.length, slot.payload_fnv, new_index.size()});
     offset += slot.length;
   }
   ok = ok && std::fflush(seg) == 0 && std::fflush(wal) == 0;
@@ -336,19 +419,18 @@ std::size_t CampaignStore::gc(std::uint64_t max_bytes) {
       std::rename(wal_tmp.c_str(), wal_path_.c_str()) != 0) {
     throw StoreError("store: gc rename failed in " + dir_);
   }
-  const std::size_t dropped = commit_order_.size() - new_order.size();
   index_ = std::move(new_index);
-  commit_order_ = std::move(new_order);
+  next_seq_ = index_.size();
   segment_end_ = offset;
   stats_.records = index_.size();
   stats_.bytes = offset;
-  open_append_handles();
-  return dropped;
+  open_handles();
+  return evict;
 }
 
 void CampaignStore::tear_tail_for_test(std::uint64_t seg_drop,
                                        std::uint64_t wal_drop) {
-  const std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard lock(mu_);
   close_handles();
   auto tear = [](const std::string& path, std::uint64_t drop) {
     struct ::stat st{};
@@ -359,12 +441,16 @@ void CampaignStore::tear_tail_for_test(std::uint64_t seg_drop,
   tear(segment_path_, seg_drop);
   tear(wal_path_, wal_drop);
   recover();
-  open_append_handles();
+  open_handles();
 }
 
 StoreStats CampaignStore::stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  const std::shared_lock lock(mu_);
+  StoreStats s = stats_;
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.bytes_read = bytes_read_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace gf::store

@@ -19,22 +19,31 @@
 // simply leaves unreferenced bytes at the segment tail. Recovery on open
 // walks the WAL in order, stops at the first torn or corrupt entry, and
 // truncates both files back to the last good commit; everything before it
-// is intact by construction (appends never rewrite).
+// is intact by construction (appends never rewrite). Recovery maps both
+// files read-only instead of copying them: it decodes the WAL entries in
+// order, then verifies their payload checksums in parallel over contiguous
+// ranges of entries (inline, on the calling thread, when the store is small
+// enough that a thread start would cost more than it saves), and keeps
+// every entry before the first failure.
 //
 // Duplicate keys are legal (a `--no-cache` run re-executes and re-commits);
 // the *last* commit wins, and gc() compacts the dead versions away.
 //
-// Thread safety: put() is called concurrently from campaign workers and is
-// serialized by an internal mutex; get()/list()/verify()/gc() take the same
-// lock. The store never blocks the VM hot path — all traffic happens at
-// run boundaries.
+// Thread safety: one reader-writer lock. get(), contains(), list(),
+// verify() and stats() hold it shared, so campaign workers resolve cache
+// hits concurrently: get() is one pread on the store's read-only segment
+// descriptor plus the payload checksum, and its hit/miss/byte counters are
+// atomics, exact under any interleaving. put(), gc() and
+// tear_tail_for_test() hold it exclusively. The store never blocks the VM
+// hot path — all traffic happens at run boundaries.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -100,7 +109,7 @@ class CampaignStore {
 
   bool contains(const ResultKey& key) const;
 
-  /// Live records in commit order.
+  /// Live records in commit order (of each key's latest version).
   std::vector<RecordInfo> list() const;
 
   /// Re-reads every live record and re-checks its payload checksum.
@@ -136,25 +145,34 @@ class CampaignStore {
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
     std::uint64_t payload_fnv = 0;
+    std::uint64_t seq = 0;  ///< commit sequence number: orders list() and gc
   };
 
   void recover();
-  void open_append_handles();
+  void open_handles();
   void close_handles();
+  /// Index entries sorted by commit sequence number (oldest first).
+  std::vector<std::pair<ResultKey, Slot>> by_commit_order() const;
+  /// Inserts or replaces `key`'s slot, keeping records and bytes current.
+  void index_commit(const ResultKey& key, const Slot& slot);
   bool read_payload(const Slot& s, std::vector<std::uint8_t>& payload) const;
 
   std::string dir_;
   std::string segment_path_;
   std::string wal_path_;
-  mutable std::mutex mu_;
+  mutable std::shared_mutex mu_;
   std::FILE* segment_ = nullptr;  ///< append handle
   std::FILE* wal_ = nullptr;      ///< append handle
+  int read_fd_ = -1;              ///< read-only segment descriptor (pread)
   std::uint64_t segment_end_ = 0;
   std::map<ResultKey, Slot> index_;
-  std::vector<ResultKey> commit_order_;  ///< latest commit per key, in order
+  std::uint64_t next_seq_ = 0;
   std::uint64_t commit_count_ = 0;
   std::function<void(std::uint64_t)> commit_hook_;
-  mutable StoreStats stats_;
+  StoreStats stats_;  ///< everything but the three get() counters below
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> bytes_read_{0};
 };
 
 }  // namespace gf::store

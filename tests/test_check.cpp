@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "check/check.h"
 #include "testutil_seed.h"
@@ -73,6 +74,20 @@ TEST(CheckEngineTest, ExplicitSeedsReplayExactly) {
   opt.explicit_seeds = {case_seed(1, 0), case_seed(1, 2)};
   const auto report = run_structure_engine(opt);
   expect_clean(report, 2);
+}
+
+// Engine calls on the default scratch replay the same case seeds, hence the
+// same per-case store directory names; each call must still get a private
+// root, or one call removes a store the other has open.
+TEST(CheckEngineTest, ConcurrentStructureEnginesOnDefaultScratch) {
+  const auto opt = small_options(6);
+  SCOPED_TRACE(testutil::seed_banner(opt.seed));
+  CheckReport a, b;
+  std::thread other([&] { b = run_structure_engine(opt); });
+  a = run_structure_engine(opt);
+  other.join();
+  expect_clean(a, 6);
+  expect_clean(b, 6);
 }
 
 // The VM engine's dump lines are a pure function of the case seed: two runs

@@ -11,9 +11,12 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "depbench/campaign_report.h"
@@ -318,6 +321,98 @@ TEST(CampaignStoreTest, VerifyDetectsLiveCorruption) {
   EXPECT_TRUE(st.get(key_of(1), p));
 }
 
+// Bookkeeping is incremental (a running byte total, a commit sequence
+// number per record); it must agree with a full recount after any mix of
+// overwrites, and survive a reopen unchanged.
+TEST(CampaignStoreTest, OverwritesKeepBytesAndCommitOrderExact) {
+  const auto dir = fresh_dir("overwrite");
+  std::vector<std::uint64_t> want_order;  // latest commit last
+  auto commit = [&want_order](CampaignStore& st, std::uint64_t k,
+                              std::size_t len) {
+    st.put(key_of(k),
+           std::vector<std::uint8_t>(len, static_cast<std::uint8_t>(k)));
+    std::erase(want_order, k);
+    want_order.push_back(k);
+  };
+  auto check = [&want_order](const CampaignStore& st) {
+    const auto rows = st.list();
+    ASSERT_EQ(rows.size(), want_order.size());
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, key_of(want_order[i])) << "row " << i;
+      sum += rows[i].length;
+    }
+    EXPECT_EQ(st.stats().bytes, sum);
+    EXPECT_EQ(st.stats().records, rows.size());
+  };
+  {
+    CampaignStore st(dir);
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      commit(st, (i * 7) % 41, 1 + (i * 13) % 97);  // most puts overwrite
+    }
+    check(st);
+  }
+  CampaignStore st(dir);
+  EXPECT_EQ(st.stats().recovered_records, 300u);
+  check(st);
+  commit(st, 5, 3);
+  commit(st, 1000, 8);
+  check(st);
+  EXPECT_EQ(st.gc(0), 0u);
+  check(st);
+}
+
+// get() holds the store lock shared: readers on several threads resolve
+// concurrently with a writer, every hit returns the exact committed bytes,
+// and the hit/miss counters account for every call.
+TEST(CampaignStoreTest, ConcurrentGetsDuringPutsAreExact) {
+  const auto dir = fresh_dir("concurrent");
+  CampaignStore st(dir);
+  auto bytes_of = [](std::uint64_t k) {
+    return std::vector<std::uint8_t>(64 + k % 200,
+                                     static_cast<std::uint8_t>(k * 31));
+  };
+  constexpr std::uint64_t kInitial = 200;
+  constexpr std::uint64_t kLate = 200;
+  for (std::uint64_t k = 0; k < kInitial; ++k) st.put(key_of(k), bytes_of(k));
+
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 5;
+  std::atomic<std::uint64_t> calls{0};
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> early_misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::vector<std::uint8_t> p;
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::uint64_t k = 0; k < kInitial + kLate; ++k) {
+          calls.fetch_add(1);
+          if (st.get(key_of(k), p)) {
+            if (p != bytes_of(k)) wrong.fetch_add(1);
+          } else if (k < kInitial) {
+            early_misses.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    for (std::uint64_t k = kInitial; k < kInitial + kLate; ++k) {
+      st.put(key_of(k), bytes_of(k));
+    }
+  });
+  writer.join();
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(early_misses.load(), 0u) << "a committed record read as a miss";
+  const auto s = st.stats();
+  EXPECT_EQ(s.hits + s.misses, calls.load());
+  EXPECT_EQ(s.records, kInitial + kLate);
+  EXPECT_EQ(st.verify(), 0u);
+}
+
 TEST(CampaignStoreTest, CommitHookSeesEveryCommit) {
   const auto dir = fresh_dir("hook");
   CampaignStore st(dir);
@@ -431,53 +526,108 @@ TEST(StoreCampaignTest, SeedChangeInvalidatesEveryKey) {
   EXPECT_GT(st.misses, 0u);
 }
 
-TEST(StoreCampaignTest, IncrementalRerunExecutesOnlyEditedFaultType) {
+/// A faultload edit that changes one fault type: the rarest type present in
+/// the schedule sampled at `stride` gets its mutations reverted to the
+/// original windows ("the fault was fixed"). Originals are untouched, so
+/// the profile baseline and every other fault's key stay cached.
+struct FaultTypeEdit {
+  swfit::Faultload before;
+  swfit::Faultload after;
+  std::size_t positions = 0;  ///< sampled schedule positions
+  std::size_t edited = 0;     ///< sampled positions of the edited type
+};
+
+FaultTypeEdit edit_rarest_fault_type(std::size_t stride) {
   os::Kernel kernel(os::OsVersion::kVos2000);
   std::vector<std::string> names;
   for (const auto& fn : os::api_functions()) names.emplace_back(fn.name);
-  const auto fl = swfit::Scanner{}.scan(kernel.pristine_image(), names);
-  ASSERT_FALSE(fl.faults.empty());
-
-  auto base = store_options();
-  base.faultload = &fl;
-  const std::size_t stride = static_cast<std::size_t>(base.stride);
-  const std::size_t positions = (fl.faults.size() + stride - 1) / stride;
-
-  // The sampled schedule's fault-type census; edit the rarest present type.
+  FaultTypeEdit e;
+  e.before = swfit::Scanner{}.scan(kernel.pristine_image(), names);
+  e.positions = (e.before.faults.size() + stride - 1) / stride;
   std::array<std::size_t, swfit::kNumFaultTypes> sampled{};
-  for (std::size_t p = 0; p < positions; ++p) {
-    ++sampled[static_cast<std::size_t>(fl.faults[p * stride].type)];
+  for (std::size_t p = 0; p < e.positions; ++p) {
+    ++sampled[static_cast<std::size_t>(e.before.faults[p * stride].type)];
   }
-  std::size_t edited = 0;
+  std::size_t type = 0;
   for (std::size_t t = 0; t < sampled.size(); ++t) {
     if (sampled[t] == 0) continue;
-    if (sampled[edited] == 0 || sampled[t] < sampled[edited]) edited = t;
+    if (sampled[type] == 0 || sampled[t] < sampled[type]) type = t;
   }
-  ASSERT_GT(sampled[edited], 0u);
+  e.edited = sampled[type];
+  e.after = e.before;
+  for (auto& f : e.after.faults) {
+    if (static_cast<std::size_t>(f.type) == type) f.mutated = f.original;
+  }
+  return e;
+}
+
+TEST(StoreCampaignTest, IncrementalRerunExecutesOnlyEditedFaultType) {
+  auto base = store_options();
+  const auto edit =
+      edit_rarest_fault_type(static_cast<std::size_t>(base.stride));
+  ASSERT_FALSE(edit.before.faults.empty());
+  ASSERT_GT(edit.edited, 0u);
 
   const auto dir = store_dir("incremental");
   store::StoreStats st;
   {
     store::CampaignStore cs(dir);
     auto opt = base;
+    opt.faultload = &edit.before;
     opt.store = &cs;
     run_artifacts(opt, &st);
-    EXPECT_EQ(st.misses, positions + 1);  // faults + profile baseline
-  }
-  // "The fault was fixed": the edited type's mutations revert to the
-  // original windows. Originals are untouched, so the profile baseline and
-  // every other fault's key stay cached.
-  auto fl2 = fl;
-  for (auto& f : fl2.faults) {
-    if (static_cast<std::size_t>(f.type) == edited) f.mutated = f.original;
+    EXPECT_EQ(st.misses, edit.positions + 1);  // faults + profile baseline
   }
   store::CampaignStore cs(dir);
   auto opt = base;
-  opt.faultload = &fl2;
+  opt.faultload = &edit.after;
   opt.store = &cs;
   run_artifacts(opt, &st);
-  EXPECT_EQ(st.misses, sampled[edited]);
-  EXPECT_EQ(st.hits, positions + 1 - sampled[edited]);
+  EXPECT_EQ(st.misses, edit.edited);
+  EXPECT_EQ(st.hits, edit.positions + 1 - edit.edited);
+}
+
+// Cache resolution runs on the worker pool; the incremental re-run's
+// artifacts and store traffic must not depend on how many workers did it.
+TEST(StoreCampaignTest, IncrementalRerunIdenticalAcrossJobs) {
+  auto base = store_options();
+  base.iterations = 2;
+  base.stride = 9;  // enough tasks for several resolution units per cell
+  const auto edit =
+      edit_rarest_fault_type(static_cast<std::size_t>(base.stride));
+  ASSERT_GT(edit.edited, 0u);
+
+  const auto filled = store_dir("jobs_template");
+  {
+    store::CampaignStore cs(filled);
+    auto opt = base;
+    opt.faultload = &edit.before;
+    opt.store = &cs;
+    opt.jobs = 4;
+    run_artifacts(opt);
+  }
+  auto rerun = [&](int jobs, store::StoreStats& stats) {
+    const auto dir = store_dir("jobs_" + std::to_string(jobs));
+    std::filesystem::create_directories(dir);
+    for (const char* f : {"/segment.gfs", "/wal.gfj"}) {
+      std::filesystem::copy_file(
+          filled + f, dir + f,
+          std::filesystem::copy_options::overwrite_existing);
+    }
+    store::CampaignStore cs(dir);
+    auto opt = base;
+    opt.faultload = &edit.after;
+    opt.store = &cs;
+    opt.jobs = jobs;
+    return run_artifacts(opt, &stats);
+  };
+  store::StoreStats one, four;
+  const auto serial = rerun(1, one);
+  const auto parallel = rerun(4, four);
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(four.to_json(), one.to_json());
+  EXPECT_EQ(one.misses, 2 * edit.edited);
+  EXPECT_EQ(one.hits, 2 * (edit.positions - edit.edited) + 1);
 }
 
 TEST(StoreCampaignTest, KilledCampaignResumesByteIdentical) {

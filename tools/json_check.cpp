@@ -504,7 +504,8 @@ bool check_micro(const std::string& file, const Value& root) {
       "BM_InjectRestoreInvalidate", "BM_ApiCallAlloc", "BM_ApiCallAllocObs",
       "BM_JournalAppend", "BM_ApiCallOpenReadClose", "BM_ColdReboot",
       "BM_SnapshotRestore", "BM_ControllerBuildCold", "BM_ControllerBuildWarm",
-      "BM_ControllerReset", "BM_FaultloadSerialize", "BM_ServeDynamicGet"};
+      "BM_ControllerReset", "BM_FaultloadSerialize", "BM_ServeDynamicGet",
+      "BM_StoreOpen", "BM_StoreGet"};
   if (root.type != Value::Type::kObject) return fail(file, "root not object");
   const auto* ctx = root.find("context");
   if (!is_object(ctx)) return fail(file, "missing context{}");
@@ -538,7 +539,11 @@ bool check_micro(const std::string& file, const Value& root) {
     if (b.type != Value::Type::kObject) return fail(file, at + " not object");
     const auto* name = b.find("name");
     if (!is_string(name)) return fail(file, at + " missing name");
-    const auto family = name->string.substr(0, name->string.find('/'));
+    // Aggregate rows append _mean, _median, ... to the name; run_name is the
+    // benchmark's own name.
+    const auto* run_name = b.find("run_name");
+    const auto& base = is_string(run_name) ? run_name->string : name->string;
+    const auto family = base.substr(0, base.find('/'));
     bool known = false;
     for (const char* f : kFamilies) known = known || family == f;
     if (!known) return fail(file, at + " unknown family: " + family);

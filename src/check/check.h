@@ -9,9 +9,10 @@
 //               and profiles are byte-identical to a jobs=1 reference, the
 //               derived §3.2 metrics (SPC/ER%f/...) match exactly, and a
 //               store-backed replay (cold commit, then all-hit) reproduces
-//               the same bytes, and a controller reset between faults in
+//               the same bytes, a controller reset between faults in
 //               shuffled order reproduces every fresh controller's run
-//               record (check/reuse.h).
+//               record (check/reuse.h), and the manifest, profile and
+//               self-diff documents decode and render back to their bytes.
 //   vm        — runs randomly generated MiniC programs (check/progen.h)
 //               under fusion-on vs fusion-off and predecode vs per-step
 //               decode, comparing the full architectural state digest,
@@ -22,8 +23,9 @@
 //               flips and truncations over store segment/WAL files (recovery
 //               must tail-truncate cleanly or reject with a diagnostic,
 //               never crash or serve wrong bytes), instruction encode/decode
-//               and assembler/disassembler round-trips, and faultload
-//               serialize/parse under corruption.
+//               and assembler/disassembler round-trips, faultload
+//               serialize/parse under corruption, and the JSON artifact
+//               decoders under mutation (render/decode fixpoint).
 //
 // Every failure carries the case seed plus a ready-to-run repro command
 // line, so any CI hit replays locally with a single copy-paste. Case seeds

@@ -31,6 +31,10 @@
 // Another subset runs the reuse-order oracle (check/reuse.h) over the case's
 // faultload: each fault's run record on a fresh warm controller must equal
 // its record on one controller reset between faults in shuffled order.
+//
+// Every case also holds the artifact decoders to a byte fixpoint: the
+// reference manifest and profile document, and a self-diff of the manifest,
+// must decode and render back to exactly the bytes they were decoded from.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -44,9 +48,11 @@
 #include "check/check.h"
 #include "check/internal.h"
 #include "check/reuse.h"
+#include "depbench/campaign_diff.h"
 #include "depbench/campaign_report.h"
 #include "depbench/report.h"
 #include "depbench/runner.h"
+#include "obs/json.h"
 #include "os/kernel.h"
 #include "os/sources.h"
 #include "store/store.h"
@@ -112,6 +118,26 @@ void compare(const Files& ref, const Files& got, const std::string& shape,
   }
 }
 
+/// render(decode(bytes)) == bytes for every decodable document of `files`.
+void check_fixpoints(const Files& files, CheckReport& report) {
+  using obs::json::decode;
+  for (const auto& [name, bytes] : files) {
+    if (name == "manifest.json") {
+      expect_same("manifest decode/render fixpoint", bytes,
+                  decode<depbench::CampaignManifest>(bytes).to_json(), report);
+      const auto self = depbench::diff_campaigns(bytes, bytes);
+      if (expect(self.ok && !self.breached,
+                 "manifest self-diff is not clean: " + self.error, report)) {
+        expect_same("diff decode/render fixpoint", self.json,
+                    decode<depbench::DiffReport>(self.json).to_json(), report);
+      }
+    } else if (name == "profile.json") {
+      expect_same("profile decode/render fixpoint", bytes,
+                  decode<depbench::ProfileDocument>(bytes).to_json(), report);
+    }
+  }
+}
+
 void run_case(std::uint64_t cs, const fs::path& scratch, CheckReport& report) {
   util::Rng rng(cs);
 
@@ -168,6 +194,7 @@ void run_case(std::uint64_t cs, const fs::path& scratch, CheckReport& report) {
   depbench::CampaignRunner ref_runner(ref_opt);
   const auto ref_cells = ref_runner.run_campaign();
   const auto ref_art = render(ref_cells, ref_opt, ref_runner.campaign_obs());
+  check_fixpoints(ref_art, report);
 
   const std::string shape =
       "jobs=" + std::to_string(var_opt.jobs) +

@@ -24,20 +24,34 @@
 //       random text corruption: parse() either throws FaultloadError (the
 //       only legal rejection) or yields a structurally valid faultload
 //       (windows in [1,16], original/mutated the same width).
+//
+//   artifact — renders synthetic manifest, profile, diff, sched and store
+//       documents, which must decode and render back to the same bytes,
+//       then mutates their parsed form: drops keys, changes value types,
+//       truncates or swaps arrays, duplicates keys. The oracle: decoding
+//       either throws DecodeError (the only legal rejection) or returns a
+//       value whose rendering is itself a decode/render fixpoint. It draws
+//       from its own RNG stream, so the other sub-fuzzers' draws (and their
+//       --case-seed repro lines) are those of a run without it.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
 #include "check/internal.h"
 #include "check/progen.h"
+#include "depbench/campaign_diff.h"
+#include "depbench/campaign_report.h"
+#include "depbench/scheduler.h"
 #include "isa/assembler.h"
 #include "isa/disassembler.h"
 #include "isa/isa.h"
 #include "minic/compiler.h"
+#include "obs/json.h"
 #include "store/store.h"
 #include "swfit/faultload.h"
 #include "swfit/scanner.h"
@@ -299,6 +313,254 @@ void faultload_fuzz(util::Rng& rng, const isa::Image& img,
   }
 }
 
+// --- artifact document fuzz -------------------------------------------------
+
+namespace json = obs::json;
+
+/// Names exercise the escaper: quotes, backslashes, control and non-ASCII
+/// bytes, and the path punctuation of diagnostics.
+std::string random_name(util::Rng& rng) {
+  static const char* kParts[] = {"apex", "VOS-2000", "q\"t", "b\\s", "n\nl",
+                                 "\x01", "caf\xc3\xa9", "a.b", "[0]", ""};
+  return std::string(kParts[rng.bounded(10)]) + kParts[rng.bounded(10)];
+}
+
+double random_real(util::Rng& rng) {
+  switch (rng.bounded(5)) {
+    case 0: return 0;
+    case 1: return static_cast<double>(rng.bounded(1000));
+    case 2: return rng.uniform();
+    case 3: return (rng.uniform() - 0.5) * 1e6;
+    default: return rng.uniform() * 1e-7;
+  }
+}
+
+std::uint64_t random_count(util::Rng& rng) {
+  return rng.chance(0.2) ? rng.next() : rng.bounded(100000);
+}
+
+int random_int(util::Rng& rng) { return static_cast<int>(rng.bounded(1000)); }
+
+obs::Profile random_profile(util::Rng& rng) {
+  obs::Profile p;
+  p.stride = rng.bounded(4096);
+  for (std::uint64_t i = rng.bounded(4); i > 0; --i) {
+    p.add(random_name(rng), 1 + rng.bounded(1000));
+  }
+  return p;
+}
+
+obs::Divergence random_divergence(util::Rng& rng) {
+  obs::Divergence d;
+  d.score = rng.uniform();
+  for (std::uint64_t i = rng.bounded(4); i > 0; --i) {
+    obs::FunctionDelta fd;
+    fd.name = random_name(rng);
+    fd.base_samples = random_count(rng);
+    fd.fault_samples = random_count(rng);
+    fd.delta = rng.uniform() - 0.5;
+    d.deltas.push_back(fd);
+  }
+  return d;
+}
+
+spec::WindowMetrics random_window(util::Rng& rng) {
+  return {random_real(rng), random_count(rng), random_count(rng),
+          random_count(rng), random_real(rng), random_real(rng),
+          random_real(rng), random_int(rng),   random_real(rng)};
+}
+
+depbench::CampaignManifest random_manifest(util::Rng& rng) {
+  depbench::CampaignManifest m;
+  m.options.iterations = random_int(rng);
+  m.options.stride = random_int(rng);
+  m.options.time_scale = random_real(rng);
+  m.options.baseline_window_ms = random_real(rng);
+  m.options.seed = rng.next();
+  m.options.warm_boot = rng.chance(0.5);
+  m.options.trace = rng.chance(0.5);
+  m.options.profile_stride = random_count(rng);
+  for (std::uint64_t c = rng.bounded(3); c > 0; --c) {
+    depbench::ManifestCell cell{
+        {random_name(rng), random_name(rng), random_window(rng), {}}, {}};
+    for (std::uint64_t i = rng.bounded(3); i > 0; --i) {
+      cell.iterations.push_back(
+          {random_window(rng),
+           {random_int(rng), random_int(rng), random_int(rng),
+            random_int(rng), random_int(rng)},
+           {}});
+    }
+    cell.derived = {random_real(rng), random_real(rng), random_real(rng),
+                    random_real(rng), random_real(rng), random_real(rng),
+                    random_real(rng)};
+    m.cells.push_back(std::move(cell));
+  }
+  for (std::uint64_t i = rng.bounded(3); i > 0; --i) {
+    m.profiles.push_back({random_name(rng), random_profile(rng),
+                          random_profile(rng), random_divergence(rng)});
+  }
+  if (rng.chance(0.6)) {
+    obs::Registry r;
+    for (std::uint64_t i = rng.bounded(4); i > 0; --i) {
+      r.add(random_name(rng), random_count(rng));
+      r.gauge(random_name(rng), random_count(rng));
+      for (std::uint64_t k = rng.bounded(4); k > 0; --k) {
+        r.observe(random_name(rng), rng.bounded(1u << 20));
+      }
+    }
+    m.metrics = std::move(r);
+  }
+  return m;
+}
+
+depbench::ProfileDocument random_profile_document(util::Rng& rng) {
+  depbench::ProfileDocument d;
+  d.stride = random_count(rng);
+  for (std::uint64_t c = rng.bounded(3); c > 0; --c) {
+    depbench::ProfileCell cell{{random_name(rng), random_profile(rng),
+                                random_profile(rng), random_divergence(rng)},
+                               {}};
+    for (std::uint64_t i = rng.bounded(3); i > 0; --i) {
+      cell.runs.push_back(
+          {random_name(rng), random_profile(rng), random_divergence(rng)});
+    }
+    d.cells.push_back(std::move(cell));
+  }
+  return d;
+}
+
+depbench::DiffReport random_diff(util::Rng& rng) {
+  depbench::DiffReport r;
+  r.threshold_pct = random_real(rng);
+  for (std::uint64_t c = rng.bounded(3); c > 0; --c) {
+    depbench::CellDrift cd;
+    cd.cell = random_name(rng);
+    for (std::uint64_t i = rng.bounded(4); i > 0; --i) {
+      cd.derived.push_back({random_name(rng), random_real(rng),
+                            random_real(rng), random_real(rng),
+                            rng.chance(0.5)});
+      cd.counters.push_back({random_name(rng), random_count(rng),
+                             random_count(rng), rng.chance(0.5)});
+    }
+    if (rng.chance(0.5)) cd.profile_divergence = random_divergence(rng);
+    r.cells.push_back(std::move(cd));
+  }
+  for (std::uint64_t i = rng.bounded(3); i > 0; --i) {
+    r.missing_cells.push_back(random_name(rng));
+    r.added_cells.push_back(random_name(rng));
+  }
+  r.breached = rng.chance(0.5);
+  return r;
+}
+
+depbench::SchedReport random_sched(util::Rng& rng) {
+  depbench::SchedReport r{0,                 rng.chance(0.5), random_count(rng),
+                          random_real(rng),  random_real(rng), random_real(rng),
+                          random_real(rng),  random_count(rng),
+                          random_count(rng), {}};
+  for (r.jobs = rng.bounded(4); r.workers.size() < r.jobs;) {
+    r.workers.push_back({random_count(rng), random_count(rng),
+                         random_count(rng), random_count(rng),
+                         random_real(rng), random_real(rng),
+                         random_real(rng)});
+  }
+  return r;
+}
+
+store::StoreStats random_store(util::Rng& rng) {
+  return {random_count(rng), random_count(rng), random_count(rng),
+          random_count(rng), random_count(rng), random_count(rng),
+          random_count(rng), random_count(rng), random_count(rng)};
+}
+
+void collect_nodes(json::Value& v, std::vector<json::Value*>& out) {
+  out.push_back(&v);
+  for (auto& e : v.array) collect_nodes(e, out);
+  for (auto& [key, e] : v.object) collect_nodes(e, out);
+}
+
+/// One structural edit at a random node of `doc`.
+void mutate(json::Value& doc, util::Rng& rng) {
+  static const char* kReplacements[] = {"\"7\"", "-3.5", "null", "true", "[]",
+                                        "{}",    "7",    "1e300", "\"\""};
+  std::vector<json::Value*> nodes;
+  collect_nodes(doc, nodes);
+  json::Value& v = *nodes[rng.bounded(nodes.size())];
+  switch (rng.bounded(5)) {
+    case 0:  // drop a key
+      if (!v.object.empty()) {
+        const auto at = rng.bounded(v.object.size());
+        v.object.erase(v.object.begin() + static_cast<std::ptrdiff_t>(at));
+        return;
+      }
+      break;
+    case 1:  // duplicate a key
+      if (!v.object.empty()) {
+        const auto member = v.object[rng.bounded(v.object.size())];
+        v.object.push_back(member);
+        return;
+      }
+      break;
+    case 2:  // truncate an array
+      if (!v.array.empty()) {
+        v.array.resize(rng.bounded(v.array.size()));
+        return;
+      }
+      break;
+    case 3:  // swap two array elements
+      if (v.array.size() >= 2) {
+        std::swap(v.array[rng.bounded(v.array.size())],
+                  v.array[rng.bounded(v.array.size())]);
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  v = *json::parse(kReplacements[rng.bounded(9)]);  // change the type
+}
+
+template <class Doc>
+void fuzz_document(const std::string& what, const Doc& doc, util::Rng& rng,
+                   CheckReport& report) {
+  const auto bytes = doc.to_json();
+  auto roundtrip = [&](const std::string& label, const std::string& text) {
+    try {
+      expect_same(what + " " + label + ": decode/render fixpoint", text,
+                  json::decode<Doc>(text).to_json(), report);
+    } catch (const json::DecodeError& e) {
+      expect(false, what + " " + label + ": rendering does not decode: " +
+                        e.what(),
+             report);
+    }
+  };
+  roundtrip("rendering", bytes);
+  const auto pristine = json::parse(bytes);
+  if (!expect(pristine.has_value(), what + " rendering does not parse",
+              report)) {
+    return;
+  }
+  for (int m = 0; m < 8; ++m) {
+    auto mutated = *pristine;
+    for (std::uint64_t k = 1 + rng.bounded(3); k > 0; --k) mutate(mutated, rng);
+    std::optional<Doc> decoded;
+    try {
+      decoded = Doc::from_json(json::Field(mutated));
+    } catch (const json::DecodeError&) {
+      continue;  // the one legal rejection
+    }
+    roundtrip("accepted mutation", decoded->to_json());
+  }
+}
+
+void artifact_fuzz(util::Rng& rng, CheckReport& report) {
+  fuzz_document("manifest", random_manifest(rng), rng, report);
+  fuzz_document("profile document", random_profile_document(rng), rng, report);
+  fuzz_document("diff document", random_diff(rng), rng, report);
+  fuzz_document("sched document", random_sched(rng), rng, report);
+  fuzz_document("store document", random_store(rng), rng, report);
+}
+
 void run_case(std::uint64_t cs, const fs::path& scratch, CheckReport& report) {
   util::Rng rng(cs);
   store_fuzz(cs, scratch, rng, report);
@@ -307,6 +569,9 @@ void run_case(std::uint64_t cs, const fs::path& scratch, CheckReport& report) {
   const auto img = minic::compile(gen.generate(), "p", 0x1000);
   isa_fuzz(rng, img, report);
   faultload_fuzz(rng, img, report);
+
+  util::Rng artifact_rng(case_seed(cs, 1));
+  artifact_fuzz(artifact_rng, report);
 }
 
 }  // namespace

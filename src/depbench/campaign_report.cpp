@@ -12,50 +12,78 @@ namespace gf::depbench {
 namespace {
 
 using obs::json::escape;
+using obs::json::Field;
 using obs::json::number;
+using obs::json::Member;
+using obs::json::object_json;
+using obs::json::read_members;
 
-std::string window_json(const spec::WindowMetrics& m) {
-  return "{\"duration_ms\": " + number(m.duration_ms) +
-         ", \"ops\": " + std::to_string(m.ops) +
-         ", \"errors\": " + std::to_string(m.errors) +
-         ", \"bytes\": " + std::to_string(m.bytes) +
-         ", \"thr\": " + number(m.thr) + ", \"rtm_ms\": " + number(m.rtm_ms) +
-         ", \"er_pct\": " + number(m.er_pct) +
-         ", \"spc\": " + std::to_string(m.spc) +
-         ", \"cc_pct\": " + number(m.cc_pct) + "}";
+using W = spec::WindowMetrics;
+const Member<W> kWindow[] = {
+    {"duration_ms", &W::duration_ms}, {"ops", &W::ops},
+    {"errors", &W::errors},           {"bytes", &W::bytes},
+    {"thr", &W::thr},                 {"rtm_ms", &W::rtm_ms},
+    {"er_pct", &W::er_pct},           {"spc", &W::spc},
+    {"cc_pct", &W::cc_pct}};
+
+using C = CampaignCounters;
+const Member<C> kCounters[] = {{"mis", &C::mis},
+                               {"kns", &C::kns},
+                               {"kcp", &C::kcp},
+                               {"faults_injected", &C::faults_injected},
+                               {"self_restarts", &C::self_restarts}};
+
+using D = DependabilityMetrics;
+const Member<D> kDerived[] = {
+    {"spcf", &D::spcf},       {"thrf", &D::thrf},
+    {"rtmf", &D::rtmf},       {"erf_pct", &D::erf_pct},
+    {"admf", &D::admf},       {"spc_rel", &D::spc_rel},
+    {"thr_rel", &D::thr_rel}};
+
+using O = RunnerOptions;
+const Member<O> kOptions[] = {
+    {"iterations", &O::iterations},
+    {"stride", &O::stride},
+    {"time_scale", &O::time_scale},
+    {"baseline_window_ms", &O::baseline_window_ms},
+    {"seed", &O::seed},
+    {"warm_boot", &O::warm_boot},
+    {"trace", &O::trace},
+    {"profile_stride", &O::profile_stride}};
+
+CampaignManifest build_manifest(const std::vector<ExperimentCell>& cells,
+                                const RunnerOptions& opt,
+                                const CampaignObs* obs) {
+  CampaignManifest m{opt, {}, {}, {}};
+  if (!opt.profile) m.options.profile_stride = 0;
+  for (const auto& cell : cells) {
+    ManifestCell mc{{cell.os_name, cell.server_name, cell.baseline, {}},
+                    derive_metrics(cell)};
+    for (const auto& it : cell.iterations) {
+      mc.iterations.push_back({it.metrics, it.counters, {}});
+    }
+    m.cells.push_back(std::move(mc));
+  }
+  if (obs != nullptr) {
+    for (auto& c : collect_profiles(*obs)) {
+      c.divergence = profile_divergence(c.baseline, c.faults, 10);
+      m.profiles.push_back(std::move(c));  // without the runs
+    }
+    m.metrics = obs->metrics;
+  }
+  return m;
 }
 
-std::string counters_json(const CampaignCounters& c) {
-  return "{\"mis\": " + std::to_string(c.mis) +
-         ", \"kns\": " + std::to_string(c.kns) +
-         ", \"kcp\": " + std::to_string(c.kcp) +
-         ", \"faults_injected\": " + std::to_string(c.faults_injected) +
-         ", \"self_restarts\": " + std::to_string(c.self_restarts) + "}";
-}
-
-std::string derived_json(const DependabilityMetrics& d) {
-  return "{\"spcf\": " + number(d.spcf) + ", \"thrf\": " + number(d.thrf) +
-         ", \"rtmf\": " + number(d.rtmf) +
-         ", \"erf_pct\": " + number(d.erf_pct) +
-         ", \"admf\": " + number(d.admf) +
-         ", \"spc_rel\": " + number(d.spc_rel) +
-         ", \"thr_rel\": " + number(d.thr_rel) + "}";
-}
-
-// Only result-shaping options appear here: scheduling knobs (jobs, chunk,
-// steal) deliberately do not, so the manifest stays byte-identical
-// for any worker count or chunk decomposition. profile_stride shapes the
-// profiles section, hence its presence (0 = profiling off).
-std::string options_json(const RunnerOptions& opt) {
-  return "{\"iterations\": " + std::to_string(opt.iterations) +
-         ", \"stride\": " + std::to_string(opt.stride) +
-         ", \"time_scale\": " + number(opt.time_scale) +
-         ", \"baseline_window_ms\": " + number(opt.baseline_window_ms) +
-         ", \"seed\": " + std::to_string(opt.seed) +
-         ", \"warm_boot\": " + (opt.warm_boot ? "true" : "false") +
-         ", \"trace\": " + (opt.trace ? "true" : "false") +
-         ", \"profile_stride\": " +
-         std::to_string(opt.profile ? opt.profile_stride : 0) + "}";
+/// The members of a CellProfile (the caller checks the object's key set).
+/// Decoders assign member by member: a DecodeError thrown inside a braced
+/// aggregate initializer can destroy the members built so far twice (GCC 12).
+CellProfile cell_profile_from(const Field& f) {
+  CellProfile p;
+  p.cell = f["cell"].string();
+  p.baseline = obs::Profile::from_json(f["baseline"]);
+  p.faults = obs::Profile::from_json(f["faults"]);
+  p.divergence = obs::Divergence::from_json(f["divergence"]);
+  return p;
 }
 
 // Minimal HTML escaping for the few strings we interpolate.
@@ -159,55 +187,84 @@ trace::ActivationStats campaign_activation_stats(
   return stats;
 }
 
-std::string campaign_manifest_json(const std::vector<ExperimentCell>& cells,
-                                   const RunnerOptions& opt,
-                                   const CampaignObs* obs) {
+std::string CampaignManifest::to_json() const {
   std::string out = "{\n\"schema\": \"genfault-campaign/1\",\n";
-  out += "\"options\": " + options_json(opt) + ",\n";
+  out += "\"options\": " + object_json(options, kOptions) + ",\n";
   out += "\"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& cell = cells[i];
     out += i == 0 ? "\n" : ",\n";
     out += "{\"os\": \"" + escape(cell.os_name) + "\", \"server\": \"" +
            escape(cell.server_name) + "\",\n";
-    out += " \"baseline\": " + window_json(cell.baseline) + ",\n";
+    out += " \"baseline\": " + object_json(cell.baseline, kWindow) + ",\n";
     out += " \"iterations\": [";
     for (std::size_t it = 0; it < cell.iterations.size(); ++it) {
+      const auto& run = cell.iterations[it];
       out += it == 0 ? "\n" : ",\n";
-      out += "  {\"metrics\": " + window_json(cell.iterations[it].metrics) +
-             ", \"counters\": " + counters_json(cell.iterations[it].counters) +
-             "}";
+      out += "  {\"metrics\": " + object_json(run.metrics, kWindow) +
+             ", \"counters\": " + object_json(run.counters, kCounters) + "}";
     }
     out += "],\n";
-    out += " \"derived\": " + derived_json(derive_metrics(cell)) + "}";
+    out += " \"derived\": " + object_json(cell.derived, kDerived) + "}";
   }
   out += "\n],\n";
-  // Per-cell profile section (per-run drill-down lives in the
-  // --profile-json artifact): the baseline and merged-fault profiles at
-  // function granularity — enough for `gfbench diff` to compare campaigns —
-  // plus the top share deltas of the fault-vs-baseline differential. Null
-  // when the campaign ran unprofiled.
   out += "\"profiles\": ";
-  const auto profiles =
-      obs != nullptr ? collect_profiles(*obs) : std::vector<CellProfiles>{};
   if (profiles.empty()) {
     out += "null,\n";
   } else {
     out += "[";
     for (std::size_t i = 0; i < profiles.size(); ++i) {
-      const auto& cp = profiles[i];
+      const auto& p = profiles[i];
       out += i == 0 ? "\n" : ",\n";
-      out += "{\"cell\": \"" + escape(cp.cell) +
-             "\", \"baseline\": " + cp.baseline.to_json() +
-             ", \"faults\": " + cp.faults.to_json() + ", \"divergence\": " +
-             profile_divergence(cp.baseline, cp.faults).to_json(10) + "}";
+      out += "{\"cell\": \"" + escape(p.cell) +
+             "\", \"baseline\": " + p.baseline.to_json() +
+             ", \"faults\": " + p.faults.to_json() +
+             ", \"divergence\": " + p.divergence.to_json() + "}";
     }
     out += "\n],\n";
   }
   out += "\"metrics\": ";
-  out += obs != nullptr ? obs->metrics.to_json() : std::string("null\n");
+  out += metrics ? metrics->to_json() : std::string("null\n");
   out += "}\n";
   return out;
+}
+
+CampaignManifest CampaignManifest::from_json(const Field& f) {
+  f.keys({"schema", "options", "cells", "profiles", "metrics"});
+  f["schema"].expect("genfault-campaign/1");
+  CampaignManifest m;
+  m.options = read_members(f["options"], kOptions);
+  for (const auto& c : f["cells"].items()) {
+    c.keys({"os", "server", "baseline", "iterations", "derived"});
+    auto& cell = m.cells.emplace_back();
+    cell.os_name = c["os"].string();
+    cell.server_name = c["server"].string();
+    cell.baseline = read_members(c["baseline"], kWindow);
+    for (const auto& it : c["iterations"].items()) {
+      it.keys({"metrics", "counters"});
+      auto& run = cell.iterations.emplace_back();
+      run.metrics = read_members(it["metrics"], kWindow);
+      run.counters = read_members(it["counters"], kCounters);
+    }
+    cell.derived = read_members(c["derived"], kDerived);
+  }
+  if (const auto profiles = f["profiles"]; !profiles.is_null()) {
+    for (const auto& p : profiles.items()) {
+      p.keys({"cell", "baseline", "faults", "divergence"});
+      m.profiles.push_back(cell_profile_from(p));
+    }
+    if (m.profiles.empty()) profiles.fail("expected null or a non-empty array");
+  }
+  if (const auto metrics = f["metrics"]; !metrics.is_null()) {
+    m.metrics = obs::Registry::from_json(metrics);
+  }
+  return m;
+}
+
+std::string campaign_manifest_json(const std::vector<ExperimentCell>& cells,
+                                   const RunnerOptions& opt,
+                                   const CampaignObs* obs) {
+  return build_manifest(cells, opt, obs).to_json();
 }
 
 std::string campaign_html_report(const std::vector<ExperimentCell>& cells,
@@ -347,53 +404,82 @@ std::string campaign_html_report(const std::vector<ExperimentCell>& cells,
   return out;
 }
 
-std::vector<CellProfiles> collect_profiles(const CampaignObs& obs) {
-  std::vector<CellProfiles> out;
+std::vector<ProfileCell> collect_profiles(const CampaignObs& obs) {
+  std::vector<ProfileCell> out;
   for (const auto& slot : obs.tasks) {
     if (slot.obs.profile.stride == 0) continue;  // profiling off / empty slot
     if (out.empty() || out.back().cell != slot.cell) {
-      out.push_back({slot.cell, {}, {}, {}});
+      out.emplace_back().cell = slot.cell;
     }
     auto& cp = out.back();
     if (slot.label == "baseline") {
       cp.baseline.merge(slot.obs.profile);
     } else {
       cp.faults.merge(slot.obs.profile);
-      cp.runs.emplace_back(slot.label, slot.obs.profile);
+      cp.runs.push_back({slot.label, slot.obs.profile, {}});
     }
   }
   return out;
+}
+
+std::string ProfileDocument::to_json() const {
+  std::string out = "{\n\"schema\": \"genfault-profile/1\",\n";
+  out += "\"stride\": " + std::to_string(stride) + ",\n";
+  out += "\"cells\": [";
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const auto& c = cells[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "{\"cell\": \"" + escape(c.cell) + "\",\n";
+    out += " \"baseline\": " + c.baseline.to_json() + ",\n";
+    out += " \"faults\": " + c.faults.to_json() + ",\n";
+    out += " \"divergence\": " + c.divergence.to_json() + ",\n";
+    out += " \"runs\": [";
+    for (std::size_t k = 0; k < c.runs.size(); ++k) {
+      const auto& r = c.runs[k];
+      out += k == 0 ? "\n" : ",\n";
+      out += "  {\"label\": \"" + escape(r.label) +
+             "\", \"profile\": " + r.profile.to_json() +
+             ", \"divergence\": " + r.divergence.to_json() + "}";
+    }
+    out += "]}";
+  }
+  out += "\n]\n}\n";
+  return out;
+}
+
+ProfileDocument ProfileDocument::from_json(const Field& f) {
+  f.keys({"schema", "stride", "cells"});
+  f["schema"].expect("genfault-profile/1");
+  ProfileDocument d;
+  d.stride = f["stride"].count();
+  for (const auto& c : f["cells"].items()) {
+    c.keys({"cell", "baseline", "faults", "divergence", "runs"});
+    auto& cell = d.cells.emplace_back();
+    static_cast<CellProfile&>(cell) = cell_profile_from(c);
+    for (const auto& r : c["runs"].items()) {
+      r.keys({"label", "profile", "divergence"});
+      auto& run = cell.runs.emplace_back();
+      run.label = r["label"].string();
+      run.profile = obs::Profile::from_json(r["profile"]);
+      run.divergence = obs::Divergence::from_json(r["divergence"]);
+    }
+  }
+  return d;
 }
 
 std::string campaign_profile_json(const std::vector<ExperimentCell>& cells,
                                   const RunnerOptions& opt,
                                   const CampaignObs& obs) {
   (void)cells;
-  std::string out = "{\n\"schema\": \"genfault-profile/1\",\n";
-  out += "\"stride\": " +
-         std::to_string(opt.profile ? opt.profile_stride : 0) + ",\n";
-  out += "\"cells\": [";
-  const auto profiles = collect_profiles(obs);
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const auto& cp = profiles[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "{\"cell\": \"" + escape(cp.cell) + "\",\n";
-    out += " \"baseline\": " + cp.baseline.to_json() + ",\n";
-    out += " \"faults\": " + cp.faults.to_json() + ",\n";
-    out += " \"divergence\": " +
-           profile_divergence(cp.baseline, cp.faults).to_json() + ",\n";
-    out += " \"runs\": [";
-    for (std::size_t k = 0; k < cp.runs.size(); ++k) {
-      const auto& [label, prof] = cp.runs[k];
-      out += k == 0 ? "\n" : ",\n";
-      out += "  {\"label\": \"" + escape(label) +
-             "\", \"profile\": " + prof.to_json() + ", \"divergence\": " +
-             profile_divergence(cp.baseline, prof).to_json(10) + "}";
+  ProfileDocument d{opt.profile ? opt.profile_stride : 0,
+                    collect_profiles(obs)};
+  for (auto& c : d.cells) {
+    c.divergence = profile_divergence(c.baseline, c.faults);
+    for (auto& r : c.runs) {
+      r.divergence = profile_divergence(c.baseline, r.profile, 10);
     }
-    out += "]}";
   }
-  out += "\n]\n}\n";
-  return out;
+  return d.to_json();
 }
 
 std::string campaign_flamegraph(const CampaignObs& obs) {

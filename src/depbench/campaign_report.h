@@ -15,11 +15,15 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "depbench/report.h"
 #include "depbench/runner.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 #include "trace/activation.h"
 
 namespace gf::depbench {
@@ -70,9 +74,40 @@ std::vector<std::pair<std::string, std::string>> render_campaign_artifacts(
 trace::ActivationStats campaign_activation_stats(
     const std::vector<ExperimentCell>& cells);
 
+/// A manifest cell: the cell's results, iterations without their
+/// activation records, and its derived §3.2 metrics.
+struct ManifestCell : ExperimentCell {
+  DependabilityMetrics derived;
+};
+
+/// A cell's entry in the manifest's profiles section, and the head of its
+/// entry in the profile document.
+struct CellProfile {
+  std::string cell;  ///< "VOS-2000/apex"
+  obs::Profile baseline;
+  obs::Profile faults;  ///< merged over the cell's fault runs
+  obs::Divergence divergence;  ///< faults vs baseline; top 10 in the manifest
+};
+
+/// The campaign manifest, schema "genfault-campaign/1": rendered by to_json()
+/// and decoded by from_json(), the reader of `gfbench diff` and
+/// tools/json_check --schema manifest.
+struct CampaignManifest {
+  /// Only the result-shaping fields are written (not jobs, chunk or steal,
+  /// so the manifest is the same for any schedule); profile_stride is 0
+  /// when the campaign ran unprofiled.
+  RunnerOptions options;
+  std::vector<ManifestCell> cells;
+  std::vector<CellProfile> profiles;     ///< empty renders null: unprofiled
+  std::optional<obs::Registry> metrics;  ///< null: the campaign ran without obs
+
+  std::string to_json() const;
+  static CampaignManifest from_json(const obs::json::Field& f);
+};
+
 /// JSON manifest of a whole campaign: options, per-cell results (baseline,
 /// iterations, derived §3.2 metrics), and — when `obs` is non-null — the
-/// merged metrics registry. Validated by tools/json_check --schema manifest.
+/// cycle profiles and the merged metrics registry.
 std::string campaign_manifest_json(const std::vector<ExperimentCell>& cells,
                                    const RunnerOptions& opt,
                                    const CampaignObs* obs);
@@ -87,19 +122,32 @@ std::string campaign_html_report(const std::vector<ExperimentCell>& cells,
 /// "<cell>/<label>") — byte-identical for any --jobs.
 void write_campaign_journal(std::ostream& os, const CampaignObs& obs);
 
-/// One cell's profiles, collected from the task slots in slot order:
-/// the baseline run's profile, the merge of every fault run's profile, and
-/// the per-run profiles themselves (fault runs only, slot order).
-struct CellProfiles {
-  std::string cell;  ///< "VOS-2000/apex"
-  obs::Profile baseline;
-  obs::Profile faults;  ///< merged over all fault runs of the cell
-  std::vector<std::pair<std::string, obs::Profile>> runs;  ///< label, profile
+struct ProfileRun {
+  std::string label;
+  obs::Profile profile;
+  obs::Divergence divergence;  ///< vs the cell's baseline, top 10 deltas
 };
 
-/// Groups the campaign's per-task profiles by cell, in slot order. Empty
-/// when the campaign ran without profiling (no slot carries a stride).
-std::vector<CellProfiles> collect_profiles(const CampaignObs& obs);
+struct ProfileCell : CellProfile {
+  std::vector<ProfileRun> runs;  ///< fault runs, slot order
+};
+
+/// Groups the campaign's per-task profiles by cell, in slot order: each
+/// cell's baseline profile, the merge of its fault runs' profiles and the
+/// fault runs' own profiles. The divergences are left for the renderers to
+/// compute. Empty when the campaign ran without profiling (no slot carries
+/// a stride).
+std::vector<ProfileCell> collect_profiles(const CampaignObs& obs);
+
+/// The profile document, schema "genfault-profile/1" (see
+/// campaign_profile_json): rendered by to_json(), decoded by from_json().
+struct ProfileDocument {
+  std::uint64_t stride = 0;
+  std::vector<ProfileCell> cells;
+
+  std::string to_json() const;
+  static ProfileDocument from_json(const obs::json::Field& f);
+};
 
 /// JSON profile artifact (schema "genfault-profile/1"): per cell the
 /// baseline profile, the merged fault profile, their differential

@@ -50,6 +50,22 @@ struct WorkerDeque {
   std::atomic<std::int64_t> rem{0};
 };
 
+using R = SchedReport;
+const obs::json::Member<R> kSched[] = {
+    {"jobs", &R::jobs},           {"steal", &R::steal},
+    {"units", &R::units},         {"wall_us", &R::wall_us},
+    {"utilization", &R::utilization}, {"imbalance", &R::imbalance},
+    {"cpu_makespan_us", &R::cpu_makespan_us},
+    {"steal_batches", &R::steal_batches}, {"stolen_units", &R::stolen_units}};
+
+using WS = WorkerStats;
+const obs::json::Member<WS> kWorker[] = {
+    {"units", &WS::units},           {"stolen_units", &WS::stolen_units},
+    {"steal_batches", &WS::steal_batches},
+    {"steal_attempts", &WS::steal_attempts},
+    {"busy_us", &WS::busy_us},       {"cpu_us", &WS::cpu_us},
+    {"est_cost", &WS::est_cost}};
+
 }  // namespace
 
 double SchedStats::utilization() const noexcept {
@@ -88,32 +104,33 @@ std::uint64_t SchedStats::stolen() const noexcept {
   return n;
 }
 
-std::string SchedStats::to_json() const {
-  using obs::json::number;
-  std::string out = "{\n  \"schema\": \"genfault-sched/1\",\n";
-  out += "  \"jobs\": " + std::to_string(workers.size()) + ",\n";
-  out += std::string("  \"steal\": ") + (steal ? "true" : "false") + ",\n";
-  out += "  \"units\": " + std::to_string(total_units) + ",\n";
-  out += "  \"wall_us\": " + number(wall_us) + ",\n";
-  out += "  \"utilization\": " + number(utilization()) + ",\n";
-  out += "  \"imbalance\": " + number(imbalance()) + ",\n";
-  out += "  \"cpu_makespan_us\": " + number(makespan_cpu_us()) + ",\n";
-  out += "  \"steal_batches\": " + std::to_string(steals()) + ",\n";
-  out += "  \"stolen_units\": " + std::to_string(stolen()) + ",\n";
-  out += "  \"workers\": [";
+SchedReport SchedStats::report() const {
+  return {workers.size(), steal,    total_units,       wall_us, utilization(),
+          imbalance(),    makespan_cpu_us(), steals(), stolen(),      workers};
+}
+
+std::string SchedStats::to_json() const { return report().to_json(); }
+
+std::string SchedReport::to_json() const {
+  std::string out = "{\n  \"schema\": \"genfault-sched/1\",\n  " +
+                    obs::json::members_json(*this, kSched, ",\n  ") +
+                    ",\n  \"workers\": [";
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    const auto& w = workers[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"units\": " + std::to_string(w.units) +
-           ", \"stolen_units\": " + std::to_string(w.stolen_units) +
-           ", \"steal_batches\": " + std::to_string(w.steal_batches) +
-           ", \"steal_attempts\": " + std::to_string(w.steal_attempts) +
-           ", \"busy_us\": " + number(w.busy_us) +
-           ", \"cpu_us\": " + number(w.cpu_us) +
-           ", \"est_cost\": " + number(w.est_cost) + "}";
+    out += i == 0 ? "\n    " : ",\n    ";
+    out += obs::json::object_json(workers[i], kWorker);
   }
   out += "\n  ]\n}\n";
   return out;
+}
+
+SchedReport SchedReport::from_json(const obs::json::Field& f) {
+  auto r = obs::json::read_members(f, kSched, {"schema", "workers"});
+  f["schema"].expect("genfault-sched/1");
+  for (const auto& w : f["workers"].items()) {
+    r.workers.push_back(obs::json::read_members(w, kWorker));
+  }
+  if (r.workers.size() != r.jobs) f["workers"].fail("length is not jobs");
+  return r;
 }
 
 SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {

@@ -38,6 +38,10 @@
 #include "swfit/faultload.h"
 #include "trace/activation.h"
 
+namespace gf::obs::json {
+class Field;
+}
+
 namespace gf::depbench {
 
 /// One schedulable unit (a fault chunk, a baseline run, a snapshot capture
@@ -64,6 +68,8 @@ struct WorkerStats {
   double est_cost = 0;               ///< summed estimated cost executed
 };
 
+struct SchedReport;
+
 /// Whole-run scheduler telemetry. Wall-clock-coupled by nature: this is the
 /// one campaign output that is *not* byte-identical across runs, and it is
 /// kept out of the deterministic artifacts for exactly that reason.
@@ -82,8 +88,30 @@ struct SchedStats {
   double makespan_cpu_us() const noexcept;
   std::uint64_t steals() const noexcept;
   std::uint64_t stolen() const noexcept;
+  /// The "genfault-sched/1" document of these stats.
+  SchedReport report() const;
   /// Canonical JSON ("genfault-sched/1") for --sched-json / BENCH_sched.json.
   std::string to_json() const;
+};
+
+/// The "genfault-sched/1" document: SchedStats with its derived figures
+/// held as data, so that decoding a rendering and rendering it again gives
+/// the same bytes (figures recomputed from rounded inputs would not).
+struct SchedReport {
+  std::uint64_t jobs = 0;  ///< workers.size() when rendered from SchedStats
+  bool steal = true;
+  std::uint64_t units = 0;
+  double wall_us = 0;
+  double utilization = 0;
+  double imbalance = 0;
+  double cpu_makespan_us = 0;
+  std::uint64_t steal_batches = 0;
+  std::uint64_t stolen_units = 0;
+  std::vector<WorkerStats> workers;
+
+  std::string to_json() const;
+  /// Decodes a to_json() rendering (throws obs::json::DecodeError).
+  static SchedReport from_json(const obs::json::Field& f);
 };
 
 struct SchedOptions {

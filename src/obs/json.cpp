@@ -1,6 +1,8 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -138,8 +140,17 @@ struct Parser {
       }
       while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
     }
+    const std::string token(text.substr(start, pos - start));
     out.type = Value::Type::kNumber;
-    out.number = std::strtod(std::string(text.substr(start, pos - start)).c_str(), nullptr);
+    out.number = std::strtod(token.c_str(), nullptr);
+    if (std::isinf(out.number)) {
+      pos = start;
+      return fail("number out of range");
+    }
+    std::uint64_t n = 0;
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), n);
+    if (ec == std::errc() && end == token.data() + token.size()) out.uint = n;
     return true;
   }
 
@@ -219,6 +230,56 @@ std::optional<Value> parse(std::string_view text, std::string* error) {
     return std::nullopt;
   }
   return v;
+}
+
+void Field::fail(std::string_view what) const {
+  throw DecodeError((path_.empty() ? "document" : path_) + ": " +
+                    std::string(what));
+}
+
+const Value& Field::as(Value::Type type, std::string_view what) const {
+  if (v_->type != type) fail("expected " + std::string(what));
+  return *v_;
+}
+
+std::string Field::child(std::string_view key) const {
+  return path_.empty() ? std::string(key) : path_ + "." + std::string(key);
+}
+
+void Field::keys(const std::vector<std::string_view>& names) const {
+  for (const auto& [key, f] : entries()) {
+    if (std::find(names.begin(), names.end(), key) == names.end()) {
+      f.fail("unexpected key");
+    }
+  }
+  for (const auto name : names) (*this)[name];  // throws "missing"
+}
+
+Field Field::operator[](std::string_view key) const {
+  const Value* v = as(Value::Type::kObject, "object").find(key);
+  if (v == nullptr) Field(*v_, child(key)).fail("missing");
+  return Field(*v, child(key));
+}
+
+std::vector<Field> Field::items() const {
+  const auto& array = as(Value::Type::kArray, "array").array;
+  std::vector<Field> out;
+  for (std::size_t i = 0; i < array.size(); ++i) {
+    out.emplace_back(array[i], path_ + "[" + std::to_string(i) + "]");
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, Field>> Field::entries() const {
+  std::vector<std::pair<std::string, Field>> out;
+  for (const auto& [key, v] : as(Value::Type::kObject, "object").object) {
+    Field f(v, child(key));
+    for (const auto& seen : out) {
+      if (seen.first == key) f.fail("duplicate key");
+    }
+    out.emplace_back(key, std::move(f));
+  }
+  return out;
 }
 
 std::string escape(std::string_view s) {

@@ -40,22 +40,19 @@ void Registry::merge(const Registry& other) {
 }
 
 std::string Registry::to_json() const {
-  std::string out = "{\n  \"counters\": {";
+  std::string out = "{\n";
   bool first = true;
-  for (const auto& [name, v] : counters_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json::escape(name) + "\": " + std::to_string(v);
+  for (const auto& [kind, map] :
+       {std::pair{"counters", &counters_}, std::pair{"gauges", &gauges_}}) {
+    out += "  \"" + std::string(kind) + "\": {";
+    first = true;
+    for (const auto& [name, v] : *map) {
+      out += first ? "\n" : ",\n";
+      first = false;
+      out += "    \"" + json::escape(name) + "\": " + std::to_string(v);
+    }
+    out += first ? "},\n" : "\n  },\n";
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json::escape(name) + "\": " + std::to_string(v);
-  }
-  out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
@@ -74,6 +71,31 @@ std::string Registry::to_json() const {
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
+}
+
+Registry Registry::from_json(const json::Field& f) {
+  f.keys({"counters", "gauges", "histograms"});
+  Registry r;
+  for (const auto& [name, v] : f["counters"].entries()) r.add(name, v.count());
+  for (const auto& [name, v] : f["gauges"].entries()) r.gauge(name, v.count());
+  for (const auto& [name, v] : f["histograms"].entries()) {
+    v.keys({"count", "sum", "min", "max", "buckets"});
+    auto& h = r.histogram(name);
+    h.count = v["count"].count();
+    h.sum = v["sum"].count();
+    const auto min = v["min"].count();
+    if (h.count > 0) h.min = min;  // an empty histogram renders min as 0
+    h.max = v["max"].count();
+    const auto buckets = v["buckets"].items();
+    if (buckets.size() != Histogram::kBuckets) {
+      v["buckets"].fail("expected " + std::to_string(Histogram::kBuckets) +
+                        " buckets");
+    }
+    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+      h.buckets[i] = buckets[i].count();
+    }
+  }
+  return r;
 }
 
 void ApiMetrics::record(const std::string& name, std::uint64_t cycles, bool ok,

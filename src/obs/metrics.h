@@ -24,6 +24,10 @@
 
 namespace gf::obs {
 
+namespace json {
+class Field;
+}
+
 /// Fixed log2-bucket histogram (bucket i counts values with bit_width i,
 /// i.e. [2^(i-1), 2^i); values past the last bucket land in it). Cycle
 /// latencies span ~1..2^20, so 24 buckets cover everything we record.
@@ -87,6 +91,8 @@ class Registry {
   /// with keys in map (byte-sorted) order — byte-identical for equal
   /// contents, which is what the determinism tests compare.
   std::string to_json() const;
+  /// Decodes a to_json() rendering (throws json::DecodeError).
+  static Registry from_json(const json::Field& f);
 
  private:
   std::map<std::string, std::uint64_t> counters_;

@@ -7,6 +7,17 @@
 
 namespace gf::obs {
 
+namespace {
+
+using FD = FunctionDelta;
+// The shares are not rendered: a decoded delta carries them as 0.
+const json::Member<FD> kDelta[] = {{"function", &FD::name},
+                                   {"base", &FD::base_samples},
+                                   {"fault", &FD::fault_samples},
+                                   {"delta", &FD::delta}};
+
+}  // namespace
+
 void Profile::add(const std::string& fn, std::uint64_t n) {
   if (n == 0) return;
   functions[fn] += n;
@@ -42,7 +53,21 @@ std::string Profile::to_json() const {
   return out;
 }
 
-Divergence profile_divergence(const Profile& base, const Profile& fault) {
+Profile Profile::from_json(const json::Field& f) {
+  f.keys({"stride", "total", "functions"});
+  Profile p;
+  p.stride = f["stride"].count();
+  p.total = f["total"].count();
+  std::uint64_t sum = 0;
+  for (const auto& [name, n] : f["functions"].entries()) {
+    sum += p.functions[name] = n.count();
+  }
+  if (sum != p.total) f["total"].fail("not the sum of the function counts");
+  return p;
+}
+
+Divergence profile_divergence(const Profile& base, const Profile& fault,
+                              std::size_t top_n) {
   Divergence d;
   // Union of both function sets, via the sorted maps.
   std::map<std::string, FunctionDelta> union_;
@@ -75,23 +100,29 @@ Divergence profile_divergence(const Profile& base, const Profile& fault) {
               if (ma != mb) return ma > mb;
               return a.name < b.name;
             });
+  if (top_n > 0 && d.deltas.size() > top_n) d.deltas.resize(top_n);
   return d;
 }
 
-std::string Divergence::to_json(std::size_t top_n) const {
+std::string Divergence::to_json() const {
   std::string out = "{\"score\": " + json::number(score) + ", \"deltas\": [";
-  const std::size_t n =
-      top_n == 0 ? deltas.size() : std::min(top_n, deltas.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& fd = deltas[i];
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
     out += i == 0 ? "" : ", ";
-    out += "{\"function\": \"" + json::escape(fd.name) +
-           "\", \"base\": " + std::to_string(fd.base_samples) +
-           ", \"fault\": " + std::to_string(fd.fault_samples) +
-           ", \"delta\": " + json::number(fd.delta) + "}";
+    out += json::object_json(deltas[i], kDelta);
   }
   out += "]}";
   return out;
+}
+
+Divergence Divergence::from_json(const json::Field& f) {
+  f.keys({"score", "deltas"});
+  Divergence d;
+  d.score = f["score"].number();
+  if (!(d.score >= 0 && d.score <= 1)) f["score"].fail("out of [0, 1]");
+  for (const auto& e : f["deltas"].items()) {
+    d.deltas.push_back(json::read_members(e, kDelta));
+  }
+  return d;
 }
 
 void append_collapsed(std::string& out, const std::string& prefix,

@@ -21,8 +21,12 @@
 
 namespace gf::obs {
 
+namespace json {
+class Field;
+}
+
 /// Flat per-function sample profile. `total` is always the sum of the
-/// per-function counts (tools/json_check --schema profile enforces this).
+/// per-function counts (from_json rejects a profile where it is not).
 struct Profile {
   std::uint64_t stride = 0;  ///< sampling stride in virtual cycles; 0 = off
   std::uint64_t total = 0;   ///< total samples across all functions
@@ -44,6 +48,8 @@ struct Profile {
   /// Canonical JSON object (sorted keys, integer counts):
   ///   {"stride": S, "total": N, "functions": {"name": n, ...}}
   std::string to_json() const;
+  /// Decodes a to_json() rendering; `total` must be the counts' sum.
+  static Profile from_json(const json::Field& f);
 };
 
 /// One function's contribution to a differential profile.
@@ -68,12 +74,16 @@ struct Divergence {
   /// Canonical JSON object:
   ///   {"score": s, "deltas": [{"function": ..., "base": n, "fault": n,
   ///                            "delta": d}, ...]}
-  /// `top_n` bounds the emitted deltas (0 = all).
-  std::string to_json(std::size_t top_n = 0) const;
+  std::string to_json() const;
+  /// Decodes a to_json() rendering (score in [0, 1]); the shares, which it
+  /// does not carry, stay 0.
+  static Divergence from_json(const json::Field& f);
 };
 
-/// Computes the differential profile fault-vs-baseline.
-Divergence profile_divergence(const Profile& base, const Profile& fault);
+/// Computes the differential profile fault-vs-baseline, keeping the `top_n`
+/// largest deltas (0 = all; the score always covers every function).
+Divergence profile_divergence(const Profile& base, const Profile& fault,
+                              std::size_t top_n = 0);
 
 /// Appends collapsed-stack flamegraph lines "<prefix>;<function> <count>\n"
 /// for every function in the profile, in sorted function order (flat

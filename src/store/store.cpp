@@ -11,6 +11,7 @@
 #include <system_error>
 #include <thread>
 
+#include "obs/json.h"
 #include "store/wire.h"
 #include "util/log.h"
 
@@ -143,6 +144,14 @@ void truncate_or_throw(const std::string& path, std::uint64_t len) {
   }
 }
 
+using SS = StoreStats;
+const obs::json::Member<SS> kStoreStats[] = {
+    {"hits", &SS::hits},         {"misses", &SS::misses},
+    {"puts", &SS::puts},         {"bytes_read", &SS::bytes_read},
+    {"bytes_written", &SS::bytes_written}, {"records", &SS::records},
+    {"bytes", &SS::bytes},       {"recovered_records", &SS::recovered_records},
+    {"torn_bytes_dropped", &SS::torn_bytes_dropped}};
+
 }  // namespace
 
 StoreStats StoreStats::delta(const StoreStats& base) const noexcept {
@@ -168,14 +177,14 @@ void StoreStats::export_into(obs::Registry& r) const {
 }
 
 std::string StoreStats::to_json() const {
-  auto n = [](std::uint64_t v) { return std::to_string(v); };
-  return "{\"schema\": \"genfault-store/1\", \"hits\": " + n(hits) +
-         ", \"misses\": " + n(misses) + ", \"puts\": " + n(puts) +
-         ", \"bytes_read\": " + n(bytes_read) +
-         ", \"bytes_written\": " + n(bytes_written) +
-         ", \"records\": " + n(records) + ", \"bytes\": " + n(bytes) +
-         ", \"recovered_records\": " + n(recovered_records) +
-         ", \"torn_bytes_dropped\": " + n(torn_bytes_dropped) + "}";
+  return "{\"schema\": \"genfault-store/1\", " +
+         obs::json::members_json(*this, kStoreStats) + "}";
+}
+
+StoreStats StoreStats::from_json(const obs::json::Field& f) {
+  auto s = obs::json::read_members(f, kStoreStats, {"schema"});
+  f["schema"].expect("genfault-store/1");
+  return s;
 }
 
 CampaignStore::CampaignStore(std::string dir) : dir_(std::move(dir)) {

@@ -80,6 +80,8 @@ struct StoreStats {
   void export_into(obs::Registry& r) const;
   /// Canonical JSON, schema "genfault-store/1".
   std::string to_json() const;
+  /// Decodes a to_json() rendering (throws obs::json::DecodeError).
+  static StoreStats from_json(const obs::json::Field& f);
 };
 
 /// One live record, in commit order (the `gfbench store ls` row).

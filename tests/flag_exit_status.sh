@@ -2,7 +2,9 @@
 # Numeric flags outside the campaign flag table, and campaign flags that
 # would change nothing: a malformed or out-of-range value, or a flag missing
 # the flag it needs, must fail with "error: <flag>: ..." on stderr and exit
-# status 2, before any work is done.
+# status 2, before any work is done. bench_diff refuses two points whose
+# "schema" or "jobs" differ the same way ("error: schema: ..." /
+# "error: jobs: ...").
 #
 #   flag_exit_status.sh GFBENCH BENCH_DIFF TABLE4 CAMPAIGN_STEAL \
 #                       CAMPAIGN_RESUME SOURCE_DIR
@@ -31,6 +33,10 @@ expect_rejected() {
 bench=$src/BENCH_sched.json
 expect_rejected --tolerance "$bench_diff" "$bench" "$bench" --tolerance abc
 expect_rejected --tolerance "$bench_diff" "$bench" "$bench" --tolerance -5
+# Points of another schema or another jobs count are not comparable.
+sed 's/^  "jobs": 8,/  "jobs": 2,/' "$bench" >"$scratch/sched_jobs2.json"
+expect_rejected jobs "$bench_diff" "$bench" "$scratch/sched_jobs2.json"
+expect_rejected schema "$bench_diff" "$bench" "$src/BENCH_store.json"
 
 manifest=$src/tests/golden/manifest.json
 expect_rejected --threshold "$gfbench" diff "$manifest" "$manifest" \

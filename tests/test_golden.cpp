@@ -29,6 +29,7 @@
 
 #include "depbench/campaign_report.h"
 #include "depbench/runner.h"
+#include "obs/json.h"
 #include "os/sources.h"
 
 #ifndef GF_GOLDEN_DIR
@@ -111,6 +112,18 @@ TEST(GoldenArtifactTest, GenerationIsIdempotent) {
     EXPECT_EQ(a[i].first, b[i].first);
     EXPECT_EQ(a[i].second, b[i].second) << a[i].first;
   }
+}
+
+// The manifest decoder is the format's one reader (gfbench diff, json_check):
+// the committed manifest must decode and render back to the same bytes.
+TEST(GoldenArtifactTest, ManifestIsADecodeRenderFixpoint) {
+  std::ifstream in(fs::path(GF_GOLDEN_DIR) / "manifest.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(obs::json::decode<CampaignManifest>(buf.str()).to_json(),
+            buf.str());
 }
 
 }  // namespace

@@ -171,10 +171,37 @@ TEST(JsonTest, ParseRejectsMalformed) {
   EXPECT_FALSE(obs::json::parse("{\"a\": }", &err));
   EXPECT_FALSE(obs::json::parse("[1, 2", &err));
   EXPECT_FALSE(obs::json::parse("{} trailing", &err));
+  // A number a double cannot hold would render as 0: refused.
+  EXPECT_FALSE(obs::json::parse("[1e999]", &err));
+  EXPECT_EQ(err, "number out of range at byte 1");
+  EXPECT_FALSE(obs::json::parse("-1e999", &err));
+  EXPECT_EQ(err, "number out of range at byte 0");
   const auto v = obs::json::parse("{\"a\": [1, true, null, \"s\"]}", &err);
   ASSERT_TRUE(v) << err;
   ASSERT_TRUE(v->find("a") != nullptr);
   EXPECT_EQ(v->find("a")->array.size(), 4u);
+}
+
+TEST(JsonTest, CountsAreExactUnsignedIntegerLiterals) {
+  const auto v = obs::json::parse(
+      "[18446744073709551615, 9007199254740993, 18446744073709551616, 7.0, "
+      "-1, 1e2, 0]");
+  ASSERT_TRUE(v);
+  const obs::json::Field f(*v, "x");
+  const auto items = f.items();
+  EXPECT_EQ(items[0].count(), 18446744073709551615u);
+  EXPECT_EQ(items[1].count(), 9007199254740993u);  // past double precision
+  for (std::size_t i = 2; i < 6; ++i) {
+    try {
+      items[i].count();
+      ADD_FAILURE() << "accepted " << v->array[i].number;
+    } catch (const obs::json::DecodeError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "x[" + std::to_string(i) + "]: expected unsigned integer");
+    }
+  }
+  EXPECT_EQ(items[6].count<int>(), 0);
+  EXPECT_THROW(items[1].count<int>(), obs::json::DecodeError);
 }
 
 // ------------------------------------------------------- campaign contracts

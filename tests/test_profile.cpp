@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "depbench/campaign_diff.h"
@@ -13,6 +14,7 @@
 #include "depbench/runner.h"
 #include "isa/assembler.h"
 #include "minic/compiler.h"
+#include "obs/json.h"
 #include "obs/profile.h"
 #include "store/store.h"
 #include "vm/machine.h"
@@ -345,17 +347,29 @@ TEST(DiffTest, SelfDiffIsCleanAndInjectedDriftBreaches) {
   EXPECT_NE(d.json.find("\"breached\": true"), std::string::npos);
 }
 
+/// The reference manifest, decoded, edited by `edit` and rendered again.
+std::string edited_manifest(
+    const std::function<void(CampaignManifest&)>& edit) {
+  auto m = obs::json::decode<CampaignManifest>(
+      bytes_of(reference(), "manifest.json"));
+  edit(m);
+  return m.to_json();
+}
+
 TEST(DiffTest, MissingCellsAndMalformedInputs) {
-  const char* old_man = R"({"schema": "genfault-campaign/1", "cells": [
-    {"os": "A", "server": "x", "derived": {"spcf": 10}, "iterations": []},
-    {"os": "A", "server": "y", "derived": {"spcf": 20}, "iterations": []}]})";
-  const char* new_man = R"({"schema": "genfault-campaign/1", "cells": [
-    {"os": "A", "server": "x", "derived": {"spcf": 10}, "iterations": []}]})";
+  // OLD holds the reference cell plus a copy under another server name.
+  const auto old_man = edited_manifest([](CampaignManifest& m) {
+    auto copy = m.cells.front();
+    copy.server_name = "y";
+    m.cells.push_back(copy);
+  });
+  const auto new_man = bytes_of(reference(), "manifest.json");
   const auto d = diff_campaigns(old_man, new_man);
   ASSERT_TRUE(d.ok) << d.error;
   EXPECT_TRUE(d.breached);  // a vanished cell is a shape change
-  EXPECT_NE(d.text.find("missing cell: A/y"), std::string::npos);
-  EXPECT_NE(d.json.find("\"missing_cells\": [\"A/y\"]"), std::string::npos);
+  EXPECT_NE(d.text.find("missing cell: VOS-2000/y"), std::string::npos);
+  EXPECT_NE(d.json.find("\"missing_cells\": [\"VOS-2000/y\"]"),
+            std::string::npos);
 
   EXPECT_FALSE(diff_campaigns("{", old_man).ok);
   EXPECT_FALSE(diff_campaigns(old_man, "not json").ok);
@@ -365,16 +379,107 @@ TEST(DiffTest, MissingCellsAndMalformedInputs) {
 }
 
 TEST(DiffTest, ThresholdGatesDerivedDrift) {
-  const char* old_man = R"({"schema": "genfault-campaign/1", "cells": [
-    {"os": "A", "server": "x", "derived": {"thrf": 100}, "iterations": []}]})";
-  const char* new_man = R"({"schema": "genfault-campaign/1", "cells": [
-    {"os": "A", "server": "x", "derived": {"thrf": 108}, "iterations": []}]})";
+  const auto old_man = edited_manifest(
+      [](CampaignManifest& m) { m.cells.front().derived.thrf = 100; });
+  const auto new_man = edited_manifest(
+      [](CampaignManifest& m) { m.cells.front().derived.thrf = 108; });
   DiffOptions loose;
   loose.threshold_pct = 10.0;
   EXPECT_FALSE(diff_campaigns(old_man, new_man, loose).breached);
   DiffOptions tight;
   tight.threshold_pct = 5.0;
   EXPECT_TRUE(diff_campaigns(old_man, new_man, tight).breached);
+}
+
+/// `text` with the value of the first `"key": ` after `after` replaced by
+/// `value`, or the whole member removed when `value` is empty.
+std::string edit_member(std::string text, const std::string& after,
+                        const std::string& key, const std::string& value) {
+  const auto at = text.find("\"" + key + "\": ", text.find(after));
+  EXPECT_NE(at, std::string::npos) << key;
+  const auto start = at + key.size() + 4;
+  auto end = start;
+  int depth = 0;
+  for (; end < text.size(); ++end) {
+    const char c = text[end];
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') {
+      if (depth == 0) break;
+      if (--depth == 0) { ++end; break; }
+    }
+    if (c == ',' && depth == 0) break;
+  }
+  if (!value.empty()) return text.replace(start, end - start, value);
+  const auto comma = text.rfind(',', at);
+  return text.erase(comma, end - comma);
+}
+
+TEST(DiffTest, UnreadableManifestsAreRefusedWithTheirPath) {
+  struct Case {
+    const char* after;
+    const char* key;
+    const char* value;  // "" deletes the member
+    const char* path;
+  };
+  const Case cases[] = {
+      {"", "faults_injected", "\"7\"",
+       "cells[0].iterations[0].counters.faults_injected: expected unsigned "
+       "integer"},
+      {"\"iterations\": [", "thr", "\"fast\"",
+       "cells[0].iterations[0].metrics.thr: expected number"},
+      {"", "mis", "-3.5",
+       "cells[0].iterations[0].counters.mis: expected unsigned integer"},
+      {"", "baseline", "", "cells[0].baseline: missing"},
+      {"", "options", "\"x\"", "options: expected object"},
+      {"", "derived", "", "cells[0].derived: missing"},
+      {"", "spc", "1e300", "cells[0].baseline.spc: expected unsigned integer"},
+      {"\"profiles\"", "total", "4.5",
+       "profiles[0].baseline.total: expected unsigned integer"},
+      {"", "seed", "\"42\"", "options.seed: expected unsigned integer"},
+      {"", "schema", "\"genfault-campaign/2\"",
+       "schema: expected \"genfault-campaign/1\""},
+  };
+  const auto manifest = bytes_of(reference(), "manifest.json");
+  for (const auto& c : cases) {
+    const auto broken = edit_member(manifest, c.after, c.key, c.value);
+    const auto d = diff_campaigns(manifest, broken);
+    EXPECT_FALSE(d.ok) << c.path;
+    EXPECT_EQ(d.error, std::string("NEW: ") + c.path);
+    EXPECT_EQ(diff_campaigns(broken, manifest).error,
+              std::string("OLD: ") + c.path);
+  }
+  // A key the renderer never writes, and a repeated one.
+  auto extra = manifest;
+  extra.insert(extra.find("\"options\""), "\"note\": 1, ");
+  EXPECT_EQ(diff_campaigns(manifest, extra).error, "NEW: note: unexpected key");
+  auto twice = manifest;
+  twice.insert(twice.find("\"options\""),
+               "\"schema\": \"genfault-campaign/1\", ");
+  EXPECT_EQ(diff_campaigns(manifest, twice).error,
+            "NEW: schema: duplicate key");
+}
+
+TEST(DiffTest, ObsFreeAndUnprofiledRenderingsDiffCleanly) {
+  const auto manifest = bytes_of(reference(), "manifest.json");
+  for (const char* key : {"metrics", "profiles"}) {
+    const auto variant = edit_member(manifest, "\"profiles\"", key, "null");
+    ASSERT_NE(variant, manifest);
+    const auto d = diff_campaigns(manifest, variant);
+    ASSERT_TRUE(d.ok) << d.error;
+    EXPECT_FALSE(d.breached) << key;
+    EXPECT_EQ(d.text, "no drift\n") << key;
+  }
+}
+
+TEST(DiffTest, DocumentsAreDecodeRenderFixpoints) {
+  const auto manifest = bytes_of(reference(), "manifest.json");
+  EXPECT_EQ(obs::json::decode<CampaignManifest>(manifest).to_json(), manifest);
+  const auto profile = bytes_of(reference(), "profile.json");
+  ASSERT_FALSE(profile.empty());
+  EXPECT_EQ(obs::json::decode<ProfileDocument>(profile).to_json(), profile);
+  const auto self = diff_campaigns(manifest, manifest);
+  ASSERT_TRUE(self.ok) << self.error;
+  EXPECT_EQ(obs::json::decode<DiffReport>(self.json).to_json(), self.json);
 }
 
 }  // namespace

@@ -12,15 +12,17 @@
 //
 // A boolean leaf that was true in the baseline and false in the new run is
 // always a breach (e.g. artifacts_identical flipping off). Missing gated
-// leaves breach; extra leaves are informational. Exit 0 when within
-// tolerance, 1 on any breach, 2 on usage/parse errors (a --tolerance
-// that is not a number >= 0 included).
+// leaves breach; extra leaves are informational. Two points whose top-level
+// "schema" or "jobs" differ are not comparable and are refused. Exit 0 when
+// within tolerance, 1 on any breach, 2 on usage/parse errors (a --tolerance
+// that is not a number >= 0 included) and on incomparable points.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -80,6 +82,16 @@ const Leaf* find_leaf(const std::vector<Leaf>& leaves, const std::string& path) 
   return nullptr;
 }
 
+/// The top-level `key` of a point, read through the typed reader ("schema"
+/// a string, "jobs" a count), or "none" when the point has no such key.
+std::string identity(const Value& root, const char* key) {
+  const auto* v = root.find(key);
+  if (v == nullptr) return "none";
+  const gf::obs::json::Field f(*v, key);
+  return std::string_view(key) == "jobs" ? std::to_string(f.count())
+                                         : f.string();
+}
+
 bool slurp(const char* path, std::string& out) {
   std::ifstream f(path);
   if (!f) {
@@ -128,6 +140,22 @@ int main(int argc, char** argv) {
   if (!next) {
     std::fprintf(stderr, "bench_diff: %s: %s\n", files[1], err.c_str());
     return 2;
+  }
+
+  for (const char* key : {"schema", "jobs"}) {
+    std::string b, n;
+    try {
+      b = identity(*base, key);
+      n = identity(*next, key);
+    } catch (const gf::obs::json::DecodeError& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
+    if (b != n) {
+      std::fprintf(stderr, "error: %s: %s is %s, %s is %s — not comparable\n",
+                   key, files[0], b.c_str(), files[1], n.c_str());
+      return 2;
+    }
   }
 
   std::vector<Leaf> base_leaves, new_leaves;

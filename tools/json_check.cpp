@@ -1,16 +1,20 @@
-// json_check — tiny JSON validator for the bench/CI artifact pipeline.
+// json_check — JSON validator for the bench/CI artifact pipeline.
 //
 //   json_check FILE...                    strict syntax check
 //   json_check --jsonl FILE...            one JSON object per line
-//   json_check --schema metrics FILE      obs registry shape
+//   json_check --schema metrics FILE      obs registry
 //   json_check --schema chrome FILE       Chrome trace-event shape
-//   json_check --schema manifest FILE     genfault-campaign manifest shape
-//   json_check --schema sched FILE        scheduler A/B bench shape
-//   json_check --schema store FILE        campaign-store bench/stats shape
+//   json_check --schema manifest FILE     genfault-campaign/1 manifest
+//   json_check --schema sched FILE        genfault-sched/1, or the sched bench
+//   json_check --schema store FILE        genfault-store/1, or the store bench
 //   json_check --schema micro FILE        BENCH_micro.json sanity (Release
 //                                         build context, positive rates)
-//   json_check --schema profile FILE      genfault-profile cycle profiles
-//   json_check --schema diff FILE         genfault-diff campaign comparison
+//   json_check --schema profile FILE      genfault-profile/1 cycle profiles
+//   json_check --schema diff FILE         genfault-diff/1 campaign comparison
+//
+// The repo's own formats are checked by the decoder beside each renderer;
+// only the bench envelopes' verdicts are checked here. The chrome and micro
+// checks describe formats this repo does not define.
 //
 // Exit 0 when every file validates; prints the first problem per file and
 // exits 1 otherwise. run_benches.sh and the CI workflow pipe every emitted
@@ -23,10 +27,17 @@
 #include <string>
 #include <vector>
 
+#include "depbench/campaign_diff.h"
+#include "depbench/campaign_report.h"
+#include "depbench/scheduler.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
+#include "store/store.h"
 
 namespace {
 
+using gf::obs::json::DecodeError;
+using gf::obs::json::Field;
 using gf::obs::json::Value;
 
 [[noreturn]] void usage() {
@@ -53,36 +64,6 @@ bool is_number(const Value* v) {
 }
 bool is_string(const Value* v) {
   return v != nullptr && v->type == Value::Type::kString;
-}
-
-/// {"counters": {name: int...}, "gauges": {...}, "histograms":
-///  {name: {count, sum, min, max, buckets[]}}}
-bool check_metrics(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  for (const char* key : {"counters", "gauges", "histograms"}) {
-    if (!is_object(root.find(key))) {
-      return fail(file, std::string("missing object field: ") + key);
-    }
-  }
-  for (const auto& [name, v] : root.find("counters")->object) {
-    if (v.type != Value::Type::kNumber) {
-      return fail(file, "counter not a number: " + name);
-    }
-  }
-  for (const auto& [name, h] : root.find("histograms")->object) {
-    if (h.type != Value::Type::kObject) {
-      return fail(file, "histogram not an object: " + name);
-    }
-    for (const char* key : {"count", "sum", "min", "max"}) {
-      if (!is_number(h.find(key))) {
-        return fail(file, "histogram " + name + " missing " + key);
-      }
-    }
-    if (!is_array(h.find("buckets"))) {
-      return fail(file, "histogram " + name + " missing buckets[]");
-    }
-  }
-  return true;
 }
 
 /// {"traceEvents": [{"ph", "pid", "tid", "name", ...}...]} with matched B/E
@@ -138,354 +119,59 @@ bool check_chrome(const std::string& file, const Value& root) {
   return true;
 }
 
-/// {"schema": "genfault-campaign/1", "options": {...}, "cells": [...],
-///  "metrics": {...}|null}
-bool check_manifest(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  const auto* schema = root.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-campaign/1") {
-    return fail(file, "schema is not genfault-campaign/1");
+void check_identical(const Field& root, const char* why) {
+  if (!root["artifacts_identical"].boolean()) {
+    root["artifacts_identical"].fail(std::string("false (") + why + ")");
   }
-  if (!is_object(root.find("options"))) return fail(file, "missing options{}");
-  const auto* cells = root.find("cells");
-  if (!is_array(cells)) return fail(file, "missing cells[]");
-  for (std::size_t i = 0; i < cells->array.size(); ++i) {
-    const auto& cell = cells->array[i];
-    const auto at = "cells[" + std::to_string(i) + "]";
-    if (cell.type != Value::Type::kObject) return fail(file, at + " not object");
-    if (!is_string(cell.find("os")) || !is_string(cell.find("server"))) {
-      return fail(file, at + " missing os/server");
-    }
-    if (!is_object(cell.find("baseline"))) {
-      return fail(file, at + " missing baseline{}");
-    }
-    if (!is_array(cell.find("iterations"))) {
-      return fail(file, at + " missing iterations[]");
-    }
-    if (!is_object(cell.find("derived"))) {
-      return fail(file, at + " missing derived{}");
-    }
-  }
-  const auto* metrics = root.find("metrics");
-  if (metrics == nullptr) return fail(file, "missing metrics");
-  if (metrics->type != Value::Type::kNull && !check_metrics(file, *metrics)) {
-    return false;
-  }
-  // Optional cycle profiles: null when the campaign ran unprofiled, else one
-  // entry per cell with full baseline/faults profiles (gfbench diff reads
-  // these to rank cross-campaign divergence).
-  const auto* profiles = root.find("profiles");
-  if (profiles != nullptr && profiles->type != Value::Type::kNull) {
-    if (!is_array(profiles)) return fail(file, "profiles not array|null");
-    for (std::size_t i = 0; i < profiles->array.size(); ++i) {
-      const auto& p = profiles->array[i];
-      const auto at = "profiles[" + std::to_string(i) + "]";
-      if (!is_string(p.find("cell"))) return fail(file, at + " missing cell");
-      for (const char* key : {"baseline", "faults"}) {
-        if (!is_object(p.find(key))) {
-          return fail(file, at + " missing object field: " + key);
-        }
-      }
-      if (!is_object(p.find("divergence"))) {
-        return fail(file, at + " missing divergence{}");
-      }
-    }
-  }
-  return true;
 }
 
-/// One flat profile object: {"stride": N, "total": N, "functions": {...}}
-/// whose function counts sum exactly to total (sampler accounting is exact).
-bool check_profile_object(const std::string& file, const std::string& at,
-                          const Value& v) {
-  if (v.type != Value::Type::kObject) return fail(file, at + " not object");
-  if (!is_number(v.find("stride")) || !is_number(v.find("total"))) {
-    return fail(file, at + " missing stride/total");
+/// The --sched-json artifact, or BENCH_sched.json (the BM_CampaignSteal
+/// A/B): timings, the identity verdict and both runs' telemetry.
+void check_sched(const Field& root) {
+  using gf::depbench::SchedReport;
+  if (root["schema"].string() == "genfault-sched/1") {
+    SchedReport::from_json(root);
+    return;
   }
-  const auto* fns = v.find("functions");
-  if (!is_object(fns)) return fail(file, at + " missing functions{}");
-  double sum = 0;
-  for (const auto& [name, n] : fns->object) {
-    if (n.type != Value::Type::kNumber || n.number < 0) {
-      return fail(file, at + " function count invalid: " + name);
-    }
-    sum += n.number;
-  }
-  if (sum != v.find("total")->number) {
-    return fail(file, at + " function counts do not sum to total");
-  }
-  return true;
-}
-
-/// {"score": s in [0,1], "deltas": [{"function","base","fault","delta"}...]}
-bool check_divergence(const std::string& file, const std::string& at,
-                      const Value& v) {
-  if (v.type != Value::Type::kObject) return fail(file, at + " not object");
-  const auto* score = v.find("score");
-  if (!is_number(score) || score->number < 0 || score->number > 1) {
-    return fail(file, at + " score missing or out of [0,1]");
-  }
-  const auto* deltas = v.find("deltas");
-  if (!is_array(deltas)) return fail(file, at + " missing deltas[]");
-  for (std::size_t i = 0; i < deltas->array.size(); ++i) {
-    const auto& d = deltas->array[i];
-    const auto dat = at + ".deltas[" + std::to_string(i) + "]";
-    if (!is_string(d.find("function"))) {
-      return fail(file, dat + " missing function");
-    }
-    for (const char* key : {"base", "fault", "delta"}) {
-      if (!is_number(d.find(key))) {
-        return fail(file, dat + " missing number field: " + key);
-      }
-    }
-  }
-  return true;
-}
-
-/// genfault-profile/1: per cell the baseline profile, merged fault profile,
-/// their divergence, and every fault run's own profile + divergence.
-bool check_profile(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  const auto* schema = root.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-profile/1") {
-    return fail(file, "schema is not genfault-profile/1");
-  }
-  const auto* stride = root.find("stride");
-  if (!is_number(stride) || stride->number <= 0) {
-    return fail(file, "stride missing or not positive");
-  }
-  const auto* cells = root.find("cells");
-  if (!is_array(cells)) return fail(file, "missing cells[]");
-  for (std::size_t i = 0; i < cells->array.size(); ++i) {
-    const auto& c = cells->array[i];
-    const auto at = "cells[" + std::to_string(i) + "]";
-    if (c.type != Value::Type::kObject) return fail(file, at + " not object");
-    if (!is_string(c.find("cell"))) return fail(file, at + " missing cell");
-    for (const char* key : {"baseline", "faults", "divergence"}) {
-      if (c.find(key) == nullptr) {
-        return fail(file, at + " missing field: " + key);
-      }
-    }
-    if (!check_profile_object(file, at + ".baseline", *c.find("baseline")) ||
-        !check_profile_object(file, at + ".faults", *c.find("faults")) ||
-        !check_divergence(file, at + ".divergence", *c.find("divergence"))) {
-      return false;
-    }
-    const auto* runs = c.find("runs");
-    if (!is_array(runs)) return fail(file, at + " missing runs[]");
-    for (std::size_t k = 0; k < runs->array.size(); ++k) {
-      const auto& r = runs->array[k];
-      const auto rat = at + ".runs[" + std::to_string(k) + "]";
-      if (!is_string(r.find("label"))) return fail(file, rat + " missing label");
-      if (r.find("profile") == nullptr || r.find("divergence") == nullptr) {
-        return fail(file, rat + " missing profile/divergence");
-      }
-      if (!check_profile_object(file, rat + ".profile", *r.find("profile")) ||
-          !check_divergence(file, rat + ".divergence", *r.find("divergence"))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// genfault-diff/1: the gfbench diff artifact — threshold, per-cell
-/// derived/counter drift entries, and the breached verdict.
-bool check_diff(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  const auto* schema = root.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-diff/1") {
-    return fail(file, "schema is not genfault-diff/1");
-  }
-  if (!is_number(root.find("threshold_pct"))) {
-    return fail(file, "missing threshold_pct");
-  }
-  const auto* breached = root.find("breached");
-  if (breached == nullptr || breached->type != Value::Type::kBool) {
-    return fail(file, "missing bool field: breached");
-  }
-  for (const char* key : {"missing_cells", "added_cells"}) {
-    if (!is_array(root.find(key))) {
-      return fail(file, std::string("missing array field: ") + key);
-    }
-  }
-  const auto* cells = root.find("cells");
-  if (!is_array(cells)) return fail(file, "missing cells[]");
-  for (std::size_t i = 0; i < cells->array.size(); ++i) {
-    const auto& c = cells->array[i];
-    const auto at = "cells[" + std::to_string(i) + "]";
-    if (c.type != Value::Type::kObject) return fail(file, at + " not object");
-    if (!is_string(c.find("cell"))) return fail(file, at + " missing cell");
-    const auto* derived = c.find("derived");
-    if (!is_array(derived)) return fail(file, at + " missing derived[]");
-    for (std::size_t k = 0; k < derived->array.size(); ++k) {
-      const auto& d = derived->array[k];
-      const auto dat = at + ".derived[" + std::to_string(k) + "]";
-      if (!is_string(d.find("metric"))) return fail(file, dat + " missing metric");
-      for (const char* key : {"old", "new", "drift_pct"}) {
-        if (!is_number(d.find(key))) {
-          return fail(file, dat + " missing number field: " + key);
-        }
-      }
-      const auto* b = d.find("breach");
-      if (b == nullptr || b->type != Value::Type::kBool) {
-        return fail(file, dat + " missing bool field: breach");
-      }
-    }
-    const auto* counters = c.find("counters");
-    if (!is_array(counters)) return fail(file, at + " missing counters[]");
-    const auto* pd = c.find("profile_divergence");
-    if (pd == nullptr) return fail(file, at + " missing profile_divergence");
-    if (pd->type != Value::Type::kNull &&
-        !check_divergence(file, at + ".profile_divergence", *pd)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// One scheduler telemetry object ("genfault-sched/1"): jobs/units/wall_us
-/// plus a workers[] entry per thread (see SchedStats::to_json).
-bool check_sched_stats(const std::string& file, const std::string& at,
-                       const Value& v) {
-  if (v.type != Value::Type::kObject) return fail(file, at + " not object");
-  const auto* schema = v.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-sched/1") {
-    return fail(file, at + " schema is not genfault-sched/1");
-  }
-  for (const char* key : {"jobs", "units", "wall_us", "utilization",
-                          "imbalance", "cpu_makespan_us", "steal_batches",
-                          "stolen_units"}) {
-    if (!is_number(v.find(key))) {
-      return fail(file, at + " missing number field: " + key);
-    }
-  }
-  const auto* steal = v.find("steal");
-  if (steal == nullptr || steal->type != Value::Type::kBool) {
-    return fail(file, at + " missing bool field: steal");
-  }
-  const auto* workers = v.find("workers");
-  if (!is_array(workers)) return fail(file, at + " missing workers[]");
-  if (workers->array.size() !=
-      static_cast<std::size_t>(v.find("jobs")->number)) {
-    return fail(file, at + " workers[] length != jobs");
-  }
-  for (std::size_t i = 0; i < workers->array.size(); ++i) {
-    const auto& w = workers->array[i];
-    const auto wat = at + ".workers[" + std::to_string(i) + "]";
-    if (w.type != Value::Type::kObject) return fail(file, wat + " not object");
-    for (const char* key : {"units", "stolen_units", "steal_batches",
-                            "steal_attempts", "busy_us", "cpu_us",
-                            "est_cost"}) {
-      if (!is_number(w.find(key))) {
-        return fail(file, wat + " missing number field: " + key);
-      }
-    }
-  }
-  return true;
-}
-
-/// BENCH_sched.json ("genfault-sched-bench/1"): the BM_CampaignSteal A/B —
-/// timings, the identity verdict and both runs' scheduler telemetry.
-bool check_sched(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  const auto* schema = root.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-sched-bench/1") {
-    return fail(file, "schema is not genfault-sched-bench/1");
-  }
+  root["schema"].expect("genfault-sched-bench/1");
   for (const char* key : {"jobs", "static_ms", "steal_ms", "speedup",
                           "static_makespan_ms", "steal_makespan_ms",
                           "makespan_speedup"}) {
-    if (!is_number(root.find(key))) {
-      return fail(file, std::string("missing number field: ") + key);
-    }
+    root[key].number();
   }
-  const auto* ident = root.find("artifacts_identical");
-  if (ident == nullptr || ident->type != Value::Type::kBool) {
-    return fail(file, "missing bool field: artifacts_identical");
-  }
-  if (!ident->boolean) {
-    return fail(file, "artifacts_identical is false (determinism regression)");
-  }
-  const auto* stat = root.find("static");
-  const auto* steal = root.find("steal");
-  if (stat == nullptr) return fail(file, "missing static{}");
-  if (steal == nullptr) return fail(file, "missing steal{}");
-  return check_sched_stats(file, "static", *stat) &&
-         check_sched_stats(file, "steal", *steal);
+  check_identical(root, "determinism regression");
+  SchedReport::from_json(root["static"]);
+  SchedReport::from_json(root["steal"]);
 }
 
-/// One store telemetry object ("genfault-store/1"): the StoreStats counters
-/// (see StoreStats::to_json).
-bool check_store_stats(const std::string& file, const std::string& at,
-                       const Value& v) {
-  if (v.type != Value::Type::kObject) return fail(file, at + " not object");
-  const auto* schema = v.find("schema");
-  if (!is_string(schema) || schema->string != "genfault-store/1") {
-    return fail(file, at + " schema is not genfault-store/1");
+/// The --store-json artifact, or BENCH_store.json (BM_CampaignResume /
+/// BM_CampaignIncremental): timings, the identity verdict and the cold,
+/// resume and incremental runs' telemetry.
+void check_store(const Field& root) {
+  using gf::store::StoreStats;
+  if (root["schema"].string() == "genfault-store/1") {
+    StoreStats::from_json(root);
+    return;
   }
-  for (const char* key : {"hits", "misses", "puts", "bytes_read",
-                          "bytes_written", "records", "bytes",
-                          "recovered_records", "torn_bytes_dropped"}) {
-    if (!is_number(v.find(key))) {
-      return fail(file, at + " missing number field: " + key);
-    }
-  }
-  return true;
-}
-
-/// BENCH_store.json ("genfault-store-bench/1"): BM_CampaignResume /
-/// BM_CampaignIncremental — timings, the byte-identity verdict and the
-/// store telemetry of the cold, resume and incremental runs. Also accepts a
-/// bare "genfault-store/1" stats object (the --store-json artifact).
-bool check_store(const std::string& file, const Value& root) {
-  if (root.type != Value::Type::kObject) return fail(file, "root not object");
-  const auto* schema = root.find("schema");
-  if (is_string(schema) && schema->string == "genfault-store/1") {
-    return check_store_stats(file, "root", root);
-  }
-  if (!is_string(schema) || schema->string != "genfault-store-bench/1") {
-    return fail(file, "schema is not genfault-store-bench/1");
-  }
+  root["schema"].expect("genfault-store-bench/1");
   for (const char* key : {"jobs", "cold_ms", "resume_ms", "incremental_ms",
                           "resume_speedup", "incremental_speedup"}) {
-    if (!is_number(root.find(key))) {
-      return fail(file, std::string("missing number field: ") + key);
-    }
+    root[key].number();
   }
-  const auto* ident = root.find("artifacts_identical");
-  if (ident == nullptr || ident->type != Value::Type::kBool) {
-    return fail(file, "missing bool field: artifacts_identical");
-  }
-  if (!ident->boolean) {
-    return fail(file, "artifacts_identical is false (cache-hit pattern "
-                      "changed the artifacts — determinism regression)");
-  }
-  const auto* cold = root.find("cold");
-  const auto* resume = root.find("resume");
-  const auto* incr = root.find("incremental");
-  if (cold == nullptr) return fail(file, "missing cold{}");
-  if (resume == nullptr) return fail(file, "missing resume{}");
-  if (incr == nullptr) return fail(file, "missing incremental{}");
-  if (!check_store_stats(file, "cold", *cold) ||
-      !check_store_stats(file, "resume", *resume) ||
-      !check_store_stats(file, "incremental", *incr)) {
-    return false;
-  }
-  // Semantic cross-checks on the hit/miss pattern the bench must produce:
-  // the cold run populates (no hits), the unchanged re-run is all hits, the
+  check_identical(root, "cache-hit pattern changed the artifacts — "
+                        "determinism regression");
+  // The cold run populates (no hits), the unchanged re-run is all hits, the
   // incremental re-run hits everything except the edited fault type's keys.
-  if (cold->find("hits")->number != 0) {
-    return fail(file, "cold run reported cache hits");
+  const auto cold = StoreStats::from_json(root["cold"]);
+  const auto resume = StoreStats::from_json(root["resume"]);
+  const auto incr = StoreStats::from_json(root["incremental"]);
+  if (cold.hits != 0) root["cold"].fail("cold run reported cache hits");
+  if (resume.misses != 0 || resume.hits == 0) {
+    root["resume"].fail("resume run was not a full cache hit");
   }
-  if (resume->find("misses")->number != 0 ||
-      resume->find("hits")->number <= 0) {
-    return fail(file, "resume run was not a full cache hit");
+  if (incr.hits == 0 || incr.misses == 0) {
+    root["incremental"].fail("incremental run did not mix hits and misses");
   }
-  if (incr->find("hits")->number <= 0 || incr->find("misses")->number <= 0) {
-    return fail(file, "incremental run did not mix hits and misses");
-  }
-  return true;
 }
 
 /// BENCH_micro.json (google-benchmark --benchmark_out): context sanity plus
@@ -598,14 +284,19 @@ bool check_file(const std::string& file, const std::string& schema,
   std::string err;
   const auto v = gf::obs::json::parse(text, &err);
   if (!v) return fail(file, err);
-  if (schema == "metrics") return check_metrics(file, *v);
   if (schema == "chrome") return check_chrome(file, *v);
-  if (schema == "manifest") return check_manifest(file, *v);
-  if (schema == "sched") return check_sched(file, *v);
-  if (schema == "store") return check_store(file, *v);
   if (schema == "micro") return check_micro(file, *v);
-  if (schema == "profile") return check_profile(file, *v);
-  if (schema == "diff") return check_diff(file, *v);
+  try {
+    const Field root(*v);
+    if (schema == "metrics") gf::obs::Registry::from_json(root);
+    if (schema == "manifest") gf::depbench::CampaignManifest::from_json(root);
+    if (schema == "profile") gf::depbench::ProfileDocument::from_json(root);
+    if (schema == "diff") gf::depbench::DiffReport::from_json(root);
+    if (schema == "sched") check_sched(root);
+    if (schema == "store") check_store(root);
+  } catch (const DecodeError& e) {
+    return fail(file, e.what());
+  }
   return true;
 }
 

@@ -107,7 +107,7 @@ BENCHMARK(BM_VmDispatchTraceDisarmed)->Arg(100000);
 /// Dispatch with the deterministic PC sampler armed at the campaign's
 /// default stride (4096 cycles): the next sample shares the budget's
 /// event-horizon test, so the armed cost is the cold map insert amortised
-/// 1/stride. The BENCH_obs.json bar is >= 80% of BM_VmDispatch armed;
+/// 1/stride. run_benches.sh holds it to >= 80% of BM_VmDispatch armed;
 /// disarmed sampling is covered by BM_VmDispatch itself (the countdown
 /// idles at 2^62, so the horizon is the budget).
 void BM_VmDispatchProfiled(benchmark::State& state) {
@@ -216,8 +216,8 @@ BENCHMARK(BM_ApiCallAlloc);
 /// A/B partner of BM_ApiCallAlloc with the obs sink attached: the only live
 /// per-call instrumentation in the whole substrate is this one null-check +
 /// ApiMetrics::record, so the delta against BM_ApiCallAlloc *is* the
-/// observability overhead of an OS API call (BENCH_obs.json tracks the
-/// ratio; everything else is harvested at run boundaries).
+/// observability overhead of an OS API call (everything else is harvested
+/// at run boundaries).
 void BM_ApiCallAllocObs(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVos2000);
   os::OsApi api(kernel);
@@ -283,7 +283,7 @@ BENCHMARK(BM_ColdReboot);
 
 /// The warm path: replay the recorded boot write-log over only the pages
 /// dirtied since the last reboot. The snapshot subsystem's acceptance bar
-/// is >= 10x BM_ColdReboot (see BENCH_snapshot.json).
+/// is >= 10x BM_ColdReboot.
 void BM_SnapshotRestore(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVos2000);  // first boot records the log
   for (auto _ : state) {

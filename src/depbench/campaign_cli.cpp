@@ -73,8 +73,6 @@ const FlagDef kFlags[] = {
      [](Flags& f, Value v) { return parse_int(v, 0, f.opt.jobs); }},
     {"chunk", "N",
      [](Flags& f, Value v) { return parse_int(v, 0, f.opt.chunk); }},
-    {"no-steal", [](Flags& f) { f.opt.steal = false; }},
-    {"cold-boot", [](Flags& f) { f.opt.warm_boot = false; }},
     {"no-fusion", [](Flags& f) { f.opt.fusion = false; }},
     {"progress", [](Flags& f) { f.progress = true; }},
     {"profile-stride", "N",

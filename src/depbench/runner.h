@@ -47,8 +47,8 @@ struct RunnerOptions {
   /// the cost model size chunks adaptively (see depbench/scheduler).
   int chunk = 0;
   /// Work stealing on (default). Off = static contiguous partition of the
-  /// chunk list across workers, no rebalancing — the A/B baseline for
-  /// BM_CampaignSteal. Results are byte-identical either way.
+  /// chunk list across workers, no rebalancing — a second schedule for the
+  /// identity oracles. Results are byte-identical either way.
   bool steal = true;
   /// Optional cost-model inputs (both may be null — the model falls back to
   /// per-fault-type activation priors). Borrowed, not owned.
@@ -74,7 +74,7 @@ struct RunnerOptions {
   /// reconstruct its private controller from the shared snapshot instead
   /// of re-compiling/booting from scratch. Bit-identical results for any
   /// `jobs` value (the capture runs the cold bring-up function itself);
-  /// off = the cold path, kept for A/B and equivalence tests.
+  /// off = the cold path, kept as the equivalence oracles' reference.
   bool warm_boot = true;
   /// VM superinstruction fusion (--no-fusion turns it off). Pure execution
   /// strategy: architectural results, activation traces and obs artifacts

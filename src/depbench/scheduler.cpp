@@ -133,6 +133,25 @@ SchedReport SchedReport::from_json(const obs::json::Field& f) {
   return r;
 }
 
+std::vector<std::vector<std::size_t>> lpt_partition(
+    const std::vector<double>& costs, std::size_t jobs) {
+  std::vector<std::vector<std::size_t>> parts(std::max<std::size_t>(1, jobs));
+  std::vector<std::int64_t> load(parts.size(), 0);
+  std::vector<std::size_t> order(costs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return costs[a] > costs[b];
+                   });
+  for (const auto i : order) {
+    const auto least = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    parts[least].push_back(i);
+    load[least] += millicost(costs[i]);
+  }
+  return parts;
+}
+
 SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
   SchedStats st;
   st.total_units = units.size();
@@ -167,28 +186,15 @@ SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt) {
   if (opt.seed_single_worker) {
     for (std::size_t i = 0; i < units.size(); ++i) seed(0, i);
   } else if (opt.steal) {
-    // LPT seeding: largest unit first onto the least-loaded worker. The
-    // partition is a pure function of the (deterministic) cost estimates, so
-    // the *initial* assignment never depends on timing — only steals do.
-    std::vector<std::size_t> order(units.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return units[a].cost > units[b].cost;
-                     });
-    for (const auto i : order) {
-      std::size_t least = 0;
-      for (std::size_t w = 1; w < jobs; ++w) {
-        if (dq[w].rem.load(std::memory_order_relaxed) <
-            dq[least].rem.load(std::memory_order_relaxed)) {
-          least = w;
-        }
-      }
-      seed(least, i);
+    std::vector<double> costs(units.size());
+    for (std::size_t i = 0; i < units.size(); ++i) costs[i] = units[i].cost;
+    const auto parts = lpt_partition(costs, jobs);
+    for (std::size_t w = 0; w < jobs; ++w) {
+      for (const auto i : parts[w]) seed(w, i);
     }
   } else {
     // Static sharder: contiguous block partition in schedule order, no
-    // rebalancing — the pre-chunking behavior, kept for the A/B baseline.
+    // rebalancing — the pre-chunking behavior, kept for the identity oracles.
     for (std::size_t i = 0; i < units.size(); ++i) {
       seed(i * jobs / units.size(), i);
     }

@@ -84,13 +84,13 @@ struct SchedStats {
   /// Max worker busy time over mean busy time (1.0 = perfectly balanced).
   double imbalance() const noexcept;
   /// Schedule makespan on dedicated cores: the largest per-worker thread-CPU
-  /// total. Host-load-independent — the quantity BM_CampaignSteal compares.
+  /// total. Host-load-independent.
   double makespan_cpu_us() const noexcept;
   std::uint64_t steals() const noexcept;
   std::uint64_t stolen() const noexcept;
   /// The "genfault-sched/1" document of these stats.
   SchedReport report() const;
-  /// Canonical JSON ("genfault-sched/1") for --sched-json / BENCH_sched.json.
+  /// Canonical JSON ("genfault-sched/1") for --sched-json.
   std::string to_json() const;
 };
 
@@ -118,7 +118,8 @@ struct SchedOptions {
   std::size_t jobs = 1;
   /// Work stealing on (LPT seeding + steal-half). Off = the static sharder:
   /// contiguous block partition of the unit list, no rebalancing — kept as
-  /// the A/B baseline (BM_CampaignSteal) and reachable via --no-steal.
+  /// a second schedule for the identity oracles (SchedulerIdentityTest, the
+  /// gfcheck matrix engine's steal draw).
   bool steal = true;
   /// Seed every unit to worker 0 (forces the other workers to steal their
   /// entire share) — test hook for the forced-steal stress test.
@@ -128,6 +129,15 @@ struct SchedOptions {
 /// Executes every unit exactly once across `opt.jobs` workers and returns
 /// the telemetry. Rethrows the first unit exception after the pool joins.
 SchedStats run_units(std::vector<WorkUnit> units, const SchedOptions& opt);
+
+/// The stealing pool's initial assignment (LPT seeding): units in falling
+/// cost order, each onto the worker with the least seeded cost so far (the
+/// lowest index on a tie). Returns each worker's units in seeding order,
+/// which is the order its deque pops them. A pure function of the cost
+/// estimates, so the initial assignment never depends on timing; only
+/// steals do.
+std::vector<std::vector<std::size_t>> lpt_partition(
+    const std::vector<double>& costs, std::size_t jobs);
 
 // ---------------------------------------------------------------------------
 // Cost model + chunk planner

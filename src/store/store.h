@@ -61,7 +61,7 @@ class StoreError : public std::runtime_error {
 /// runner snapshots before/after a campaign and reports the delta. These
 /// are wall-state-coupled (they depend on what happens to be cached), so —
 /// like SchedStats — they are kept OUT of the deterministic campaign
-/// artifacts and emitted via --store-json / BENCH_store.json instead.
+/// artifacts and emitted via --store-json instead.
 struct StoreStats {
   std::uint64_t hits = 0;          ///< get() found a valid record
   std::uint64_t misses = 0;        ///< get() found nothing

@@ -2,14 +2,11 @@
 # Numeric flags outside the campaign flag table, and campaign flags that
 # would change nothing: a malformed or out-of-range value, or a flag missing
 # the flag it needs, must fail with "error: <flag>: ..." on stderr and exit
-# status 2, before any work is done. bench_diff refuses two points whose
-# "schema" or "jobs" differ the same way ("error: schema: ..." /
-# "error: jobs: ...").
+# status 2, before any work is done.
 #
-#   flag_exit_status.sh GFBENCH BENCH_DIFF TABLE4 CAMPAIGN_STEAL \
-#                       CAMPAIGN_RESUME SOURCE_DIR
+#   flag_exit_status.sh GFBENCH TABLE4 SOURCE_DIR
 set -u
-gfbench=$1 bench_diff=$2 table4=$3 steal=$4 resume=$5 src=$6
+gfbench=$1 table4=$2 src=$3
 scratch=flag-exit-scratch
 rm -rf "$scratch" && mkdir -p "$scratch" || exit 1
 status=0
@@ -30,14 +27,6 @@ expect_rejected() {
   esac
 }
 
-bench=$src/BENCH_sched.json
-expect_rejected --tolerance "$bench_diff" "$bench" "$bench" --tolerance abc
-expect_rejected --tolerance "$bench_diff" "$bench" "$bench" --tolerance -5
-# Points of another schema or another jobs count are not comparable.
-sed 's/^  "jobs": 8,/  "jobs": 2,/' "$bench" >"$scratch/sched_jobs2.json"
-expect_rejected jobs "$bench_diff" "$bench" "$scratch/sched_jobs2.json"
-expect_rejected schema "$bench_diff" "$bench" "$src/BENCH_store.json"
-
 manifest=$src/tests/golden/manifest.json
 expect_rejected --threshold "$gfbench" diff "$manifest" "$manifest" \
   --threshold abc
@@ -52,12 +41,6 @@ expect_rejected --max-bytes "$gfbench" store gc --store "$scratch/store" \
 
 expect_rejected --jobs "$table4" --jobs abc --seed x
 expect_rejected --seed "$table4" --seed x
-expect_rejected --jobs "$steal" --jobs abc --out "$scratch/sched.json"
-expect_rejected --scale "$steal" --scale x --out "$scratch/sched.json"
-expect_rejected --jobs "$resume" --jobs abc --store-dir "$scratch/rs" \
-  --out "$scratch/store.json"
-expect_rejected --scale "$resume" --scale x --store-dir "$scratch/rs" \
-  --out "$scratch/store.json"
 
 # The store flags need --store; --profile-stride needs a profile artifact.
 campaign() {

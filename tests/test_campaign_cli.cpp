@@ -31,6 +31,10 @@ TEST(CampaignCliTest, RejectsEachMalformedFlagByName) {
       // Unknown flags and stray words.
       {{"--strid", "48"}, "--strid"},
       {{"stride"}, "stride"},
+      // Retired switches: the static-partition and cold-boot A/B benches
+      // were their only callers.
+      {{"--no-steal"}, "unknown flag --no-steal"},
+      {{"--cold-boot"}, "unknown flag --cold-boot"},
       // Missing values: at the end, and swallowed by the next flag.
       {{"--stride"}, "--stride"},
       {{"--metrics-json", "--jobs", "2"}, "--metrics-json"},
@@ -99,7 +103,7 @@ TEST(CampaignCliTest, EveryAcceptedFlagRoundTrips) {
                    "--baseline-ms", "500",
                    "--jobs", "4",
                    "--chunk", "3",
-                   "--no-steal", "--cold-boot", "--no-fusion", "--progress",
+                   "--no-fusion", "--progress",
                    "--metrics-json", "m.json",
                    "--html-report", "r.html",
                    "--journal-out", "j.jsonl",
@@ -125,8 +129,6 @@ TEST(CampaignCliTest, EveryAcceptedFlagRoundTrips) {
   EXPECT_DOUBLE_EQ(o.baseline_window_ms, 500);
   EXPECT_EQ(o.jobs, 4);
   EXPECT_EQ(o.chunk, 3);
-  EXPECT_FALSE(o.steal);
-  EXPECT_FALSE(o.warm_boot);
   EXPECT_FALSE(o.fusion);
   EXPECT_TRUE(f.progress);
   EXPECT_EQ(o.profile_stride, 512u);
@@ -205,7 +207,7 @@ TEST(CampaignCliTest, CallerFlagsLandInExtra) {
 TEST(CampaignCliTest, UsageListsEveryFlag) {
   const auto usage = campaign_flags_usage("  ");
   for (const char* flag :
-       {"[--quick]", "[--stride K]", "[--chunk N]", "[--no-steal]",
+       {"[--quick]", "[--stride K]", "[--chunk N]", "[--no-fusion]",
         "[--store DIR]", "[--resume]", "[--crash-after-puts N]"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
@@ -214,7 +216,9 @@ TEST(CampaignCliTest, UsageListsEveryFlag) {
     const auto entry = "[--" + std::string(a.flag) + " FILE]";
     EXPECT_NE(usage.find(entry), std::string::npos) << entry;
   }
-  EXPECT_EQ(usage.find("shards"), std::string::npos);
+  for (const char* retired : {"shards", "no-steal", "cold-boot"}) {
+    EXPECT_EQ(usage.find(retired), std::string::npos) << retired;
+  }
 }
 
 }  // namespace

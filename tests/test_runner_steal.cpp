@@ -1,10 +1,13 @@
 // Scheduler tests: the work-stealing executor must run every unit exactly
 // once (even when every unit is seeded onto one worker and the rest must
 // steal their entire share), the chunk planner must partition the schedule
-// for any override, and — the load-bearing contract — campaign artifacts
-// must be byte-identical across every (jobs, chunk, steal) combination.
+// for any override, the LPT seeding must balance a skewed campaign's planned
+// costs before any steal, and — the load-bearing contract — campaign
+// artifacts must be byte-identical across every (jobs, chunk, steal)
+// combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -13,8 +16,12 @@
 #include <thread>
 
 #include "depbench/campaign_report.h"
+#include "depbench/controller.h"
 #include "depbench/runner.h"
 #include "depbench/scheduler.h"
+#include "os/kernel.h"
+#include "os/sources.h"
+#include "swfit/scanner.h"
 #include "trace/activation.h"
 
 namespace gf::depbench {
@@ -159,6 +166,86 @@ TEST(PlanChunksTest, AdaptiveChunksShrinkWhereCostsAreHigh) {
   for (const auto& c : chunks) EXPECT_LE(c.count, kMaxChunkFaults);
 }
 
+// --------------------------------------------------------------- LPT seeding
+
+TEST(LptPartitionTest, SeedsEveryUnitOnceLargestFirst) {
+  const std::vector<double> costs = {1.0, 5.0, 2.0, 5.0, 3.0};
+  const auto parts = lpt_partition(costs, 2);
+  ASSERT_EQ(parts.size(), 2u);
+  // 5 -> w0, 5 -> w1, 3 -> w0, 2 -> w1, 1 -> w1 (ties go to the lower index).
+  EXPECT_EQ(parts[0], (std::vector<std::size_t>{1, 4}));
+  EXPECT_EQ(parts[1], (std::vector<std::size_t>{3, 2, 0}));
+}
+
+/// The unit costs run_campaign plans for a campaign without a store: per
+/// cell one baseline unit, then every iteration's adaptive chunks over the
+/// fault positions (position p = faultload index p * stride).
+std::vector<double> campaign_unit_costs(const RunnerOptions& opt,
+                                        std::size_t jobs) {
+  std::vector<std::string> names;
+  for (const auto& fn : os::api_functions()) names.emplace_back(fn.name);
+  const double baseline_cost =
+      opt.baseline_window_ms /
+      (ControllerConfig{}.fault_exposure_ms * opt.time_scale);
+  const auto stride = static_cast<std::size_t>(opt.stride);
+  std::vector<double> units;
+  for (const auto version : opt.versions) {
+    os::Kernel kernel(version);
+    const auto fl = swfit::Scanner{}.scan(kernel.pristine_image(), names);
+    const auto fault_costs = estimate_fault_costs(fl, {});
+    std::vector<double> position_costs;
+    for (std::size_t i = 0; i < fault_costs.size(); i += stride) {
+      position_costs.push_back(fault_costs[i]);
+    }
+    for (std::size_t server = 0; server < opt.servers.size(); ++server) {
+      units.push_back(baseline_cost);
+      for (int it = 0; it < opt.iterations; ++it) {
+        for (const auto& c : plan_chunks(position_costs, jobs, 0)) {
+          units.push_back(c.cost);
+        }
+      }
+    }
+  }
+  return units;
+}
+
+// A skewed campaign: VOS-2000 and VOS-XP x apex/abyssal, stride 12, two
+// iterations, 1.5 s exposures, 8 s baselines (each worth about five fault
+// windows) on 8 workers. The seeded plan must already be balanced — the
+// stealing only absorbs estimate error. A contiguous block partition of the
+// same units lands about 4.6% over the ideal, so this fails if the seeding
+// regresses to blocks.
+TEST(LptPartitionTest, SkewedCampaignSeedsWithinTwoPercentOfIdeal) {
+  RunnerOptions opt;
+  opt.stride = 12;
+  opt.iterations = 2;
+  opt.time_scale = 0.15;
+  opt.baseline_window_ms = 8000;
+  constexpr std::size_t kJobs = 8;
+  const auto costs = campaign_unit_costs(opt, kJobs);
+  ASSERT_GT(costs.size(), 4 * kJobs);
+
+  const auto parts = lpt_partition(costs, kJobs);
+  ASSERT_EQ(parts.size(), kJobs);
+  std::vector<int> seeded(costs.size(), 0);
+  double makespan = 0;
+  for (const auto& part : parts) {
+    double load = 0;
+    for (const auto i : part) {
+      ++seeded[i];
+      load += costs[i];
+    }
+    makespan = std::max(makespan, load);
+  }
+  EXPECT_EQ(std::count(seeded.begin(), seeded.end(), 1),
+            static_cast<std::ptrdiff_t>(costs.size()));
+  const double ideal =
+      std::accumulate(costs.begin(), costs.end(), 0.0) / kJobs;
+  EXPECT_LE(makespan, 1.02 * ideal)
+      << "seeded makespan " << makespan << " vs ideal " << ideal << " over "
+      << costs.size() << " units";
+}
+
 // ---------------------------------------------------------------- cost model
 
 TEST(EstimateFaultCostsTest, MeasuredKillerFaultsAreCheaperThanHealthy) {
@@ -231,7 +318,7 @@ TEST(SchedulerIdentityTest, StaticPartitionMatchesStealing) {
   const auto base = steal_options();
   const auto ref = run_artifacts(base);
 
-  // --no-steal: same decomposition, block-partitioned, no rebalancing.
+  // Steal off: same decomposition, block-partitioned, no rebalancing.
   auto no_steal = base;
   no_steal.jobs = 7;
   no_steal.steal = false;

@@ -5,16 +5,15 @@
 //   json_check --schema metrics FILE      obs registry
 //   json_check --schema chrome FILE       Chrome trace-event shape
 //   json_check --schema manifest FILE     genfault-campaign/1 manifest
-//   json_check --schema sched FILE        genfault-sched/1, or the sched bench
-//   json_check --schema store FILE        genfault-store/1, or the store bench
+//   json_check --schema sched FILE        genfault-sched/1 (--sched-json)
+//   json_check --schema store FILE        genfault-store/1 (--store-json)
 //   json_check --schema micro FILE        BENCH_micro.json sanity (Release
 //                                         build context, positive rates)
 //   json_check --schema profile FILE      genfault-profile/1 cycle profiles
 //   json_check --schema diff FILE         genfault-diff/1 campaign comparison
 //
-// The repo's own formats are checked by the decoder beside each renderer;
-// only the bench envelopes' verdicts are checked here. The chrome and micro
-// checks describe formats this repo does not define.
+// The repo's own formats are checked by the decoder beside each renderer.
+// The chrome and micro checks describe formats this repo does not define.
 //
 // Exit 0 when every file validates; prints the first problem per file and
 // exits 1 otherwise. run_benches.sh and the CI workflow pipe every emitted
@@ -119,61 +118,6 @@ bool check_chrome(const std::string& file, const Value& root) {
   return true;
 }
 
-void check_identical(const Field& root, const char* why) {
-  if (!root["artifacts_identical"].boolean()) {
-    root["artifacts_identical"].fail(std::string("false (") + why + ")");
-  }
-}
-
-/// The --sched-json artifact, or BENCH_sched.json (the BM_CampaignSteal
-/// A/B): timings, the identity verdict and both runs' telemetry.
-void check_sched(const Field& root) {
-  using gf::depbench::SchedReport;
-  if (root["schema"].string() == "genfault-sched/1") {
-    SchedReport::from_json(root);
-    return;
-  }
-  root["schema"].expect("genfault-sched-bench/1");
-  for (const char* key : {"jobs", "static_ms", "steal_ms", "speedup",
-                          "static_makespan_ms", "steal_makespan_ms",
-                          "makespan_speedup"}) {
-    root[key].number();
-  }
-  check_identical(root, "determinism regression");
-  SchedReport::from_json(root["static"]);
-  SchedReport::from_json(root["steal"]);
-}
-
-/// The --store-json artifact, or BENCH_store.json (BM_CampaignResume /
-/// BM_CampaignIncremental): timings, the identity verdict and the cold,
-/// resume and incremental runs' telemetry.
-void check_store(const Field& root) {
-  using gf::store::StoreStats;
-  if (root["schema"].string() == "genfault-store/1") {
-    StoreStats::from_json(root);
-    return;
-  }
-  root["schema"].expect("genfault-store-bench/1");
-  for (const char* key : {"jobs", "cold_ms", "resume_ms", "incremental_ms",
-                          "resume_speedup", "incremental_speedup"}) {
-    root[key].number();
-  }
-  check_identical(root, "cache-hit pattern changed the artifacts — "
-                        "determinism regression");
-  // The cold run populates (no hits), the unchanged re-run is all hits, the
-  // incremental re-run hits everything except the edited fault type's keys.
-  const auto cold = StoreStats::from_json(root["cold"]);
-  const auto resume = StoreStats::from_json(root["resume"]);
-  const auto incr = StoreStats::from_json(root["incremental"]);
-  if (cold.hits != 0) root["cold"].fail("cold run reported cache hits");
-  if (resume.misses != 0 || resume.hits == 0) {
-    root["resume"].fail("resume run was not a full cache hit");
-  }
-  if (incr.hits == 0 || incr.misses == 0) {
-    root["incremental"].fail("incremental run did not mix hits and misses");
-  }
-}
-
 /// BENCH_micro.json (google-benchmark --benchmark_out): context sanity plus
 /// per-benchmark shape. The context check is the committed-trajectory guard:
 /// run_benches.sh injects build_type=Release (the library's own
@@ -182,16 +126,6 @@ void check_store(const Field& root) {
 /// interpreter lowering as vm_dispatch. A BENCH_micro.json missing either is
 /// from an unguarded/by-hand run and is refused.
 bool check_micro(const std::string& file, const Value& root) {
-  static const char* kFamilies[] = {
-      "BM_VmDispatch", "BM_VmDispatchPredecoded", "BM_VmDispatchNoPredecode",
-      "BM_VmDispatchNoFusion", "BM_VmDispatchTraceDisarmed",
-      "BM_VmDispatchProfiled", "BM_VmDispatchMemMix",
-      "BM_MiniCCompileOs", "BM_FaultloadScan", "BM_InjectRestore",
-      "BM_InjectRestoreInvalidate", "BM_ApiCallAlloc", "BM_ApiCallAllocObs",
-      "BM_JournalAppend", "BM_ApiCallOpenReadClose", "BM_ColdReboot",
-      "BM_SnapshotRestore", "BM_ControllerBuildCold", "BM_ControllerBuildWarm",
-      "BM_ControllerReset", "BM_FaultloadSerialize", "BM_ServeDynamicGet",
-      "BM_StoreOpen", "BM_StoreGet"};
   if (root.type != Value::Type::kObject) return fail(file, "root not object");
   const auto* ctx = root.find("context");
   if (!is_object(ctx)) return fail(file, "missing context{}");
@@ -230,9 +164,6 @@ bool check_micro(const std::string& file, const Value& root) {
     const auto* run_name = b.find("run_name");
     const auto& base = is_string(run_name) ? run_name->string : name->string;
     const auto family = base.substr(0, base.find('/'));
-    bool known = false;
-    for (const char* f : kFamilies) known = known || family == f;
-    if (!known) return fail(file, at + " unknown family: " + family);
     const auto* rt = b.find("real_time");
     if (!is_number(rt) || rt->number <= 0) {
       return fail(file, at + " (" + name->string + ") real_time not positive");
@@ -292,8 +223,8 @@ bool check_file(const std::string& file, const std::string& schema,
     if (schema == "manifest") gf::depbench::CampaignManifest::from_json(root);
     if (schema == "profile") gf::depbench::ProfileDocument::from_json(root);
     if (schema == "diff") gf::depbench::DiffReport::from_json(root);
-    if (schema == "sched") check_sched(root);
-    if (schema == "store") check_store(root);
+    if (schema == "sched") gf::depbench::SchedReport::from_json(root);
+    if (schema == "store") gf::store::StoreStats::from_json(root);
   } catch (const DecodeError& e) {
     return fail(file, e.what());
   }

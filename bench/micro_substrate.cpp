@@ -70,14 +70,6 @@ void BM_VmDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_VmDispatch)->Arg(1000)->Arg(100000);
 
-/// Same loop with the predecode side-table explicitly enabled — one name
-/// per dispatch strategy keeps the decode-cache win visible in the
-/// trajectory even if the default ever changes.
-void BM_VmDispatchPredecoded(benchmark::State& state) {
-  run_dispatch(state, true);
-}
-BENCHMARK(BM_VmDispatchPredecoded)->Arg(100000);
-
 /// Same loop on the fallback path: per-step isa::decode plus the
 /// last-hit-cached in_code() range walk.
 void BM_VmDispatchNoPredecode(benchmark::State& state) {
@@ -95,10 +87,10 @@ void BM_VmDispatchNoFusion(benchmark::State& state) {
 BENCHMARK(BM_VmDispatchNoFusion)->Arg(100000);
 
 /// Dispatch with a fault-window watch armed on a *never-executed* function:
-/// the src/trace cost model is that a disarmed (not-hit) watch is one
-/// never-taken branch on a byte the validity check already loads, so this
-/// must track BM_VmDispatch within noise (tests/test_trace.cpp guards the
-/// ratio; the acceptance bar is 3%).
+/// the src/trace cost model is that an armed window changes only the slot
+/// records of its own code and of the runs leading into it, so this must
+/// track BM_VmDispatch within noise (tests/test_trace.cpp guards the ratio;
+/// the acceptance bar is 3%).
 void BM_VmDispatchTraceDisarmed(benchmark::State& state) {
   run_dispatch(state, true, /*arm_cold_watch=*/true);
 }

@@ -1,6 +1,6 @@
 // Engine 2: the VM differential fuzzer.
 //
-// The VM promises that its execution *strategies* — predecode side-table,
+// The VM promises that its execution *strategies* — predecoded blocks,
 // superinstruction fusion, dispatch lowering — are architecturally invisible:
 // registers, memory, flags, cycles, traps, retired-instruction counts, the
 // deterministic PC sample stream and the watch traces are pure functions of
@@ -12,6 +12,13 @@
 //   ref    — predecode on, fusion on   (the production shape)
 //   nofuse — predecode on, fusion off
 //   nopre  — predecode off (per-step decode), fusion setting irrelevant
+//
+// Each case runs its calls under two sampler/watch setups. The first draws
+// a stride of 64-4096 and arms a random watch window. The second draws
+// from its own stream (so the first setup, the program, the calls and the
+// mutants stay what a `--case-seed` repro line names): a stride of 1-63,
+// which puts a sample horizon inside most blocks, and a watch left
+// disarmed half the time, so whole programs run as blocks.
 //
 // The third axis — threaded vs switch dispatch — is a compile-time property
 // of gf_vm, so one process can only host one lowering. For that, the engine
@@ -117,48 +124,83 @@ void run_case(std::uint64_t cs, bool want_dump, CheckReport& report) {
                      static_cast<std::uint64_t>(rng.range(50, 2000))});
   }
 
-  vm::Machine machines[kNumConfigs] = {
-      vm::Machine(kMemSize), vm::Machine(kMemSize), vm::Machine(kMemSize)};
-  for (std::size_t c = 0; c < kNumConfigs; ++c) {
-    machines[c].load_image(img);
-    machines[c].set_predecode(kConfigs[c].predecode);
-    machines[c].set_fusion(kConfigs[c].fusion);
-    machines[c].arm_sampler(stride);
-    machines[c].arm_watch(watch_lo, watch_hi);
-  }
+  struct Setup {
+    std::uint64_t stride;
+    bool watch;
+    const char* name;
+  };
+  util::Rng wide_rng(case_seed(cs, 1));
+  const std::uint64_t small_stride = 1 + wide_rng.bounded(63);
+  const bool small_watch = wide_rng.bounded(2) == 0;
+  const Setup setups[] = {{stride, true, ""},
+                          {small_stride, small_watch, " [small stride]"}};
 
-  for (std::size_t k = 0; k < calls.size(); ++k) {
-    const auto& call = calls[k];
-    vm::RunResult results[kNumConfigs];
+  for (const Setup& setup : setups) {
+    vm::Machine machines[kNumConfigs] = {
+        vm::Machine(kMemSize), vm::Machine(kMemSize), vm::Machine(kMemSize)};
     for (std::size_t c = 0; c < kNumConfigs; ++c) {
-      results[c] = machines[c].call(sym->addr, {call.a, call.b}, call.budget);
+      machines[c].load_image(img);
+      machines[c].set_predecode(kConfigs[c].predecode);
+      machines[c].set_fusion(kConfigs[c].fusion);
+      machines[c].arm_sampler(setup.stride);
+      if (setup.watch) machines[c].arm_watch(watch_lo, watch_hi);
     }
-    const auto tag = " @call " + std::to_string(k) + " (" +
-                     std::to_string(call.a) + "," + std::to_string(call.b) +
-                     " budget " + std::to_string(call.budget) + ")";
-    for (std::size_t c = 1; c < kNumConfigs; ++c) {
-      expect_same(std::string("run result ref vs ") + kConfigs[c].name + tag,
-                  render_result(results[0]), render_result(results[c]), report);
-      expect(machines[0].state_digest() == machines[c].state_digest(),
-             std::string("state digest ref vs ") + kConfigs[c].name + tag +
-                 ": " + hex64(machines[0].state_digest()) + " vs " +
-                 hex64(machines[c].state_digest()),
-             report);
-      expect(machines[0].dispatch_stats().instructions ==
-                 machines[c].dispatch_stats().instructions,
-             std::string("retired-instruction count ref vs ") +
-                 kConfigs[c].name + tag,
-             report);
-    }
-  }
 
-  for (std::size_t c = 1; c < kNumConfigs; ++c) {
-    expect_same(std::string("sample stream ref vs ") + kConfigs[c].name,
-                render_samples(machines[0].samples()),
-                render_samples(machines[c].samples()), report);
-    expect_same(std::string("watch trace ref vs ") + kConfigs[c].name,
-                render_watch(machines[0].watch_trace()),
-                render_watch(machines[c].watch_trace()), report);
+    for (std::size_t k = 0; k < calls.size(); ++k) {
+      const auto& call = calls[k];
+      vm::RunResult results[kNumConfigs];
+      for (std::size_t c = 0; c < kNumConfigs; ++c) {
+        results[c] = machines[c].call(sym->addr, {call.a, call.b}, call.budget);
+      }
+      const auto tag = " @call " + std::to_string(k) + " (" +
+                       std::to_string(call.a) + "," + std::to_string(call.b) +
+                       " budget " + std::to_string(call.budget) + ")" +
+                       setup.name;
+      for (std::size_t c = 1; c < kNumConfigs; ++c) {
+        expect_same(std::string("run result ref vs ") + kConfigs[c].name + tag,
+                    render_result(results[0]), render_result(results[c]),
+                    report);
+        expect(machines[0].state_digest() == machines[c].state_digest(),
+               std::string("state digest ref vs ") + kConfigs[c].name + tag +
+                   ": " + hex64(machines[0].state_digest()) + " vs " +
+                   hex64(machines[c].state_digest()),
+               report);
+        expect(machines[0].dispatch_stats().instructions ==
+                   machines[c].dispatch_stats().instructions,
+               std::string("retired-instruction count ref vs ") +
+                   kConfigs[c].name + tag,
+               report);
+      }
+    }
+
+    for (std::size_t c = 1; c < kNumConfigs; ++c) {
+      expect_same(std::string("sample stream ref vs ") + kConfigs[c].name +
+                      setup.name,
+                  render_samples(machines[0].samples()),
+                  render_samples(machines[c].samples()), report);
+      expect_same(std::string("watch trace ref vs ") + kConfigs[c].name +
+                      setup.name,
+                  render_watch(machines[0].watch_trace()),
+                  render_watch(machines[c].watch_trace()), report);
+    }
+
+    if (want_dump && &setup == &setups[0]) {
+      // Canonical cross-lowering fingerprint of the case: the reference
+      // machine's final digest, retired count, and a hash of its sample
+      // stream. A switch-dispatch build must reproduce every line exactly.
+      const auto samples = render_samples(machines[0].samples());
+      char line[160];
+      std::snprintf(line, sizeof line, "vm %s %s %llu %s", hex64(cs).c_str(),
+                    hex64(machines[0].state_digest()).c_str(),
+                    static_cast<unsigned long long>(
+                        machines[0].dispatch_stats().instructions),
+                    hex64(store::fnv1a(
+                              reinterpret_cast<const std::uint8_t*>(
+                                  samples.data()),
+                              samples.size()))
+                        .c_str());
+      report.dump_lines.emplace_back(line);
+    }
   }
 
   // Mutated variants: a handful of random scanner faults. A mutant may trap
@@ -174,37 +216,27 @@ void run_case(std::uint64_t cs, bool want_dump, CheckReport& report) {
                 "scanner fault failed to apply", report)) {
       continue;
     }
-    vm::Machine fused(kMemSize), plain(kMemSize);
-    fused.load_image(mimg);
-    plain.load_image(mimg);
-    plain.set_fusion(false);
-    const auto rf = fused.call(sym->addr, {3, 4}, 50000);
-    const auto rp = plain.call(sym->addr, {3, 4}, 50000);
+    vm::Machine shapes[kNumConfigs] = {
+        vm::Machine(kMemSize), vm::Machine(kMemSize), vm::Machine(kMemSize)};
+    vm::RunResult results[kNumConfigs];
+    for (std::size_t c = 0; c < kNumConfigs; ++c) {
+      shapes[c].load_image(mimg);
+      shapes[c].set_predecode(kConfigs[c].predecode);
+      shapes[c].set_fusion(kConfigs[c].fusion);
+      results[c] = shapes[c].call(sym->addr, {3, 4}, 50000);
+    }
     const auto tag = " @mutant " + std::to_string(m) + " " +
                      swfit::fault_type_name(fault.type) + "@" +
                      hex64(fault.addr);
-    expect_same(std::string("mutant run result fused vs plain") + tag,
-                render_result(rf), render_result(rp), report);
-    expect(fused.state_digest() == plain.state_digest(),
-           std::string("mutant state digest fused vs plain") + tag, report);
-  }
-
-  if (want_dump) {
-    // Canonical cross-lowering fingerprint of the case: the reference
-    // machine's final digest, retired count, and a hash of its sample
-    // stream. A switch-dispatch build must reproduce every line exactly.
-    const auto samples = render_samples(machines[0].samples());
-    char line[160];
-    std::snprintf(line, sizeof line, "vm %s %s %llu %s", hex64(cs).c_str(),
-                  hex64(machines[0].state_digest()).c_str(),
-                  static_cast<unsigned long long>(
-                      machines[0].dispatch_stats().instructions),
-                  hex64(store::fnv1a(
-                            reinterpret_cast<const std::uint8_t*>(
-                                samples.data()),
-                            samples.size()))
-                      .c_str());
-    report.dump_lines.emplace_back(line);
+    for (std::size_t c = 1; c < kNumConfigs; ++c) {
+      expect_same(std::string("mutant run result ref vs ") +
+                      kConfigs[c].name + tag,
+                  render_result(results[0]), render_result(results[c]), report);
+      expect(shapes[0].state_digest() == shapes[c].state_digest(),
+             std::string("mutant state digest ref vs ") + kConfigs[c].name +
+                 tag,
+             report);
+    }
   }
 }
 

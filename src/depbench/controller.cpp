@@ -199,7 +199,8 @@ spec::WindowMetrics Controller::run_profile_mode(const swfit::Faultload& fl,
 
 IterationResult Controller::run_iteration(const swfit::Faultload& fl,
                                           std::uint64_t seed) {
-  if (!fl.matches(kernel_->pristine_image())) {
+  if (!fl.matches(kernel_->pristine_digest(),
+                  kernel_->pristine_image().name())) {
     throw std::invalid_argument(
         "faultload was generated for a different OS build");
   }

@@ -41,6 +41,7 @@ Kernel::Kernel(OsVersion version)
       pristine_(minic::compile(
           {common_source(), ntdll_source(version), kernel32_source(version)},
           std::string("vos-") + os_version_name(version), lay::kCodeBase)),
+      pristine_digest_(pristine_.code_digest()),
       active_(pristine_),
       machine_(std::make_unique<vm::Machine>(lay::kMemSize)) {
   machine_->load_image(active_);
@@ -52,6 +53,7 @@ Kernel::Kernel(const KernelSnapshot& snap)
     : version_(snap.version),
       disk_(snap.disk),
       pristine_(snap.pristine),
+      pristine_digest_(snap.pristine_digest),
       active_(snap.active),
       machine_(std::make_unique<vm::Machine>(snap.machine)),
       boot_(snap.boot),
@@ -108,6 +110,7 @@ KernelSnapshot Kernel::snapshot() {
   KernelSnapshot s;
   s.version = version_;
   s.pristine = pristine_;
+  s.pristine_digest = pristine_digest_;
   s.active = active_;
   s.machine = machine_->snapshot();
   // snapshot() reset the dirty baseline; keep this (still usable) kernel's

@@ -49,6 +49,7 @@ struct BootReplay {
 struct KernelSnapshot {
   OsVersion version{};
   isa::Image pristine;
+  std::uint64_t pristine_digest = 0;  ///< pristine.code_digest()
   isa::Image active;
   vm::Machine::State machine;
   std::shared_ptr<const BootReplay> boot;
@@ -94,6 +95,10 @@ class Kernel {
 
   /// Pristine compiled image (scanner input; never mutated).
   const isa::Image& pristine_image() const noexcept { return pristine_; }
+  /// pristine_image().code_digest(), hashed once where the kernel (or the
+  /// snapshot it was built from) was compiled: every fault run checks its
+  /// faultload against it.
+  std::uint64_t pristine_digest() const noexcept { return pristine_digest_; }
   /// Active image (the injector patches this, then calls sync_code()).
   isa::Image& active_image() noexcept { return active_; }
   const isa::Image& active_image() const noexcept { return active_; }
@@ -151,6 +156,7 @@ class Kernel {
   OsVersion version_;
   SimDisk disk_;
   isa::Image pristine_;
+  std::uint64_t pristine_digest_;
   isa::Image active_;
   std::unique_ptr<vm::Machine> machine_;
   std::shared_ptr<const BootReplay> boot_;  ///< set by the first cold boot

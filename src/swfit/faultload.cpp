@@ -122,7 +122,12 @@ Faultload Faultload::parse(const std::string& text) {
 }
 
 bool Faultload::matches(const isa::Image& img) const {
-  return digest == img.code_digest() && target == img.name();
+  return matches(img.code_digest(), img.name());
+}
+
+bool Faultload::matches(std::uint64_t code_digest,
+                        const std::string& image_name) const {
+  return digest == code_digest && target == image_name;
 }
 
 }  // namespace gf::swfit

@@ -52,6 +52,8 @@ struct Faultload {
 
   /// True when this faultload was generated from exactly this image build.
   bool matches(const isa::Image& img) const;
+  /// The same test against an image's precomputed code_digest() and name.
+  bool matches(std::uint64_t code_digest, const std::string& image_name) const;
 };
 
 }  // namespace gf::swfit

@@ -24,28 +24,23 @@ using isa::Op;
 
 namespace {
 
-// --- dispatch tokens (xop) --------------------------------------------------
+// --- dispatch tokens --------------------------------------------------------
 //
-// xop_[slot] refines predecoded_[slot].op into one dispatch token so the hot
-// loop branches exactly once per handler entry:
+// Every slot record carries two tokens, each dispatched by one indirect
+// branch:
 //
-//   0 .. kOpCount_   the base opcode (kOpCount_ = the undecodable marker)
-//   kXBadJump        hole between images: fetch failure folded into dispatch
-//   kXArmed          armed watch window: note the hit, single-step the base op
-//   kXCmpBr ...      fused pairs, decided at predecode time
+//   step  single-step token: the base opcode (kOpCount_ = the undecodable
+//         marker), kXBadJump for a hole between images, or kXArmed inside
+//         the armed watch window (note the hit, then run the base op);
+//   tok   block token: the base opcode, a fused pair id when this slot and
+//         its successor in the same run form a known pair, or kXStep for a
+//         slot outside every run (its record then sends the fetch to the
+//         step path).
 //
-// plus the kXGlue bit when the fall-through successor slot is statically
-// valid, unarmed and in-hull: the dispatch tail may then skip the full fetch
-// (hull check, flag byte). Safety: validity and armedness are
-// immune to guest writes (invalidate_code re-decodes content but never
-// touches flags), and the glue path re-reads predecoded_/xop_ fresh, so a
-// stale in-register glue bit can never execute stale bytes. Fused-pair HEADS
-// never write memory, so the pair's second Instr, read after the head
-// executes, cannot have been invalidated mid-handler; writes by the second
-// half only matter at the next dispatch, which reads the tables fresh.
-//
-// Fusion/glue is disabled entirely inside the armed window (single-step
-// contract).
+// Fused pairs live only inside blocks: both halves always belong to the same
+// run, so the pair handler never straddles a horizon or a run break. Pair
+// HEADS never write memory, so the second half's record, read after the
+// head executes, cannot have been invalidated mid-handler.
 //
 // The name list mirrors Op order exactly — static_asserts below pin it.
 #define GF_VM_XOPS(X)                                                       \
@@ -54,7 +49,7 @@ namespace {
   X(AddI) X(Not) X(Neg) X(Cmp) X(CmpI)                                      \
   X(Jmp) X(Jz) X(Jnz) X(Jlt) X(Jle) X(Jgt) X(Jge)                           \
   X(Call) X(CallR) X(Ret) X(Push) X(Pop) X(Sys) X(BadOp)                    \
-  X(BadJump) X(Armed)                                                       \
+  X(BadJump) X(Armed) X(Step)                                               \
   X(CmpBr)   /* cmp  + conditional branch                  */               \
   X(CmpIBr)  /* cmpi + conditional branch                  */               \
   X(LdLd)    /* ld + ld                                    */               \
@@ -71,12 +66,9 @@ enum Xop : std::uint8_t {
   kXopCount_
 };
 
-constexpr std::uint8_t kXGlue = 0x40;
-constexpr std::uint8_t kXopMask = 0x3F;
 static_assert(kXNop == static_cast<std::uint8_t>(Op::kNop));
 static_assert(kXSys == static_cast<std::uint8_t>(Op::kSys));
 static_assert(kXBadOp == static_cast<std::uint8_t>(Op::kOpCount_));
-static_assert(kXopCount_ <= kXGlue, "xop tokens must fit below the glue bit");
 
 // The 3-op ALU subset fused pairs admit: single behavior, no traps (div/mod
 // keep their own handlers).
@@ -107,8 +99,32 @@ inline std::int64_t alu_eval(Op op, std::int64_t a, std::int64_t b) noexcept {
   }
 }
 
-constexpr std::uint64_t alu_cost(Op op) noexcept {
-  return op == Op::kMul ? 3u : 1u;
+// Cycle cost of one retired instruction (kOpCount_, the undecodable marker,
+// retires nothing). HALT costs nothing here: it and the other terminal stops
+// (sentinel RET, failed SYS) charge their cycle to the ledger at the run
+// exit, unsampled.
+constexpr std::uint32_t kSysCost = 20;
+constexpr std::uint32_t op_cost(Op op) noexcept {
+  switch (op) {
+    case Op::kHalt: case Op::kOpCount_:
+      return 0;
+    case Op::kLd: case Op::kSt: case Op::kLdB: case Op::kStB: case Op::kCall:
+    case Op::kCallR: case Op::kRet: case Op::kPush: case Op::kPop:
+      return 2;
+    case Op::kMul:
+      return 3;
+    case Op::kDiv: case Op::kMod:
+      return 10;
+    case Op::kSys:
+      return kSysCost;
+    default:
+      return 1;
+  }
+}
+
+// Decodes one slot; undecodable bytes become the kOpCount_ marker.
+void predecode_into(const std::uint8_t* p, Instr& out) noexcept {
+  if (!isa::decode_into(p, out)) out = Instr{Op::kOpCount_, 0, 0, 0, 0};
 }
 
 // Taken-decision for the fused compare+branch handlers, indexed by
@@ -277,7 +293,7 @@ bool Machine::patch_code(std::uint64_t addr, const void* data,
 }
 
 void Machine::invalidate_code(std::uint64_t addr, std::uint64_t len) noexcept {
-  if (predecoded_.empty() || len == 0) return;
+  if (slots_.empty() || len == 0) return;
   if (addr >= code_hi_) return;
   const std::uint64_t end =
       len > code_hi_ - addr ? code_hi_ : addr + len;  // overflow-safe clamp
@@ -290,15 +306,12 @@ void Machine::invalidate_code(std::uint64_t addr, std::uint64_t len) noexcept {
   // so an armed fault window survives the inject/restore patches it watches.
   for (std::size_t s = s0; s < e; ++s) {
     if (!(slot_flags_[s] & kSlotValid)) continue;
-    const std::uint8_t* p = mem_.data() + code_lo_ + s * kInstrSize;
-    if (!isa::decode_into(p, predecoded_[s])) {
-      predecoded_[s] = Instr{Op::kOpCount_, 0, 0, 0, 0};
-    }
+    predecode_into(mem_.data() + code_lo_ + s * kInstrSize, slots_[s]);
   }
-  // Re-tokenize, one slot wider to the left: a write landing on the second
-  // half of a fused pair must split the superinstruction whose head lies
-  // just before the written range.
-  rebuild_xop(s0 > 0 ? s0 - 1 : 0, e);
+  // Re-tokenize and re-cost the written slots and every run that reaches
+  // into them (a write landing on the second half of a fused pair also
+  // splits the pair whose head lies just before the written range).
+  rebuild_runs(s0, e);
 }
 
 void Machine::set_predecode(bool enabled) {
@@ -308,7 +321,7 @@ void Machine::set_predecode(bool enabled) {
 
 void Machine::set_fusion(bool enabled) {
   fusion_ = enabled;
-  if (!predecoded_.empty()) rebuild_xop(0, predecoded_.size());
+  rebuild_runs(0, slots_.size());
 }
 
 const char* Machine::dispatch_kind() noexcept {
@@ -321,7 +334,7 @@ const char* Machine::dispatch_kind() noexcept {
 
 std::uint64_t Machine::state_digest() const noexcept {
   // FNV-1a over every architectural observable. Dispatch strategy state
-  // (predecode tables, xop tokens, samplers, stats) is deliberately
+  // (slot records, samplers, stats) is deliberately
   // excluded: two machines agree here iff a guest program cannot tell them
   // apart, which is exactly the equivalence the differential fuzzer checks.
   std::uint64_t h = 1469598103934665603ULL;
@@ -339,73 +352,92 @@ std::uint64_t Machine::state_digest() const noexcept {
   return h;
 }
 
-std::uint8_t Machine::xop_for_slot(std::size_t s) const noexcept {
+void Machine::rebuild_slot(std::size_t s) noexcept {
+  Slot& x = slots_[s];
   const std::uint8_t f = slot_flags_[s];
-  if (!(f & kSlotValid)) return kXBadJump;
-  if (f & kSlotArmed) return kXArmed;  // single-step inside the fault window
-  const Instr& a = predecoded_[s];
-  const auto base = static_cast<std::uint8_t>(a.op);
-  // Undecodable slots trap and syscall handlers may rewrite anything
-  // (including these tables): neither glues or fuses.
-  if (a.op == Op::kOpCount_ || a.op == Op::kSys || !fusion_) {
-    return base;
+  const Op op = x.op;
+  x.len = 0;
+  x.cost = 0;
+  if (!(f & kSlotValid)) {
+    x.step = kXBadJump;
+  } else if (f & kSlotArmed) {
+    x.step = kXArmed;  // single-step inside the fault window
+  } else {
+    x.step = static_cast<std::uint8_t>(op);
+    // Undecodable slots trap, HALT stops and a syscall handler may rewrite
+    // anything (including these records): none of them joins a run.
+    if (op != Op::kOpCount_ && op != Op::kSys && op != Op::kHalt) {
+      x.len = 1;
+      x.cost = op_cost(op);
+      // A control transfer ends its run. A full successor run starts a new
+      // block, so no record ever counts more than kMaxRunLength.
+      if (!isa::is_jump(op) && s + 1 < slots_.size()) {
+        const Slot& n = slots_[s + 1];
+        if (n.len != 0 && n.len < kMaxRunLength) {
+          x.len = static_cast<std::uint16_t>(n.len + 1);
+          x.cost += n.cost;
+        }
+      }
+    }
   }
-  if (s + 1 >= predecoded_.size()) return base;
-  const std::uint8_t f2 = slot_flags_[s + 1];
-  if (!(f2 & kSlotValid) || (f2 & kSlotArmed)) return base;
-  // Fall-through successor is statically safe: glue at least, and known
-  // pairs collapse into one handler. Pair heads never write memory (see the
-  // token-table comment for why that matters).
-  std::uint8_t x = base;
-  const Op b = predecoded_[s + 1].op;
-  switch (a.op) {
+  x.tok = x.len == 0 ? static_cast<std::uint8_t>(kXStep) : x.step;
+  if (x.len < 2 || !fusion_) return;
+  // The successor is in this slot's run: known pairs collapse into one
+  // handler. Pair heads never write memory (see the token-table comment).
+  const Op b = slots_[s + 1].op;
+  switch (op) {
     case Op::kCmp:
-      if (isa::is_branch(b)) x = kXCmpBr;
+      if (isa::is_branch(b)) x.tok = kXCmpBr;
       break;
     case Op::kCmpI:
-      if (isa::is_branch(b)) x = kXCmpIBr;
+      if (isa::is_branch(b)) x.tok = kXCmpIBr;
       break;
     case Op::kLd:
-      if (b == Op::kLd) x = kXLdLd;
-      else if (fusable_alu(b)) x = kXLdAlu;
-      else if (b == Op::kPush) x = kXLdPush;
+      if (b == Op::kLd) x.tok = kXLdLd;
+      else if (fusable_alu(b)) x.tok = kXLdAlu;
+      else if (b == Op::kPush) x.tok = kXLdPush;
       break;
     case Op::kMovI:
-      if (fusable_alu(b)) x = kXMovIAlu;
+      if (fusable_alu(b)) x.tok = kXMovIAlu;
       break;
     case Op::kMov:
-      if (b == Op::kPop) x = kXMovPop;
+      if (b == Op::kPop) x.tok = kXMovPop;
       break;
     default:
-      if (fusable_alu(a.op) && b == Op::kSt) x = kXAluSt;
+      if (fusable_alu(op) && b == Op::kSt) x.tok = kXAluSt;
       break;
   }
-  return static_cast<std::uint8_t>(x | kXGlue);
 }
 
-void Machine::rebuild_xop(std::size_t lo_slot, std::size_t hi_slot) noexcept {
-  if (xop_.size() != predecoded_.size()) {
-    xop_.assign(predecoded_.size(), kXBadJump);
+void Machine::rebuild_runs(std::size_t lo_slot, std::size_t hi_slot) noexcept {
+  if (hi_slot > slots_.size()) hi_slot = slots_.size();
+  std::size_t s = hi_slot;
+  while (s > lo_slot) rebuild_slot(--s);
+  // A record depends only on its own slot and its right neighbour's record,
+  // so the first one left of the range that comes out unchanged (at the
+  // latest, the run break before the range) leaves everything before it
+  // unchanged too.
+  while (s > 0) {
+    const Slot old = slots_[--s];
+    rebuild_slot(s);
+    if (slots_[s] == old) break;
   }
-  if (hi_slot > xop_.size()) hi_slot = xop_.size();
-  for (std::size_t s = lo_slot; s < hi_slot; ++s) xop_[s] = xop_for_slot(s);
 }
 
-void Machine::rebuild_xop_for_range(std::uint64_t lo, std::uint64_t hi) noexcept {
-  if (predecoded_.empty() || hi <= lo) return;
+void Machine::rebuild_runs_for_range(std::uint64_t lo, std::uint64_t hi) noexcept {
+  if (slots_.empty() || hi <= lo) return;
   if (lo < code_lo_) lo = code_lo_;
   if (hi > code_hi_) hi = code_hi_;
   if (hi <= lo) return;
   const auto s0 = static_cast<std::size_t>((lo - code_lo_) / kInstrSize);
   const auto s1 = static_cast<std::size_t>(
       (hi - code_lo_ + kInstrSize - 1) / kInstrSize);
-  rebuild_xop(s0 > 0 ? s0 - 1 : 0, s1);
+  rebuild_runs(s0, s1);
 }
 
 void Machine::rebuild_predecode() {
-  predecoded_.clear();
+  slots_.clear();
   slot_flags_.clear();
-  xop_.clear();
   code_lo_ = code_hi_ = 0;
   // kPageCode marks the pages a guest store must run invalidate_code for:
   // those overlapping the hull, and none while there is no cache to keep
@@ -426,7 +458,7 @@ void Machine::rebuild_predecode() {
   }
   const auto slots =
       static_cast<std::size_t>((code_hi_ - code_lo_ + kInstrSize - 1) / kInstrSize);
-  predecoded_.assign(slots, Instr{Op::kOpCount_, 0, 0, 0, 0});
+  slots_.assign(slots, Slot{Instr{Op::kOpCount_, 0, 0, 0, 0}});
   slot_flags_.assign(slots, 0);
   for (const auto& r : code_ranges_) {
     for (std::uint64_t a = r.lo; a + kInstrSize <= r.hi; a += kInstrSize) {
@@ -436,13 +468,10 @@ void Machine::rebuild_predecode() {
   }
   for (std::size_t s = 0; s < slots; ++s) {
     if (!(slot_flags_[s] & kSlotValid)) continue;
-    if (!isa::decode_into(mem_.data() + code_lo_ + s * kInstrSize,
-                          predecoded_[s])) {
-      predecoded_[s] = Instr{Op::kOpCount_, 0, 0, 0, 0};
-    }
+    predecode_into(mem_.data() + code_lo_ + s * kInstrSize, slots_[s]);
   }
   apply_watch_bits();
-  rebuild_xop(0, slots);
+  rebuild_runs(0, slots);
   if (code_hi_ <= code_lo_) return;
   for (std::uint64_t p = code_lo_ >> kDirtyPageShift;
        p <= (code_hi_ - 1) >> kDirtyPageShift && p < page_state_.size(); ++p) {
@@ -466,9 +495,9 @@ void Machine::arm_watch(std::uint64_t lo, std::uint64_t hi) {
   watch_hi_ = hi;
   watch_ = WatchTrace{};
   apply_watch_bits();
-  // Armed slots single-step (kXArmed) and their predecessors lose glue/fusion
-  // so every entry into the window goes through the full fetch.
-  rebuild_xop_for_range(watch_lo_, watch_hi_);
+  // Armed slots leave every run and single-step (kXArmed), so every entry
+  // into the window goes through the full fetch.
+  rebuild_runs_for_range(watch_lo_, watch_hi_);
 }
 
 void Machine::disarm_watch() {
@@ -482,7 +511,7 @@ void Machine::disarm_watch() {
   }
   watch_lo_ = watch_hi_ = 0;
   edge_live_ = false;
-  rebuild_xop_for_range(lo, hi);  // window slots re-fuse once disarmed
+  rebuild_runs_for_range(lo, hi);  // window slots rejoin their runs
 }
 
 void Machine::note_watch_hit(std::uint64_t cycles) noexcept {
@@ -630,7 +659,8 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   std::uint64_t cycles = 0;
   std::uint64_t steps = 0;
   // Event horizon: the run-relative cycle count at which the next sample is
-  // due, folded with the budget into the one test every retire makes. The
+  // due, folded with the budget into one value, which the fetch tests once
+  // per block and a single step tests at its retire. The
   // sampler's countdown becomes an absolute due cycle here and a countdown
   // again at the exit, so the carry across runs is exact. Disarmed, `due`
   // sits near 2^62 and the horizon is the budget.
@@ -639,9 +669,9 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   // Single exit (`out:`): every termination path records its trap (and any
   // terminal cycles the sampler must not see) and jumps there, so the
   // lifetime counters and dispatch stats are folded in exactly once per run.
-  // `steps` counts architecturally retired instructions — fused handlers
-  // bump it once per half, and the fetch-failure tokens (kXBadJump /
-  // kXBadOp), which flow through dispatch after the increment, give it back.
+  // `steps` counts architecturally retired instructions, including the one
+  // that traps; the fetch-failure tokens (kXBadJump / kXBadOp) give their
+  // step back.
   Trap trap = Trap::kNone;
   std::uint64_t unsampled = 0;
 
@@ -657,8 +687,8 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   std::uint64_t span8 = 0;  // valid 8-byte access starts: kNullPageSize + [0, span8)
   std::uint64_t span1 = 0;  // valid byte addresses: kNullPageSize + [0, span1)
   const std::uint8_t* pages = nullptr;
-  const Instr* pre = nullptr;  // nullptr: per-step decode fallback
-  const std::uint8_t* xtab = nullptr;
+  const Slot* tab = nullptr;  // nullptr: per-step decode fallback
+  std::uint64_t pc_bias = 0;  // see VM_PC
   std::uint64_t stack_lo = 0, stack_hi = 0;
   bool edge_live = false;
   auto refresh = [&] {
@@ -667,8 +697,8 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
     span8 = size >= kNullPageSize + 8 ? size - kNullPageSize - 7 : 0;
     span1 = size > kNullPageSize ? size - kNullPageSize : 0;
     pages = page_state_.data();
-    pre = predecoded_.empty() ? nullptr : predecoded_.data();
-    xtab = xop_.data();
+    tab = slots_.empty() ? nullptr : slots_.data();
+    pc_bias = code_lo_ - (reinterpret_cast<std::uintptr_t>(tab) >> 1);
     stack_lo = stack_lo_;
     stack_hi = stack_hi_;
     edge_live = edge_live_;
@@ -676,16 +706,49 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   refresh();
 
   auto& R = regs_;
-  Instr in{};   // instruction being dispatched
-  Instr b{};    // second half of a fused pair
+  // The slot being executed, and the instructions of its block still to
+  // retire, counting it. Handlers read their operands through `cur`, so each
+  // reads all of them before its first store (a store into code rewrites
+  // the record it reads from).
+  const Slot* cur = nullptr;
+  std::uint32_t left = 0;
+  Slot decoded;            // per-step decode: the one slot being executed
+  std::uint64_t next = 0;  // successor pc of the retiring instruction
+#if !GF_VM_THREADED_DISPATCH
   std::uint8_t xop = 0;
-  std::size_t slot = 0;
-  std::uint64_t next = 0;  // successor pc of a control transfer
+#endif
 
+  // A record is 16 bytes and an instruction 8, so the pc a record stands
+  // for is its address halved plus a bias fixed per table (per fetch on the
+  // per-step decode path): blocks never track the pc, handlers derive it
+  // where they need it.
+  static_assert(sizeof(Slot) == 2 * kInstrSize);
+#define VM_PC(p) ((reinterpret_cast<std::uintptr_t>(p) >> 1) + pc_bias)
+
+  // VM_STOP(t): stop with `pc` naming the stop. VM_TRAP(t): the instruction
+  // at `cur` stops without retiring (see trap_at_cur).
 #define VM_STOP(t) \
   do {             \
     trap = (t);    \
     goto out;      \
+  } while (0)
+#define VM_TRAP(t)       \
+  do {                   \
+    trap = (t);          \
+    goto trap_at_cur;    \
+  } while (0)
+
+  // Ends the block after the current instruction, giving back what its
+  // entry charged for the rest. Every store slow path runs it *before* it
+  // writes: the write may rewrite code, and with it the run fields this
+  // reads, and the rest of the block must then execute from fresh records.
+#define VM_SETTLE()                \
+  do {                             \
+    if (left > 1) {                \
+      cycles -= cur[1].cost;       \
+      steps -= left - 1;           \
+      left = 1;                    \
+    }                              \
   } while (0)
 
   // Guest memory access on the register-resident bounds. A store takes the
@@ -693,12 +756,13 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
   // kPageDirty: the dirty bit is already set, the page holds no predecoded
   // slot, and no write capture is recording, so write_u64/write_u8 would do
   // nothing beyond the copy. Anything else (a clean, code or capture page,
-  // or a bad address) falls back to the checked accessor unchanged.
+  // or a bad address) settles the block and falls back to the checked
+  // accessor unchanged.
 #define VM_LD64(addr, dst)                                  \
   do {                                                      \
     const std::uint64_t a_ = (addr);                        \
     if (a_ - kNullPageSize >= span8) [[unlikely]] {         \
-      VM_STOP(Trap::kBadMemory);                            \
+      VM_TRAP(Trap::kBadMemory);                            \
     }                                                       \
     std::uint64_t v_;                                       \
     std::memcpy(&v_, mem + a_, 8);                          \
@@ -712,116 +776,93 @@ RunResult Machine::execute(std::uint64_t pc, std::uint64_t cycle_budget) {
         pages[a_ >> kDirtyPageShift] == kPageDirty &&               \
         pages[(a_ + 7) >> kDirtyPageShift] == kPageDirty) {         \
       std::memcpy(mem + a_, &v_, 8);                                \
-    } else if (!write_u64(a_, v_)) {                                \
-      VM_STOP(Trap::kBadMemory);                                    \
+    } else {                                                        \
+      VM_SETTLE();                                                  \
+      if (!write_u64(a_, v_)) VM_TRAP(Trap::kBadMemory);            \
     }                                                               \
   } while (0)
   // PUSH/CALL/RET/POP bounds against the stack region.
 #define VM_STACK_CHECK(sp)                                        \
   if ((sp) < stack_lo || (sp) + 8 > stack_hi) [[unlikely]] {      \
-    VM_STOP(Trap::kStackFault);                                   \
+    VM_TRAP(Trap::kStackFault);                                   \
   }
 
 #if GF_VM_THREADED_DISPATCH
-  // Indexed by (xop & kXopMask); entries past kXopCount_ are unreachable by
-  // construction but still land on a defined handler.
-  static const void* const kXopLabels[kXopMask + 1] = {
+  static const void* const kXopLabels[kXopCount_] = {
 #define GF_VM_LBL(name) &&H_##name,
       GF_VM_XOPS(GF_VM_LBL)
 #undef GF_VM_LBL
-      &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp,
-      &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp,
-      &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp, &&H_BadOp,
   };
-  static_assert(kXopCount_ == 47, "update the kXopLabels padding");
 #define VM_CASE(name) H_##name:
-#define VM_DISPATCH() goto* kXopLabels[xop & kXopMask]
+#define VM_DISPATCH(t) goto* kXopLabels[(t)]
 #else
 #define VM_CASE(name) case kX##name:
-#define VM_DISPATCH() goto dispatch
+#define VM_DISPATCH(t) \
+  do {                 \
+    xop = (t);         \
+    goto dispatch;     \
+  } while (0)
 #endif
 
-  // Retire tails, shared by both lowerings. Each handler expands its own,
-  // so under threaded dispatch every handler ends in its own indirect jump
-  // (one host branch-predictor entry per handler); under the switch,
-  // VM_DISPATCH re-enters the switch. The retire is the one event-horizon
-  // test: the cycle budget and the next sample both live behind it, so a
-  // retire below the horizon needs no further check and the glue path may
-  // enter the successor directly. The test runs while `pc` still names the
-  // retiring instruction, which is the pc a due sample records.
+  // Handler tails, shared by both lowerings. Inside a block a handler
+  // enters the next record directly: the block's entry already charged its
+  // cycles and steps and checked them against the horizon, so nothing is
+  // tested per instruction but the count of instructions left. The last
+  // instruction of a block (or the one instruction of a single step) goes
+  // to `retire`, which tests the horizon while `pc` still names the
+  // retiring instruction, the pc a due sample records.
   //
-  // VM_SEQ(c): a straight-line op of cost `c`; its successor is pc + 8 and
-  // it never transfers control, so it needs neither `next` nor the edge
-  // ring.
-#define VM_SEQ(c)                                  \
-  cycles += (c);                                   \
-  if (cycles >= horizon) [[unlikely]] {            \
-    next = pc + kInstrSize;                        \
-    goto at_horizon;                               \
-  }                                                \
-  pc += kInstrSize;                                \
-  if (xop & kXGlue) {                              \
-    ++slot;                                        \
-    in = pre[slot];                                \
-    xop = xtab[slot];                              \
-    ++steps;                                       \
-    VM_DISPATCH();                                 \
-  }                                                \
-  goto fetch
-  // VM_JUMP(c): a control transfer of cost `c` to `next`. Error-propagation
-  // edges are only live between the first watch hit and disarm, i.e. while
-  // an injected fault is both armed and activated.
-#define VM_JUMP(c)                                               \
+  // The compiler does not keep one indirect jump per handler: GCC 12 at
+  // -O3 cross-jumps identical tails (objdump -d of this function shows 31
+  // `jmp *` for the 48 tokens). -fno-gcse -fno-crossjumping raises that to
+  // 36 but measured no faster (DESIGN.md, "Handler tails"), so the build
+  // leaves the default.
+  //
+  // VM_SEQ(): a straight-line op retired; its successor is pc + 8.
+#define VM_SEQ()               \
+  if (--left != 0) {           \
+    ++cur;                     \
+    VM_DISPATCH(cur->tok);     \
+  }                            \
+  pc = VM_PC(cur);             \
+  next = pc + kInstrSize;      \
+  goto retire
+  // VM_JUMP(): a control transfer at `pc` to `next`, always the last
+  // instruction of its block. Error-propagation edges are only live between
+  // the first watch hit and disarm, i.e. while an injected fault is both
+  // armed and activated.
+#define VM_JUMP()                                                \
   if (edge_live) [[unlikely]] {                                  \
     if (next != pc + kInstrSize) note_watch_edge(pc, next);      \
   }                                                              \
-  cycles += (c);                                                 \
-  if (cycles >= horizon) [[unlikely]] goto at_horizon;           \
-  if ((xop & kXGlue) && next == pc + kInstrSize) {               \
-    pc = next;                                                   \
-    ++slot;                                                      \
-    in = pre[slot];                                              \
-    xop = xtab[slot];                                            \
-    ++steps;                                                     \
-    VM_DISPATCH();                                               \
-  }                                                              \
-  pc = next;                                                     \
-  goto fetch
-
-  // Architectural boundary between the two halves of a fused pair: the head
-  // retires through the same horizon test as any instruction, so a budget
-  // stop or a due sample before the second half is indistinguishable from
-  // unfused execution (at the horizon the run continues from a full fetch
-  // of the second half). The head never transfers control, so no edge-ring
-  // check is due at this boundary.
-#define VM_FUSE_NEXT(head_cost)                 \
-  cycles += (head_cost);                        \
-  if (cycles >= horizon) [[unlikely]] {         \
-    next = pc + kInstrSize;                     \
-    goto at_horizon;                            \
-  }                                             \
-  pc += kInstrSize;                             \
-  ++steps;                                      \
-  ++slot;                                       \
-  b = pre[slot];                                \
-  xop = xtab[slot]
+  goto retire
+  // Architectural boundary between the two halves of a fused pair. Both
+  // halves belong to the same block, which was charged as a whole.
+#define VM_FUSE_NEXT() \
+  ++cur;               \
+  --left
 
   if (cycles >= cycle_budget) VM_STOP(Trap::kCycleLimit);
 
 fetch:
-  if (pre != nullptr) {
-    // Fast path: one hull check + token/side-table fetch. The short-circuit
-    // keeps the slot index in-bounds before the tables are touched;
-    // pc - code_lo may wrap but is then never used. Validity, armedness and
-    // undecodability are pre-folded into the token, so the only per-fetch
-    // branch is the hull check.
+  if (tab != nullptr) {
+    // Fast path: one hull check, then the record. The short-circuit keeps
+    // the slot index in-bounds before the table is touched; pc - code_lo
+    // may wrap but is then never used.
     const std::uint64_t rel = pc - code_lo_;
-    slot = static_cast<std::size_t>(rel / kInstrSize);
     if (pc < code_lo_ || pc + kInstrSize > code_hi_ || rel % kInstrSize != 0) {
       VM_STOP(Trap::kBadJump);
     }
-    in = pre[slot];
-    xop = xtab[slot];
+    cur = tab + rel / kInstrSize;
+    // The whole run retires below the horizon: charge it once and run it
+    // as one block. A slot outside every run costs 0 here and its token
+    // (kXStep) sends it on to the step path.
+    if (cycles + cur->cost < horizon) [[likely]] {
+      left = cur->len;
+      cycles += cur->cost;
+      steps += cur->len;
+      VM_DISPATCH(cur->tok);
+    }
   } else {
     if (!in_code(pc) || pc % kInstrSize != 0) VM_STOP(Trap::kBadJump);
     // Fallback decode path: no slot table, so the watch is a range compare.
@@ -829,172 +870,190 @@ fetch:
       note_watch_hit(cycles);
       edge_live = edge_live_;
     }
-    if (!isa::decode_into(mem + pc, in)) VM_STOP(Trap::kBadOpcode);
-    xop = static_cast<std::uint8_t>(in.op);
+    if (!isa::decode_into(mem + pc, decoded)) VM_STOP(Trap::kBadOpcode);
+    decoded.step = static_cast<std::uint8_t>(decoded.op);
+    cur = &decoded;
+    pc_bias = pc - (reinterpret_cast<std::uintptr_t>(cur) >> 1);
   }
+step:
+  // One instruction, unfused, through the same handlers: a block of one
+  // whose retire makes the exact per-instruction horizon test.
+  left = 1;
+  cycles += op_cost(cur->op);
   ++steps;
 
 #if GF_VM_THREADED_DISPATCH
-  VM_DISPATCH();
+  VM_DISPATCH(cur->step);
 #else
+  xop = cur->step;
 dispatch:
-  switch (xop & kXopMask) {
+  switch (xop) {
 #endif
 
-  // --- base opcodes (shared by both lowerings; each body ends in a retire) --
-  VM_CASE(Nop) { VM_SEQ(1); }
+  // --- base opcodes (shared by both lowerings; each body ends in a tail) ----
+  VM_CASE(Nop) { VM_SEQ(); }
   VM_CASE(Halt) {
     unsampled = 1;
-    VM_STOP(Trap::kHalt);
+    VM_TRAP(Trap::kHalt);
   }
   VM_CASE(MovI) {
-    R[in.rd] = static_cast<std::int64_t>(in.imm);
-    VM_SEQ(1);
+    R[cur->rd] = static_cast<std::int64_t>(cur->imm);
+    VM_SEQ();
   }
   VM_CASE(Mov) {
-    R[in.rd] = R[in.rs1];
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1];
+    VM_SEQ();
   }
   VM_CASE(Ld) {
-    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-            R[in.rd]);
-    VM_SEQ(2);
+    VM_LD64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rd]);
+    VM_SEQ();
   }
   VM_CASE(St) {
-    VM_ST64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-            R[in.rs2]);
-    VM_SEQ(2);
+    VM_ST64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rs2]);
+    VM_SEQ();
   }
   VM_CASE(LdB) {
-    const auto a = static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm));
-    if (a - kNullPageSize >= span1) [[unlikely]] VM_STOP(Trap::kBadMemory);
-    R[in.rd] = mem[a];
-    VM_SEQ(2);
+    const auto a = static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm));
+    if (a - kNullPageSize >= span1) [[unlikely]] VM_TRAP(Trap::kBadMemory);
+    R[cur->rd] = mem[a];
+    VM_SEQ();
   }
   VM_CASE(StB) {
-    const auto a = static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm));
-    const auto v = static_cast<std::uint8_t>(R[in.rs2]);
+    const auto a = static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm));
+    const auto v = static_cast<std::uint8_t>(R[cur->rs2]);
     if (a - kNullPageSize < span1 && pages[a >> kDirtyPageShift] == kPageDirty) {
       mem[a] = v;
-    } else if (!write_u8(a, v)) {
-      VM_STOP(Trap::kBadMemory);
+    } else {
+      VM_SETTLE();
+      if (!write_u8(a, v)) VM_TRAP(Trap::kBadMemory);
     }
-    VM_SEQ(2);
+    VM_SEQ();
   }
   VM_CASE(Add) {
-    R[in.rd] = R[in.rs1] + R[in.rs2];
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1] + R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Sub) {
-    R[in.rd] = R[in.rs1] - R[in.rs2];
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1] - R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Mul) {
-    R[in.rd] = R[in.rs1] * R[in.rs2];
-    VM_SEQ(3);
+    R[cur->rd] = R[cur->rs1] * R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Div) {
-    if (R[in.rs2] == 0) VM_STOP(Trap::kDivZero);
-    R[in.rd] = R[in.rs1] / R[in.rs2];
-    VM_SEQ(10);
+    if (R[cur->rs2] == 0) VM_TRAP(Trap::kDivZero);
+    R[cur->rd] = R[cur->rs1] / R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Mod) {
-    if (R[in.rs2] == 0) VM_STOP(Trap::kDivZero);
-    R[in.rd] = R[in.rs1] % R[in.rs2];
-    VM_SEQ(10);
+    if (R[cur->rs2] == 0) VM_TRAP(Trap::kDivZero);
+    R[cur->rd] = R[cur->rs1] % R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(And) {
-    R[in.rd] = R[in.rs1] & R[in.rs2];
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1] & R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Or) {
-    R[in.rd] = R[in.rs1] | R[in.rs2];
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1] | R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Xor) {
-    R[in.rd] = R[in.rs1] ^ R[in.rs2];
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1] ^ R[cur->rs2];
+    VM_SEQ();
   }
   VM_CASE(Shl) {
-    R[in.rd] = static_cast<std::int64_t>(static_cast<std::uint64_t>(R[in.rs1])
-                                         << (R[in.rs2] & 63));
-    VM_SEQ(1);
+    R[cur->rd] = static_cast<std::int64_t>(static_cast<std::uint64_t>(R[cur->rs1])
+                                           << (R[cur->rs2] & 63));
+    VM_SEQ();
   }
   VM_CASE(Shr) {
-    R[in.rd] = static_cast<std::int64_t>(static_cast<std::uint64_t>(R[in.rs1]) >>
-                                         (R[in.rs2] & 63));
-    VM_SEQ(1);
+    R[cur->rd] = static_cast<std::int64_t>(static_cast<std::uint64_t>(R[cur->rs1]) >>
+                                           (R[cur->rs2] & 63));
+    VM_SEQ();
   }
   VM_CASE(AddI) {
-    R[in.rd] = R[in.rs1] + static_cast<std::int64_t>(in.imm);
-    VM_SEQ(1);
+    R[cur->rd] = R[cur->rs1] + static_cast<std::int64_t>(cur->imm);
+    VM_SEQ();
   }
   VM_CASE(Not) {
-    R[in.rd] = ~R[in.rs1];
-    VM_SEQ(1);
+    R[cur->rd] = ~R[cur->rs1];
+    VM_SEQ();
   }
   VM_CASE(Neg) {
-    R[in.rd] = -R[in.rs1];
-    VM_SEQ(1);
+    R[cur->rd] = -R[cur->rs1];
+    VM_SEQ();
   }
   VM_CASE(Cmp) {
-    flags_ = R[in.rs1] < R[in.rs2] ? -1 : (R[in.rs1] > R[in.rs2] ? 1 : 0);
-    VM_SEQ(1);
+    flags_ = R[cur->rs1] < R[cur->rs2] ? -1 : (R[cur->rs1] > R[cur->rs2] ? 1 : 0);
+    VM_SEQ();
   }
   VM_CASE(CmpI) {
-    const auto imm = static_cast<std::int64_t>(in.imm);
-    flags_ = R[in.rs1] < imm ? -1 : (R[in.rs1] > imm ? 1 : 0);
-    VM_SEQ(1);
+    const auto imm = static_cast<std::int64_t>(cur->imm);
+    flags_ = R[cur->rs1] < imm ? -1 : (R[cur->rs1] > imm ? 1 : 0);
+    VM_SEQ();
   }
   VM_CASE(Jmp) {
-    next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    VM_JUMP(1);
+    pc = VM_PC(cur);
+    next = static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm));
+    VM_JUMP();
   }
   VM_CASE(Jz) {
-    next = flags_ == 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+    pc = VM_PC(cur);
+    next = flags_ == 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                        : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(Jnz) {
-    next = flags_ != 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+    pc = VM_PC(cur);
+    next = flags_ != 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                        : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(Jlt) {
-    next = flags_ < 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+    pc = VM_PC(cur);
+    next = flags_ < 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                       : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(Jle) {
-    next = flags_ <= 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+    pc = VM_PC(cur);
+    next = flags_ <= 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                        : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(Jgt) {
-    next = flags_ > 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+    pc = VM_PC(cur);
+    next = flags_ > 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                       : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(Jge) {
-    next = flags_ >= 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm))
+    pc = VM_PC(cur);
+    next = flags_ >= 0 ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                        : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(Call) {
+    pc = VM_PC(cur);
+    next = static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm));
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
     VM_STACK_CHECK(sp);
     VM_ST64(sp, pc + kInstrSize);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp);
-    next = static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-    VM_JUMP(2);
+    VM_JUMP();
   }
   VM_CASE(CallR) {
+    pc = VM_PC(cur);
+    next = static_cast<std::uint64_t>(R[cur->rs1]);
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
     VM_STACK_CHECK(sp);
     VM_ST64(sp, pc + kInstrSize);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp);
-    next = static_cast<std::uint64_t>(R[in.rs1]);
-    VM_JUMP(2);
+    VM_JUMP();
   }
   VM_CASE(Ret) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]);
@@ -1005,132 +1064,149 @@ dispatch:
     next = static_cast<std::uint64_t>(ra);
     if (next == kReturnSentinel) {
       unsampled = 1;
-      VM_STOP(Trap::kHalt);
+      VM_TRAP(Trap::kHalt);
     }
-    VM_JUMP(2);
+    pc = VM_PC(cur);
+    VM_JUMP();
   }
   VM_CASE(Push) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
     VM_STACK_CHECK(sp);
-    VM_ST64(sp, R[in.rs1]);
+    VM_ST64(sp, R[cur->rs1]);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp);
-    VM_SEQ(2);
+    VM_SEQ();
   }
   VM_CASE(Pop) {
     const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]);
     VM_STACK_CHECK(sp);
-    VM_LD64(sp, R[in.rd]);
+    VM_LD64(sp, R[cur->rd]);
     R[isa::kRegSp] = static_cast<std::int64_t>(sp + 8);
-    VM_SEQ(2);
+    VM_SEQ();
   }
   VM_CASE(Sys) {
-    if (!syscall_) VM_STOP(Trap::kBadOpcode);
-    const Trap t = syscall_(*this, in.imm);
-    refresh();  // the handler may have reshaped any hoisted state
+    // Always a single step: SYS never joins a run.
+    if (!syscall_) VM_TRAP(Trap::kBadOpcode);
+    pc = VM_PC(cur);
+    const Trap t = syscall_(*this, cur->imm);
+    // The handler may have reshaped any hoisted state, the slot records
+    // included: from here on only `pc` names this instruction.
+    refresh();
     if (t != Trap::kNone) {
-      unsampled = 20;
+      cycles -= kSysCost;
+      unsampled = kSysCost;
       VM_STOP(t);
     }
-    VM_SEQ(20);
+    next = pc + kInstrSize;
+    goto retire;
   }
   VM_CASE(BadOp) {
     // Fetch-time failure routed through dispatch: not a retired instruction.
     --steps;
-    VM_STOP(Trap::kBadOpcode);
+    VM_TRAP(Trap::kBadOpcode);
   }
 
-  // --- fetch-failure tokens -------------------------------------------------
+  // --- fetch-failure and block-entry tokens -----------------------------------
   VM_CASE(BadJump) {
     --steps;  // hole between images: nothing retired
-    VM_STOP(Trap::kBadJump);
+    VM_TRAP(Trap::kBadJump);
   }
   VM_CASE(Armed) {
-    // Single-step fallback inside the fault window: record the hit, then
-    // dispatch the base opcode (nothing in the window fuses or glues, and
-    // the predecessor's glue was cleared, so every entry lands here).
-    note_watch_hit(cycles);
+    // Single step inside the fault window: record the hit at the cycle count
+    // before this step's charge, then dispatch the base opcode (no window
+    // slot joins a run, so every entry lands here).
+    note_watch_hit(cycles - op_cost(cur->op));
     edge_live = edge_live_;
-    xop = static_cast<std::uint8_t>(in.op);
-    VM_DISPATCH();
+    VM_DISPATCH(static_cast<std::uint8_t>(cur->op));
   }
+  VM_CASE(Step) { goto step; }
 
-  // --- fused pairs ----------------------------------------------------------
+  // --- fused pairs (block tokens only) ----------------------------------------
   VM_CASE(CmpBr) {
-    flags_ = R[in.rs1] < R[in.rs2] ? -1 : (R[in.rs1] > R[in.rs2] ? 1 : 0);
-    VM_FUSE_NEXT(1);
-    next = branch_taken(b.op, flags_)
-               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(b.imm))
+    flags_ = R[cur->rs1] < R[cur->rs2] ? -1 : (R[cur->rs1] > R[cur->rs2] ? 1 : 0);
+    VM_FUSE_NEXT();
+    pc = VM_PC(cur);
+    next = branch_taken(cur->op, flags_)
+               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(CmpIBr) {
-    const auto imm = static_cast<std::int64_t>(in.imm);
-    flags_ = R[in.rs1] < imm ? -1 : (R[in.rs1] > imm ? 1 : 0);
-    VM_FUSE_NEXT(1);
-    next = branch_taken(b.op, flags_)
-               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(b.imm))
+    const auto imm = static_cast<std::int64_t>(cur->imm);
+    flags_ = R[cur->rs1] < imm ? -1 : (R[cur->rs1] > imm ? 1 : 0);
+    VM_FUSE_NEXT();
+    pc = VM_PC(cur);
+    next = branch_taken(cur->op, flags_)
+               ? static_cast<std::uint64_t>(static_cast<std::int64_t>(cur->imm))
                : pc + kInstrSize;
-    VM_JUMP(1);
+    VM_JUMP();
   }
   VM_CASE(LdLd) {
-    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-            R[in.rd]);
-    VM_FUSE_NEXT(2);
-    VM_LD64(static_cast<std::uint64_t>(R[b.rs1] + static_cast<std::int64_t>(b.imm)),
-            R[b.rd]);
-    VM_SEQ(2);
+    VM_LD64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rd]);
+    VM_FUSE_NEXT();
+    VM_LD64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rd]);
+    VM_SEQ();
   }
   VM_CASE(LdAlu) {
-    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-            R[in.rd]);
-    VM_FUSE_NEXT(2);
-    R[b.rd] = alu_eval(b.op, R[b.rs1], R[b.rs2]);
-    VM_SEQ(alu_cost(b.op));
+    VM_LD64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rd]);
+    VM_FUSE_NEXT();
+    R[cur->rd] = alu_eval(cur->op, R[cur->rs1], R[cur->rs2]);
+    VM_SEQ();
   }
   VM_CASE(LdPush) {
-    VM_LD64(static_cast<std::uint64_t>(R[in.rs1] + static_cast<std::int64_t>(in.imm)),
-            R[in.rd]);
-    VM_FUSE_NEXT(2);
+    VM_LD64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rd]);
+    VM_FUSE_NEXT();
     {
       const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]) - 8;
       VM_STACK_CHECK(sp);
-      VM_ST64(sp, R[b.rs1]);
+      VM_ST64(sp, R[cur->rs1]);
       R[isa::kRegSp] = static_cast<std::int64_t>(sp);
     }
-    VM_SEQ(2);
+    VM_SEQ();
   }
   VM_CASE(MovIAlu) {
-    R[in.rd] = static_cast<std::int64_t>(in.imm);
-    VM_FUSE_NEXT(1);
-    R[b.rd] = alu_eval(b.op, R[b.rs1], R[b.rs2]);
-    VM_SEQ(alu_cost(b.op));
+    R[cur->rd] = static_cast<std::int64_t>(cur->imm);
+    VM_FUSE_NEXT();
+    R[cur->rd] = alu_eval(cur->op, R[cur->rs1], R[cur->rs2]);
+    VM_SEQ();
   }
   VM_CASE(MovPop) {
-    R[in.rd] = R[in.rs1];
-    VM_FUSE_NEXT(1);
+    R[cur->rd] = R[cur->rs1];
+    VM_FUSE_NEXT();
     {
       const auto sp = static_cast<std::uint64_t>(R[isa::kRegSp]);
       VM_STACK_CHECK(sp);
-      VM_LD64(sp, R[b.rd]);
+      VM_LD64(sp, R[cur->rd]);
       R[isa::kRegSp] = static_cast<std::int64_t>(sp + 8);
     }
-    VM_SEQ(2);
+    VM_SEQ();
   }
   VM_CASE(AluSt) {
-    R[in.rd] = alu_eval(in.op, R[in.rs1], R[in.rs2]);
-    VM_FUSE_NEXT(alu_cost(in.op));
-    VM_ST64(static_cast<std::uint64_t>(R[b.rs1] + static_cast<std::int64_t>(b.imm)),
-            R[b.rs2]);
-    VM_SEQ(2);
+    R[cur->rd] = alu_eval(cur->op, R[cur->rs1], R[cur->rs2]);
+    VM_FUSE_NEXT();
+    VM_ST64(static_cast<std::uint64_t>(R[cur->rs1] + static_cast<std::int64_t>(cur->imm)),
+            R[cur->rs2]);
+    VM_SEQ();
   }
 
 #if !GF_VM_THREADED_DISPATCH
   default:
     // Unreachable: every token value has a case above.
     --steps;
-    VM_STOP(Trap::kBadOpcode);
+    VM_TRAP(Trap::kBadOpcode);
   }
 #endif
+
+retire:
+  // `pc` retired and `next` is its successor. A block never reaches the
+  // horizon (its entry checked the whole run), so this fires only for a
+  // single step.
+  if (cycles >= horizon) [[unlikely]] goto at_horizon;
+  pc = next;
+  goto fetch;
 
 at_horizon:
   // Cold: the instruction at `pc` just retired at or past the horizon, its
@@ -1148,6 +1224,17 @@ at_horizon:
   pc = next;
   if (cycles >= cycle_budget) VM_STOP(Trap::kCycleLimit);
   goto fetch;
+
+trap_at_cur:
+  // `cur` stops without retiring: give back the cycles its entry charged
+  // for it and for the rest of its block, and the steps of the rest (the
+  // stopping instruction itself counts as retired). No store precedes a
+  // stop in any handler, so the run fields read here are the ones the
+  // entry charged.
+  cycles -= op_cost(cur->op) + (left > 1 ? cur[1].cost : 0);
+  steps -= left - 1;
+  pc = VM_PC(cur);
+  goto out;
 
 out:
   // Terminal cycles (HALT, sentinel RET, failed SYS) are charged to the
@@ -1167,7 +1254,10 @@ out:
 #undef VM_STACK_CHECK
 #undef VM_ST64
 #undef VM_LD64
+#undef VM_SETTLE
+#undef VM_TRAP
 #undef VM_STOP
+#undef VM_PC
 }
 
 }  // namespace gf::vm

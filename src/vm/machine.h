@@ -155,23 +155,26 @@ class Machine {
   /// accessors and patch_code/reload_code call it automatically.
   void invalidate_code(std::uint64_t addr, std::uint64_t len) noexcept;
 
-  /// Predecoded dispatch is on by default: code is decoded once at load and
-  /// the hot loop indexes a flat side-table instead of re-decoding every
-  /// step. Turning it off falls back to per-step decode (kept for A/B
-  /// benchmarking); turning it back on rebuilds the cache from memory.
+  /// Predecoded dispatch is on by default: code is decoded once at load into
+  /// one slot record per instruction, and the hot loop runs whole
+  /// straight-line blocks from those records (see machine.cpp). Turning it
+  /// off falls back to per-step decode, the reference the equivalence suites
+  /// compare against; turning it back on rebuilds the records from memory.
   void set_predecode(bool enabled);
   bool predecode() const noexcept { return predecode_; }
 
-  /// Decode-time superinstruction fusion (on by default): the predecode pass
-  /// additionally classifies each slot with an extended-opcode token so that
+  /// Decode-time superinstruction fusion (on by default): inside a block,
   /// common adjacent pairs (compare+branch, load+ALU, ...) execute as one
-  /// handler and safe fall-throughs skip the full fetch. Architectural
-  /// effects (registers, memory, cycles, traps, retired-instruction counts,
-  /// watch traces) are identical with fusion on or off; the switch exists for
-  /// A/B benchmarking and equivalence testing. Toggling re-tokenizes in
-  /// place.
+  /// handler. Architectural effects (registers, memory, cycles, traps,
+  /// retired-instruction counts, watch traces) are identical with fusion on
+  /// or off; the switch exists for equivalence testing. Toggling
+  /// re-tokenizes in place.
   void set_fusion(bool enabled);
   bool fusion() const noexcept { return fusion_; }
+
+  /// Longest straight-line run one slot record describes. A longer run is
+  /// split into blocks of at most this many instructions.
+  static constexpr std::size_t kMaxRunLength = 0xFFFF;
 
   /// Dispatch lowering compiled into this build: "threaded" (computed-goto
   /// labels-as-values) or "switch" (portable fallback). Selected at configure
@@ -278,10 +281,11 @@ class Machine {
   /// Arms an address watch on [lo, hi): the first time the PC enters the
   /// window the trace records the hit cycle, every re-entry bumps the hit
   /// count, and subsequent taken control transfers land in a bounded edge
-  /// ring. The hot loop pays one branch on a per-slot armed bit that shares
-  /// the byte the validity check already loads, so a disarmed machine
-  /// executes the exact same memory traffic as before (ZOFI's principle:
-  /// monitoring must cost ~zero when off). Re-arming resets the trace.
+  /// ring. Armed slots leave their straight-line runs and single-step
+  /// through the full fetch; arming rewrites only the records of the window
+  /// and of the runs leading into it, so code outside the window runs
+  /// exactly as it does disarmed (ZOFI's principle: monitoring must cost
+  /// ~zero when off). Re-arming resets the trace.
   void arm_watch(std::uint64_t lo, std::uint64_t hi);
   /// Disarms the watch; the accumulated trace stays readable.
   void disarm_watch();
@@ -298,8 +302,8 @@ class Machine {
   /// instruction costing more than a stride yields multiple samples), so the
   /// cadence is exact regardless of per-instruction cost granularity. The
   /// next sample is folded with the cycle budget into one event horizon, so
-  /// the hot loop pays nothing extra per retired instruction, armed or not
-  /// (disarmed, the countdown idles at a sentinel no campaign can exhaust).
+  /// the hot loop pays nothing extra per block, armed or not (disarmed, the
+  /// countdown idles at a sentinel no campaign can exhaust).
   /// Re-arming resets the accumulated samples; `stride == 0` disarms.
   void arm_sampler(std::uint64_t stride);
   /// Disarms the sampler; accumulated samples stay readable.
@@ -323,20 +327,32 @@ class Machine {
   static constexpr std::uint8_t kSlotValid = 1;  ///< slot inside a loaded image
   static constexpr std::uint8_t kSlotArmed = 2;  ///< slot inside the watch window
 
+  /// One predecoded instruction slot of the code hull: the decoded
+  /// instruction, its two dispatch tokens, and the straight-line run that
+  /// starts here (`len` instructions up to and including the control
+  /// transfer that ends it, costing `cost` cycles in total). SYS, HALT,
+  /// armed, hole and undecodable slots never join a run: `len` is 0.
+  struct Slot : isa::Instr {
+    std::uint8_t tok = 0;    ///< block token: base op or fused pair
+    std::uint8_t step = 0;   ///< single-step token: base op or fetch failure
+    std::uint16_t len = 0;   ///< run length, 0 for a slot outside any run
+    std::uint32_t cost = 0;  ///< summed cycle cost of the run
+    friend bool operator==(const Slot&, const Slot&) = default;
+  };
+
   bool in_code(std::uint64_t addr) const noexcept;
   RunResult execute(std::uint64_t pc, std::uint64_t cycle_budget);
   void rebuild_predecode();
-  /// Dispatch token for one predecoded slot: the base opcode, a fetch-failure
-  /// token (hole / armed single-step), or a fused-pair id, plus the glue bit
-  /// when the fall-through successor is statically safe to enter without a
-  /// full fetch. See machine.cpp for the token table and the safety argument.
-  std::uint8_t xop_for_slot(std::size_t s) const noexcept;
-  /// Recomputes xop_ over [lo_slot, hi_slot) (clamped). A change to slot `s`
-  /// affects the tokens of `s` and of `s - 1` (whose pair/glue looks one slot
-  /// ahead), so callers extend their range one slot to the left.
-  void rebuild_xop(std::size_t lo_slot, std::size_t hi_slot) noexcept;
-  /// rebuild_xop over the slots covering [lo, hi) plus one to the left.
-  void rebuild_xop_for_range(std::uint64_t lo, std::uint64_t hi) noexcept;
+  /// Recomputes the tokens and run fields of slot `s` from its instruction,
+  /// its flags and the (already final) record of slot `s + 1`.
+  void rebuild_slot(std::size_t s) noexcept;
+  /// Recomputes slots [lo_slot, hi_slot) (clamped), right to left, then
+  /// keeps walking left while records change: a slot's run reaches rightward
+  /// through every slot up to its run break, so a change at `s` can reach
+  /// every slot before it in the same run.
+  void rebuild_runs(std::size_t lo_slot, std::size_t hi_slot) noexcept;
+  /// rebuild_runs over the slots covering [lo, hi).
+  void rebuild_runs_for_range(std::uint64_t lo, std::uint64_t hi) noexcept;
   /// Re-applies the armed bits of the active watch to the slot flags (after
   /// a predecode rebuild wiped them).
   void apply_watch_bits() noexcept;
@@ -347,7 +363,7 @@ class Machine {
   /// checked write so guest stores into the code region (possible under
   /// mutated pointers) can never leave the predecode cache stale.
   void maybe_invalidate(std::uint64_t addr, std::uint64_t len) noexcept {
-    if (!predecoded_.empty() && addr < code_hi_ && addr + len > code_lo_) {
+    if (!slots_.empty() && addr < code_hi_ && addr + len > code_lo_) {
       invalidate_code(addr, len);
     }
   }
@@ -388,19 +404,18 @@ class Machine {
   int flags_ = 0;  ///< sign of last comparison: -1, 0, +1
   std::vector<CodeRange> code_ranges_;
 
-  // Predecode cache: one Instr per kInstrSize slot over the merged hull
+  // Predecode cache: one Slot per kInstrSize slot over the merged hull
   // [code_lo_, code_hi_) of all loaded ranges. slot_flags_ carries kSlotValid
   // for slots that lie inside an actual image (holes between images stay
   // kBadJump) plus kSlotArmed for slots inside the watch window; undecodable
-  // bytes predecode to Op::kOpCount_ (the kBadOpcode marker). xop_ is the
-  // parallel dispatch-token table (fused superinstructions + glue bits),
-  // derived from predecoded_/slot_flags_ and rebuilt alongside them.
+  // bytes predecode to Op::kOpCount_ (the kBadOpcode marker). The tokens and
+  // run fields of slots_ derive from the instructions and slot_flags_ and
+  // are rebuilt alongside them.
   bool predecode_ = true;
   bool fusion_ = true;
   std::uint64_t code_lo_ = 0, code_hi_ = 0;
-  std::vector<isa::Instr> predecoded_;
+  std::vector<Slot> slots_;
   std::vector<std::uint8_t> slot_flags_;
-  std::vector<std::uint8_t> xop_;
   mutable std::size_t last_range_ = 0;  ///< in_code() last-hit cache
   std::uint64_t stack_lo_ = 0, stack_hi_ = 0;
   SyscallHandler syscall_;

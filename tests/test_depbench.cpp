@@ -6,6 +6,7 @@
 
 #include "depbench/report.h"
 #include "depbench/tuner.h"
+#include "snapshot/warmboot.h"
 
 namespace gf::depbench {
 namespace {
@@ -125,6 +126,26 @@ TEST_F(CampaignTest, IterationRejectsWrongFaultload) {
   const auto fl = faultload(os::OsVersion::kVosXp);
   Controller ctl(os::OsVersion::kVos2000, "apex", quick_config("apex"));
   EXPECT_THROW(ctl.run_iteration(fl, 1), std::invalid_argument);
+}
+
+TEST_F(CampaignTest, IterationRejectsFaultloadWithOtherDigestOrTarget) {
+  // The controller compares against the kernel's pristine digest hashed
+  // once at build time; a cold and a snapshot-built controller must both
+  // still refuse a faultload whose digest or target differs from it.
+  const auto fl = faultload(os::OsVersion::kVos2000);
+  auto other_digest = fl;
+  other_digest.digest ^= 1;
+  auto other_target = fl;
+  other_target.target += "-other";
+  Controller cold(os::OsVersion::kVos2000, "apex", quick_config("apex"));
+  Controller warm(snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex"),
+                  quick_config("apex"));
+  for (Controller* ctl : {&cold, &warm}) {
+    EXPECT_EQ(ctl->kernel().pristine_digest(),
+              ctl->kernel().pristine_image().code_digest());
+    EXPECT_THROW(ctl->run_iteration(other_digest, 1), std::invalid_argument);
+    EXPECT_THROW(ctl->run_iteration(other_target, 1), std::invalid_argument);
+  }
 }
 
 TEST_F(CampaignTest, RepeatabilityAcrossSeeds) {

@@ -1,11 +1,12 @@
-// Superinstruction-fusion equivalence suite.
+// Superinstruction-fusion and block equivalence suite.
 //
 // The contract under test (see machine.h set_fusion and DESIGN.md): fusion
-// is a pure execution strategy — registers, memory, cycles, traps, retired
-// instruction counts and watch traces are bit-identical with fusion on or
-// off, for any cycle budget, and the xop token table can never go stale:
-// any code write landing on either half of a fused pair (guest store,
-// patch_code, snapshot restore) splits the pair before it next executes.
+// and straight-line blocks are pure execution strategies — registers,
+// memory, cycles, traps, retired instruction counts and watch traces are
+// bit-identical with fusion on or off and to per-step decode, for any cycle
+// budget, and the slot records can never go stale: any code write landing
+// on either half of a fused pair or inside a running block (guest store,
+// patch_code, snapshot restore) takes effect before the code next executes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -196,11 +197,14 @@ TEST(Fusion, GuestStoreSplitsFusedPair) {
 }
 
 /// The event horizon folds the cycle budget and the sampler's next due
-/// cycle into one test per retire. Sweep budgets against sampler strides
-/// over a chain of runs that stop every way a run can stop (budget, failed
-/// SYS, HALT, sentinel RET): fused, unfused and per-step-decode machines
-/// must agree on every result, sample stream, carried countdown and state
-/// digest. The program's fused pairs put budget stops between two halves.
+/// cycle into one test per block entry and per single step. Sweep budgets
+/// against sampler strides over a chain of runs that stop every way a run
+/// can stop (budget, failed SYS, HALT, sentinel RET): fused, unfused and
+/// per-step-decode machines must agree on every result, sample stream,
+/// carried countdown and state digest. The program's fused pairs put budget
+/// stops between two halves; `k` is one straight-line run costing more than
+/// any swept budget, so budget stops and sample horizons land at every
+/// point of it, and a block entered part-way must end exactly before them.
 TEST(Fusion, HorizonSweepMatchesUnfused) {
   const char* src = R"(
     f:
@@ -235,16 +239,73 @@ TEST(Fusion, HorizonSweepMatchesUnfused) {
       movi r0, 5
       addi r0, r0, 1
       halt
+    k:
+      movi r3, 0x9000
+      movi r4, 3
+      st [r3], r4
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      ld r5, [r3]
+      mul r5, r5, r4
+      st [r3], r5
+      addi r4, r4, 1
+      ld r6, [r3, 8]
+      add r6, r6, r5
+      st [r3, 8], r6
+      mov r0, r6
+      ret
   )";
   const auto img = assemble(src, "t", 0x1000);
   const auto f = img.find_symbol("f")->addr;
   const auto g = img.find_symbol("g")->addr;
   const auto h = img.find_symbol("h")->addr;
+  const auto k = img.find_symbol("k")->addr;
   std::set<std::uint64_t> mids;
   for (const char* m : {"mid_br", "mid_alu", "mid_pop", "mid_st"}) {
     mids.insert(img.find_symbol(m)->addr);
   }
   std::set<std::uint64_t> split_stops;
+  std::set<std::uint64_t> run_stops;  // budget stops inside k's run
   bool sample_on_budget = false;
 
   for (const std::uint64_t stride : {1u, 2u, 3u, 7u, 4096u}) {
@@ -294,11 +355,56 @@ TEST(Fusion, HorizonSweepMatchesUnfused) {
       step("halt", [&](Machine& m) { return m.run(h, budget + 40); });
       step("sentinel ret", [&](Machine& m) { return m.call(f, {3}, 1000); });
       step("budget call again", [&](Machine& m) { return m.call(f, {4}, budget); });
+      const auto r2 = step("long run", [&](Machine& m) { return m.call(k, {}, budget); });
+      ASSERT_EQ(r2.trap, Trap::kCycleLimit) << "k must cost more than any budget";
+      run_stops.insert(r2.pc);
+      step("long run, whole", [&](Machine& m) { return m.call(k, {}, budget + 200); });
     }
   }
   // The sweep really covered the boundaries it exists for.
   EXPECT_EQ(split_stops, mids);
   EXPECT_TRUE(sample_on_budget);
+  EXPECT_GE(run_stops.size(), 40u);
+}
+
+/// A guest store that rewrites the *next* instruction of the block it runs
+/// in: the new bytes (not the block's stale record) execute, and cycles,
+/// retired steps and the state digest equal per-step decode's, although
+/// the block's entry charged the old instruction's cost. Covers st (a whole
+/// donor instruction of another cost) and stb (one immediate byte), with
+/// fusion on and off.
+TEST(Fusion, GuestStoreRewritesNextInstructionOfItsBlock) {
+  const char* src = R"(
+    f:
+      movi r7, 10
+      movi r3, @donor
+      ld r4, [r3]
+      movi r5, @next1
+      st [r5], r4
+    next1:
+      movi r0, 1
+      addi r0, r0, 1
+      movi r5, @next2
+      movi r6, 40
+      stb [r5, 4], r6
+    next2:
+      addi r0, r0, 2
+      ret
+    donor:
+      mul r0, r7, r7
+  )";
+  const auto img = assemble(src, "t", 0x1000);
+  Machine fused, plain, nopre;
+  plain.set_fusion(false);
+  nopre.set_predecode(false);
+  for (Machine* m : {&fused, &plain, &nopre}) m->load_image(img);
+  const auto pn = probe_call(nopre, img, {});
+  // 100 + 1 from the rewritten next1, + 40 from the rewritten next2.
+  EXPECT_EQ(pn.r.ret, 141);
+  for (Machine* m : {&fused, &plain}) {
+    expect_same(probe_call(*m, img, {}), pn, "store into next instruction");
+    EXPECT_EQ(m->state_digest(), nopre.state_digest());
+  }
 }
 
 /// Same property for a 1-byte guest store: stb into the immediate field of

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "isa/assembler.h"
 #include "vm/machine.h"
 
@@ -358,6 +361,169 @@ TEST(Vm, SetPredecodeOffMatchesDefaultPath) {
   EXPECT_EQ(a.trap, b.trap);
   EXPECT_EQ(a.ret, b.ret);
   EXPECT_EQ(a.cycles, b.cycles);
+}
+
+// --- block edges ---------------------------------------------------------
+//
+// Predecoded machines run each straight-line run as one block, charged at
+// its entry; these pin the block's edges to per-step decode.
+
+/// Everything a run observably produces, including the lifetime tallies.
+struct Outcome {
+  RunResult r;
+  std::uint64_t instructions = 0;
+  std::uint64_t total_cycles = 0;
+  std::uint64_t digest = 0;
+};
+
+/// Runs `addr` on a fresh predecoded (fused and unfused) and per-step-decode
+/// machine loaded with `img`, checks they agree on everything, and returns
+/// the per-step-decode outcome.
+Outcome same_on_every_path(const isa::Image& img, std::uint64_t addr,
+                           const std::vector<std::int64_t>& args,
+                           std::uint64_t budget, const std::string& what,
+                           std::uint64_t stride = 0) {
+  std::vector<Outcome> out;
+  for (const int mode : {0, 1, 2}) {
+    Machine m(0x100000);
+    if (mode == 1) m.set_fusion(false);
+    if (mode == 2) m.set_predecode(false);
+    m.load_image(img);
+    if (stride != 0) m.arm_sampler(stride);
+    Outcome o;
+    o.r = m.call(addr, args, budget);
+    o.instructions = m.dispatch_stats().instructions;
+    o.total_cycles = m.total_cycles();
+    o.digest = m.state_digest();
+    out.push_back(o);
+  }
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(out[i].r.trap, out[2].r.trap) << what << " mode " << i;
+    EXPECT_EQ(out[i].r.cycles, out[2].r.cycles) << what << " mode " << i;
+    EXPECT_EQ(out[i].r.pc, out[2].r.pc) << what << " mode " << i;
+    EXPECT_EQ(out[i].r.ret, out[2].r.ret) << what << " mode " << i;
+    EXPECT_EQ(out[i].instructions, out[2].instructions) << what << " mode " << i;
+    EXPECT_EQ(out[i].total_cycles, out[2].total_cycles) << what << " mode " << i;
+    EXPECT_EQ(out[i].digest, out[2].digest) << what << " mode " << i;
+  }
+  return out[2];
+}
+
+TEST(Vm, TrapInsideRunMatchesPerStepDecode) {
+  // A one-cycle setup instruction, k one-cycle instructions, the trapping
+  // one, then more of the run: the stop must charge exactly the k + 1
+  // instructions before it and count it as the (k + 2)-th retired step.
+  struct Kind {
+    const char* setup;
+    const char* op;
+    Trap trap;
+  };
+  const Kind kinds[] = {
+      {"movi r3, 8", "ld r5, [r3]", Trap::kBadMemory},
+      {"movi r3, 8", "st [r3], r2", Trap::kBadMemory},
+      {"movi r4, 0", "div r5, r2, r4", Trap::kDivZero},
+      {"movi r14, 8", "push r2", Trap::kStackFault},
+  };
+  for (const auto& kind : kinds) {
+    for (std::uint64_t k = 0; k <= 12; ++k) {
+      std::string src = std::string("f:\n  ") + kind.setup + "\n";
+      for (std::uint64_t i = 0; i < k; ++i) src += "  addi r2, r2, 1\n";
+      src += std::string("  ") + kind.op + "\n";
+      for (int i = 0; i < 4; ++i) src += "  addi r2, r2, 1\n";
+      src += "  ret\n";
+      const auto img = assemble(src, "t", 0x1000);
+      const auto o = same_on_every_path(img, img.base(), {}, 100000,
+                                        std::string(kind.op) + " k=" + std::to_string(k));
+      EXPECT_EQ(o.r.trap, kind.trap) << kind.op << " k=" << k;
+      EXPECT_EQ(o.r.cycles, k + 1) << kind.op << " k=" << k;
+      EXPECT_EQ(o.r.pc, img.base() + (k + 1) * isa::kInstrSize) << kind.op;
+      EXPECT_EQ(o.instructions, k + 2) << kind.op << " k=" << k;
+    }
+  }
+}
+
+TEST(Vm, SentinelRetEndingBlockIsChargedOneCycle) {
+  // Ten one-cycle instructions and the sentinel RET: the RET stops the run
+  // and is charged one unsampled cycle, not its retire cost of two.
+  std::string src = "f:\n";
+  for (int i = 0; i < 10; ++i) src += "  addi r0, r0, 1\n";
+  src += "  ret\n";
+  const auto img = assemble(src, "t", 0x1000);
+  for (const std::uint64_t stride : {0u, 3u, 11u}) {
+    const auto o = same_on_every_path(img, img.base(), {}, 1000, "sentinel ret",
+                                      stride);
+    EXPECT_EQ(o.r.trap, Trap::kHalt);
+    EXPECT_EQ(o.r.ret, 10);
+    EXPECT_EQ(o.r.cycles, 11u);
+    EXPECT_EQ(o.total_cycles, 11u);
+    EXPECT_EQ(o.instructions, 11u);
+    EXPECT_EQ(o.r.pc, img.base() + 10 * isa::kInstrSize);
+  }
+}
+
+TEST(Vm, PatchCodeInsideRunRecostsEverySlotBeforeIt) {
+  // One run: ten addi, `mid`, nine addi, ret. Entered at any slot before
+  // `mid` with a budget one above that slot's run cost, it completes. After
+  // `mid` becomes a ten-cycle div the same budget no longer fits: a stale
+  // run cost at the entry slot would let the block run to the RET anyway.
+  std::string src = "f:\n";
+  for (int i = 0; i < 10; ++i) src += "  addi r0, r0, 1\n";
+  src += "mid:\n  addi r0, r0, 1\n";
+  for (int i = 0; i < 9; ++i) src += "  addi r0, r0, 1\n";
+  src += "  ret\n";
+  const auto img = assemble(src, "t", 0x1000);
+  const auto mid = img.find_symbol("mid")->addr;
+  std::uint8_t div[isa::kInstrSize];
+  isa::encode({isa::Op::kDiv, 0, 0, 1, 0}, div);  // r0 = r0 / r1
+  Machine m, nopre;
+  nopre.set_predecode(false);
+  for (Machine* x : {&m, &nopre}) x->load_image(img);
+  for (std::uint64_t j = 0; j <= 10; ++j) {
+    const auto entry = img.base() + j * isa::kInstrSize;
+    // The run from `entry`: 20 - j one-cycle instructions and the RET.
+    const std::uint64_t budget = (20 - j) + 2 + 1;
+    for (Machine* x : {&m, &nopre}) {
+      ASSERT_TRUE(x->patch_code(mid, img.code().data() + (mid - img.base()),
+                                isa::kInstrSize));
+    }
+    const auto before = m.call(entry, {1}, budget);
+    EXPECT_EQ(before.trap, Trap::kHalt) << j;
+    EXPECT_EQ(before.cycles, 20 - j + 1) << j;
+    nopre.call(entry, {1}, budget);
+    for (Machine* x : {&m, &nopre}) {
+      ASSERT_TRUE(x->patch_code(mid, div, sizeof div));
+    }
+    const auto after = m.call(entry, {1}, budget);
+    const auto ref = nopre.call(entry, {1}, budget);
+    EXPECT_EQ(after.trap, Trap::kCycleLimit) << j;
+    EXPECT_EQ(after.trap, ref.trap) << j;
+    EXPECT_EQ(after.cycles, ref.cycles) << j;
+    EXPECT_EQ(after.pc, ref.pc) << j;
+    EXPECT_EQ(m.state_digest(), nopre.state_digest()) << j;
+  }
+}
+
+TEST(Vm, RunLongerThanRecordLengthSplits) {
+  // One straight-line run longer than a slot record can describe: it runs
+  // as several blocks, with the same stops and samples as per-step decode.
+  constexpr std::uint64_t n = Machine::kMaxRunLength + 100;
+  std::string src = "f:\n";
+  src.reserve(n * 20);
+  for (std::uint64_t i = 0; i < n; ++i) src += "  addi r0, r0, 1\n";
+  src += "  ret\n";
+  const auto img = assemble(src, "t", 0x1000);
+  const auto whole = same_on_every_path(img, img.base(), {}, 1u << 20, "whole");
+  EXPECT_EQ(whole.r.trap, Trap::kHalt);
+  EXPECT_EQ(whole.r.ret, static_cast<std::int64_t>(n));
+  EXPECT_EQ(whole.r.cycles, n + 1);
+  EXPECT_EQ(whole.instructions, n + 1);
+  for (const std::uint64_t budget :
+       {std::uint64_t{99}, std::uint64_t{100}, std::uint64_t{101}, n - 1, n,
+        n + 1}) {
+    const auto o = same_on_every_path(img, img.base(), {}, budget,
+                                      "budget " + std::to_string(budget), 4096);
+    EXPECT_EQ(o.r.trap, budget > n ? Trap::kHalt : Trap::kCycleLimit) << budget;
+  }
 }
 
 TEST(Vm, JumpIntoGapBetweenImagesTraps) {

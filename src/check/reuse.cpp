@@ -43,14 +43,14 @@ std::vector<ReuseRun> run_reuse_order(
   auto encode = [&](std::size_t index, const depbench::IterationResult& r,
                     const depbench::TaskObs& obs) {
     store::RunRecord rec;
-    rec.cell = snap->server_name;
+    rec.cell = snap->server->name();
     rec.label = "f" + std::to_string(index);
     rec.result = r;
     rec.has_obs = true;
     rec.obs = obs;
     return store::encode_run_record(rec);
   };
-  const std::string log = "/logs/" + snap->server_name + ".post";
+  const std::string log = std::string("/logs/") + snap->server->name() + ".post";
 
   std::vector<ReuseRun> runs(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {

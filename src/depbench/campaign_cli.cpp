@@ -212,15 +212,18 @@ bool CampaignSession::run() {
   auto opt = flags_.opt;
   std::fprintf(stderr,
                "[campaign] %zu server(s) x %zu OS version(s), stride %d, %d "
-               "iterations, jobs=%s, %s%s%s\n",
+               "iterations, jobs=%s, work stealing%s, warm boot\n",
                opt.servers.size(), opt.versions.size(), opt.stride,
                opt.iterations,
                opt.jobs > 0 ? std::to_string(opt.jobs).c_str() : "auto",
-               opt.steal ? "work stealing" : "static partition",
-               opt.trace ? ", tracing on" : "",
-               opt.warm_boot ? ", warm boot" : ", cold boot");
+               opt.trace ? ", tracing on" : "");
   if (!flags_.store_dir.empty()) {
-    store_ = std::make_unique<store::CampaignStore>(flags_.store_dir);
+    try {
+      store_ = std::make_unique<store::CampaignStore>(flags_.store_dir);
+    } catch (const store::StoreError& e) {
+      std::fprintf(stderr, "error: --store: %s\n", e.what());
+      return false;
+    }
     opt.store = store_.get();
     if (flags_.crash_after_puts > 0) {
       const auto n = flags_.crash_after_puts;

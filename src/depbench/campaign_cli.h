@@ -75,7 +75,8 @@ class CampaignSession {
   CampaignSession& operator=(const CampaignSession&) = delete;
 
   /// Opens the store, then runs every cell. Returns false with a diagnostic
-  /// on stderr when --resume names a directory that holds no store.
+  /// on stderr when --resume names a directory that holds no store or the
+  /// store cannot be opened.
   bool run();
 
   const std::vector<ExperimentCell>& cells() const noexcept { return cells_; }

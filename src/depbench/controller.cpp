@@ -25,11 +25,9 @@ Controller::Controller(std::shared_ptr<const snapshot::WarmSnapshot> snap,
     : snap_(std::move(snap)),
       kernel_(std::make_unique<os::Kernel>(snap_->kernel)),
       api_(std::make_unique<os::OsApi>(*kernel_)),
-      fileset_(std::make_unique<spec::Fileset>(kernel_->disk(), snap_->fileset,
-                                               /*populate=*/false)),
-      server_(web::make_server(snap_->server_name, *api_)),
+      fileset_(std::make_unique<spec::Fileset>(snap_->fileset)),
+      server_(snap_->server->clone(*api_)),
       warm_started_(true) {
-  server_->restore_process(snap_->server);
   configure(cfg);
 }
 
@@ -39,10 +37,10 @@ void Controller::reset(ControllerConfig cfg) {
         "Controller::reset: a cold-built controller has no snapshot to "
         "rewind to");
   }
-  // The file set's metadata and the server name are functions of the
-  // snapshot, so kernel + server process image are the whole SUB state.
+  // The file set's metadata is a function of the snapshot, so kernel +
+  // server process image are the whole SUB state.
   kernel_->reset_to(snap_->kernel);
-  server_->restore_process(snap_->server);
+  server_->restore_process(*snap_->server);
   warm_started_ = true;
   configure(cfg);
 }

@@ -1,6 +1,7 @@
 #include "snapshot/warmboot.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "os/api.h"
 #include "spec/client.h"
@@ -21,8 +22,7 @@ void bring_up(os::Kernel& kernel, web::WebServer& server,
 }
 
 std::shared_ptr<const WarmSnapshot> capture_warm_boot(
-    os::OsVersion version, const std::string& server_name,
-    const spec::FilesetConfig& fileset) {
+    os::OsVersion version, const std::string& server_name) {
   // A cold Controller's path to its first run: constructor (kernel boot,
   // file-set population, server construction), then bring_up at run entry.
   // Any other guest activity here would shift the restored cycle/tick
@@ -30,17 +30,13 @@ std::shared_ptr<const WarmSnapshot> capture_warm_boot(
   // (guarded by tests/test_snapshot.cpp).
   os::Kernel kernel(version);
   os::OsApi api(kernel);
-  spec::Fileset files(kernel.disk(), fileset);
+  spec::Fileset files(kernel.disk());
   auto server = web::make_server(server_name, api);
   bring_up(kernel, *server, files);
 
-  auto snap = std::make_shared<WarmSnapshot>();
-  snap->kernel = kernel.snapshot();
-  snap->server = server->save_process();
-  snap->server_name = server_name;
-  snap->fileset = fileset;
-  snap->capture_cycles = kernel.machine().total_cycles();
-  return snap;
+  return std::make_shared<const WarmSnapshot>(
+      WarmSnapshot{kernel.snapshot(), server->image(), std::move(files),
+                   kernel.machine().total_cycles()});
 }
 
 }  // namespace gf::snapshot

@@ -4,12 +4,12 @@
 // the SPECWeb file set, start the server — is identical for every run of a
 // (OS version, server) cell. Following ZOFI's clone-the-warmed-process
 // model, this subsystem performs the bring-up ONCE per cell, captures the
-// complete machine + kernel + server-process state right after server start
-// and the deterministic warm-up serve (spec::warm_server), and lets every
-// run reconstruct its private SUB from the shared snapshot in O(memory
-// copy): no MiniC compilation, no boot execution, no file-set regeneration
-// (disk content is copy-on-write, so runs share file bytes until they
-// write).
+// complete machine + kernel state and a copy of the server object right
+// after server start and the deterministic warm-up serve
+// (spec::warm_server), and lets every run reconstruct its private SUB from
+// the shared snapshot in O(memory copy): no MiniC compilation, no boot
+// execution, no file-set regeneration (disk content is copy-on-write, so
+// runs share file bytes until they write).
 //
 // Bit-identity: the capture builds the SUB exactly as a cold Controller's
 // constructor does and then calls bring_up(), the same function a cold
@@ -28,14 +28,14 @@
 namespace gf::snapshot {
 
 /// Everything a campaign run needs to reconstruct a warmed SUB: kernel
-/// state (machine memory, images, boot replay, disk, ticks) plus the
-/// server's C++-side process image and the file-set shape. Plain data —
-/// shared read-only across worker threads via shared_ptr<const>.
+/// state (machine memory, images, boot replay, disk, ticks), a copy of the
+/// warmed server bound to no OS (web::WebServer::image) and the file set's
+/// metadata. Read-only after capture — shared across worker threads via
+/// shared_ptr<const>.
 struct WarmSnapshot {
   os::KernelSnapshot kernel;
-  web::ProcessImage server;
-  std::string server_name;
-  spec::FilesetConfig fileset;
+  std::shared_ptr<const web::WebServer> server;
+  spec::Fileset fileset;
   /// Guest cycles the captured bring-up consumed (boot + server start) —
   /// what every warm run *avoids* re-executing; exported as the
   /// snapshot.bringup_cycles gauge.
@@ -52,7 +52,6 @@ void bring_up(os::Kernel& kernel, web::WebServer& server,
 /// server `server_name`), runs bring_up() and captures the warmed state.
 /// Throws when the server fails to start on the pristine OS.
 std::shared_ptr<const WarmSnapshot> capture_warm_boot(
-    os::OsVersion version, const std::string& server_name,
-    const spec::FilesetConfig& fileset = {});
+    os::OsVersion version, const std::string& server_name);
 
 }  // namespace gf::snapshot

@@ -20,7 +20,7 @@ const std::vector<double>& Fileset::class_weights() {
   return kWeights;
 }
 
-Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg, bool populate) {
+Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg) {
   by_class_.resize(4);
   for (int d = 0; d < cfg.num_dirs; ++d) {
     for (int c = 0; c < 4; ++c) {
@@ -28,17 +28,14 @@ Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg, bool populate) {
         char path[64];
         std::snprintf(path, sizeof path, "/file_set/dir%05d/class%d_%d", d, c, j);
         const auto size = file_size(c, j);
-        if (populate) {
-          std::vector<std::uint8_t> content(size);
-          web::fill_expected(web::path_seed(path), content);
-          disk.add_file(path, std::move(content));
-        }
+        std::vector<std::uint8_t> content(size);
+        web::fill_expected(web::path_seed(path), content);
+        disk.add_file(path, std::move(content));
         by_class_[static_cast<std::size_t>(c)].push_back(files_.size());
         files_.push_back({path, size, c});
       }
     }
   }
-  if (!populate) return;  // content already on the snapshot's disk
   // Server support files.
   disk.add_file("/conf/httpd.conf", std::vector<std::uint8_t>(512, 0x23));
   disk.create("/logs/apex.post");

@@ -32,10 +32,9 @@ struct FileInfo {
 class Fileset {
  public:
   /// Populates `disk` with the document tree (and the /logs, /conf files
-  /// the servers expect). With populate == false only the metadata
-  /// (files()/class_members()) is rebuilt and the disk is untouched — used
-  /// when the disk content already comes from a warm-boot snapshot.
-  Fileset(os::SimDisk& disk, const FilesetConfig& cfg = {}, bool populate = true);
+  /// the servers expect). The object keeps only the metadata
+  /// (files()/class_members()), so a warm-boot snapshot holds a copy.
+  Fileset(os::SimDisk& disk, const FilesetConfig& cfg = {});
 
   const std::vector<FileInfo>& files() const noexcept { return files_; }
   /// Files of one size class.

@@ -17,9 +17,9 @@ constexpr std::int64_t kBufSize = 36 * 1024;
 constexpr std::int64_t kChunk = 4096;
 constexpr std::size_t kMaxBody = 64 * 1024;
 
-class AbyssalServer final : public WebServer {
+class AbyssalServer final : public CopyableServer<AbyssalServer> {
  public:
-  explicit AbyssalServer(os::OsApi& api) : WebServer(api) {}
+  using CopyableServer::CopyableServer;
 
   const char* name() const override { return "abyssal"; }
   // Thread-per-connection dispatch: more per-request CPU outside the OS.
@@ -111,24 +111,6 @@ class AbyssalServer final : public WebServer {
     if (open.value <= 0) return Response{500, {}};
     if (req.dynamic) dynamic_transform(resp.body);
     return resp;
-  }
-
-  void do_save_state(std::vector<std::int64_t>& out) const override {
-    for (std::uint64_t v : {scratch_, cs_, url_buf_, ansi_buf_, nt_struct_,
-                            post_buf_, static_cast<std::uint64_t>(log_handle_),
-                            served_, posts_}) {
-      out.push_back(static_cast<std::int64_t>(v));
-    }
-  }
-
-  void do_restore_state(WordReader& in) override {
-    for (auto* p : {&scratch_, &cs_, &url_buf_, &ansi_buf_, &nt_struct_,
-                    &post_buf_}) {
-      *p = static_cast<std::uint64_t>(in.next());
-    }
-    log_handle_ = in.next();
-    served_ = static_cast<std::uint64_t>(in.next());
-    posts_ = static_cast<std::uint64_t>(in.next());
   }
 
  private:

@@ -30,9 +30,9 @@ constexpr int kMaxConsecutiveFailures = 12;
 constexpr std::size_t kCacheEntries = 192;
 constexpr std::size_t kMaxBody = 64 * 1024;
 
-class ApexServer final : public WebServer {
+class ApexServer final : public CopyableServer<ApexServer> {
  public:
-  explicit ApexServer(os::OsApi& api) : WebServer(api) {}
+  using CopyableServer::CopyableServer;
 
   const char* name() const override { return "apex"; }
   bool has_self_restart() const override { return true; }
@@ -118,55 +118,6 @@ class ApexServer final : public WebServer {
       }
     }
     return resp;
-  }
-
-  void do_save_state(std::vector<std::int64_t>& out) const override {
-    for (std::uint64_t v : {cs_, stats_block_, url_buf_, canon_buf_, ansi_buf_,
-                            nt_struct_, post_buf_, pool_[0], pool_[1],
-                            static_cast<std::uint64_t>(pool_rr_),
-                            static_cast<std::uint64_t>(log_handle_),
-                            static_cast<std::uint64_t>(log_pos_), posts_,
-                            served_total_}) {
-      out.push_back(static_cast<std::int64_t>(v));
-    }
-    for (int v : {consecutive_failures_, served_since_check_,
-                  served_since_audit_, heap_probe_failures_}) {
-      out.push_back(v);
-    }
-  }
-
-  void do_save_blobs(Blobs& out) const override {
-    // The cache is part of the warmed process: snapshots are captured after
-    // the bring-up warm-up serve, and a restored process must hit the cache
-    // exactly like the one that was captured. std::map iterates key-sorted,
-    // so the image is deterministic. Bodies are immutable once cached, so
-    // the image shares them instead of copying.
-    for (const auto& [path, body] : cache_) out.emplace_back(path, body);
-  }
-
-  void do_restore_state(WordReader& in) override {
-    for (auto* p : {&cs_, &stats_block_, &url_buf_, &canon_buf_, &ansi_buf_,
-                    &nt_struct_, &post_buf_, &pool_[0], &pool_[1]}) {
-      *p = static_cast<std::uint64_t>(in.next());
-    }
-    pool_rr_ = static_cast<std::size_t>(in.next());
-    log_handle_ = in.next();
-    log_pos_ = in.next();
-    posts_ = static_cast<std::uint64_t>(in.next());
-    served_total_ = static_cast<std::uint64_t>(in.next());
-    consecutive_failures_ = static_cast<int>(in.next());
-    served_since_check_ = static_cast<int>(in.next());
-    served_since_audit_ = static_cast<int>(in.next());
-    heap_probe_failures_ = static_cast<int>(in.next());
-    cache_.clear();
-  }
-
-  void do_restore_blobs(const Blobs& in) override {
-    cache_.clear();
-    for (const auto& [path, body] : in) {
-      if (cache_.size() >= kCacheEntries) break;
-      cache_[path] = body;
-    }
   }
 
  private:
@@ -395,6 +346,9 @@ class ApexServer final : public WebServer {
   int served_since_audit_ = 0;
   int heap_probe_failures_ = 0;
   std::uint64_t served_total_ = 0;
+  /// Part of the warmed process image: a clone hits the cache exactly like
+  /// the server it was copied from. Bodies are immutable once cached, so
+  /// copies share them.
   std::map<std::string, SharedBytes> cache_;
 };
 

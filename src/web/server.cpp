@@ -1,7 +1,5 @@
 #include "web/server.h"
 
-#include <stdexcept>
-
 namespace gf::web {
 
 const char* server_state_name(ServerState s) noexcept {
@@ -49,7 +47,7 @@ Response WebServer::handle(const Request& req) {
     return Response{503, {}};
   }
   ++stats_.requests;
-  const auto cycles_before = api_.total_cycles();
+  const auto cycles_before = api_->total_cycles();
   Response resp{500, {}};
   try {
     resp = do_handle(req);
@@ -64,7 +62,7 @@ Response WebServer::handle(const Request& req) {
     state_ = ServerState::kSpinning;
     resp = Response{0, {}};
   }
-  last_cycles_ = api_.total_cycles() - cycles_before;
+  last_cycles_ = api_->total_cycles() - cycles_before;
   if (resp.status == 200) {
     ++stats_.ok;
   } else {
@@ -73,23 +71,22 @@ Response WebServer::handle(const Request& req) {
   return resp;
 }
 
-ProcessImage WebServer::save_process() const {
-  ProcessImage img;
-  img.state = state_;
-  img.stats = stats_;
-  img.last_cycles = last_cycles_;
-  do_save_state(img.words);
-  do_save_blobs(img.blobs);
-  return img;
+std::unique_ptr<WebServer> WebServer::clone(os::OsApi& api) const {
+  auto c = copy();
+  c->api_ = &api;
+  return c;
 }
 
-void WebServer::restore_process(const ProcessImage& img) {
-  state_ = img.state;
-  stats_ = img.stats;
-  last_cycles_ = img.last_cycles;
-  WordReader in(img.words);
-  do_restore_state(in);
-  do_restore_blobs(img.blobs);
+std::unique_ptr<const WebServer> WebServer::image() const {
+  auto c = copy();
+  c->api_ = nullptr;
+  return c;
+}
+
+void WebServer::restore_process(const WebServer& image) {
+  auto* const api = api_;
+  assign(image);
+  api_ = api;
 }
 
 bool WebServer::try_self_restart() {

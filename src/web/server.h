@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,35 +46,13 @@ struct ServerStats {
 };
 
 /// An immutable byte buffer shared by reference (cached response bodies):
-/// snapshots, restores and controller resets copy the pointer, not the
-/// bytes.
+/// clones, restores and controller resets copy the pointer, not the bytes.
 using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
-using Blobs = std::vector<std::pair<std::string, SharedBytes>>;
-
-/// Snapshot of a server's C++-side process state (warm-boot snapshots).
-/// Servers are native code, so unlike guest memory their state cannot be
-/// captured from the VM: each server flattens its members to plain integers
-/// via do_save_state/do_restore_state (the analogue of ZOFI cloning the
-/// warmed process image instead of re-launching).
-struct ProcessImage {
-  ServerState state = ServerState::kStopped;
-  ServerStats stats;
-  std::uint64_t last_cycles = 0;
-  std::vector<std::int64_t> words;  ///< per-server scalars, declaration order
-  /// Variable-size state that does not flatten to scalars (e.g. apex's
-  /// response cache, one entry per cached path). Key-sorted so the image
-  /// is a deterministic function of the server state. The bytes are shared
-  /// with the server that saved them and never mutated.
-  Blobs blobs;
-};
 
 class WebServer {
  public:
-  explicit WebServer(os::OsApi& api) : api_(api) {}
+  explicit WebServer(os::OsApi& api) : api_(&api) {}
   virtual ~WebServer() = default;
-
-  WebServer(const WebServer&) = delete;
-  WebServer& operator=(const WebServer&) = delete;
 
   virtual const char* name() const = 0;
   /// Apache-like built-in self-restart capability (paper §3.4).
@@ -102,24 +81,26 @@ class WebServer {
   /// VM cycles consumed by the last handle() call (performance model input).
   std::uint64_t last_request_cycles() const noexcept { return last_cycles_; }
 
-  /// Captures / restores the full C++-side process state. A restored server
-  /// object behaves exactly like the one save_process() was called on —
-  /// guest-side resources it refers to (handles, heap blocks) must be
+  /// Warm-boot process images (the analogue of ZOFI cloning the warmed
+  /// process instead of re-launching it). A server's whole C++-side process
+  /// state is its member set, so an image is a copy of the server object.
+  /// Guest-side resources it refers to (handles, heap blocks) must be
   /// restored separately via the kernel snapshot taken at the same point.
-  ProcessImage save_process() const;
-  void restore_process(const ProcessImage& img);
+  ///
+  /// clone(): a copy of this server bound to `api`.
+  /// image(): a copy bound to no OS — what a snapshot holds; it is only
+  /// read, by clone() and restore_process().
+  /// restore_process(): makes this server a copy of `image`, keeping this
+  /// server's OS binding; throws std::invalid_argument when `image` is
+  /// another server kind.
+  std::unique_ptr<WebServer> clone(os::OsApi& api) const;
+  std::unique_ptr<const WebServer> image() const;
+  void restore_process(const WebServer& image);
 
  protected:
-  /// Sequential reader for ProcessImage::words (restore side).
-  class WordReader {
-   public:
-    explicit WordReader(const std::vector<std::int64_t>& w) : w_(w) {}
-    std::int64_t next() { return w_.at(i_++); }
+  WebServer(const WebServer&) = default;
+  WebServer& operator=(const WebServer&) = default;
 
-   private:
-    const std::vector<std::int64_t>& w_;
-    std::size_t i_ = 0;
-  };
   /// Thrown by request handling when an API call hangs.
   struct ApiHang {};
   /// Thrown when the process dies (unhandled fault consequence).
@@ -130,16 +111,12 @@ class WebServer {
   virtual bool do_start() = 0;
   virtual void do_stop() {}
   virtual Response do_handle(const Request& req) = 0;
-  /// Appends / re-reads every member that affects behaviour, in declaration
-  /// order. The base class covers state/stats/last-cycles.
-  virtual void do_save_state(std::vector<std::int64_t>& out) const = 0;
-  virtual void do_restore_state(WordReader& in) = 0;
-  /// Variable-size state (ProcessImage::blobs). Runs after the word pass on
-  /// restore; default: the server has none.
-  virtual void do_save_blobs(Blobs&) const {}
-  virtual void do_restore_blobs(const Blobs&) {}
+  /// The compiler-generated copies behind clone() / restore_process(),
+  /// provided by CopyableServer.
+  virtual std::unique_ptr<WebServer> copy() const = 0;
+  virtual void assign(const WebServer& image) = 0;
 
-  os::OsApi& api() noexcept { return api_; }
+  os::OsApi& api() noexcept { return *api_; }
 
   /// Propagates a hung API call as ApiHang; returns the result otherwise.
   const os::ApiResult& hang_check(const os::ApiResult& r) {
@@ -156,10 +133,32 @@ class WebServer {
   }
 
  private:
-  os::OsApi& api_;
+  os::OsApi* api_;  ///< null only in an image()
   ServerState state_ = ServerState::kStopped;
   ServerStats stats_;
   std::uint64_t last_cycles_ = 0;
+};
+
+/// Gives server `Derived` its copy() / assign(): the compiler-generated
+/// copies of Derived, so every member is part of the process image.
+template <typename Derived>
+class CopyableServer : public WebServer {
+ public:
+  using WebServer::WebServer;
+
+ protected:
+  std::unique_ptr<WebServer> copy() const final {
+    return std::make_unique<Derived>(static_cast<const Derived&>(*this));
+  }
+  void assign(const WebServer& image) final {
+    const auto* from = dynamic_cast<const Derived*>(&image);
+    if (from == nullptr) {
+      throw std::invalid_argument(std::string("cannot restore a ") + name() +
+                                  " server from a " + image.name() +
+                                  " image");
+    }
+    static_cast<Derived&>(*this) = *from;
+  }
 };
 
 /// Factory for the four case-study servers by name ("apex", "abyssal",

@@ -18,9 +18,9 @@ namespace {
 constexpr std::int64_t kChunk = 4096;
 constexpr std::size_t kMaxBody = 64 * 1024;
 
-class SambarServer final : public WebServer {
+class SambarServer final : public CopyableServer<SambarServer> {
  public:
-  explicit SambarServer(os::OsApi& api) : WebServer(api) {}
+  using CopyableServer::CopyableServer;
   const char* name() const override { return "sambar"; }
 
  protected:
@@ -113,23 +113,6 @@ class SambarServer final : public WebServer {
     return resp;
   }
 
-  void do_save_state(std::vector<std::int64_t>& out) const override {
-    for (std::uint64_t v : {base_, cs_, url_buf_, canon_buf_, ansi_buf_,
-                            str_buf_, post_buf_, data_buf_,
-                            static_cast<std::uint64_t>(log_handle_), served_}) {
-      out.push_back(static_cast<std::int64_t>(v));
-    }
-  }
-
-  void do_restore_state(WordReader& in) override {
-    for (auto* p : {&base_, &cs_, &url_buf_, &canon_buf_, &ansi_buf_,
-                    &str_buf_, &post_buf_, &data_buf_}) {
-      *p = static_cast<std::uint64_t>(in.next());
-    }
-    log_handle_ = in.next();
-    served_ = static_cast<std::uint64_t>(in.next());
-  }
-
  private:
   /// Periodic maintenance: page-table audit of the data buffer, native
   /// re-open of the config file, log position reset.
@@ -157,9 +140,9 @@ class SambarServer final : public WebServer {
   std::uint64_t served_ = 0;
 };
 
-class SavantServer final : public WebServer {
+class SavantServer final : public CopyableServer<SavantServer> {
  public:
-  explicit SavantServer(os::OsApi& api) : WebServer(api) {}
+  using CopyableServer::CopyableServer;
   const char* name() const override { return "savant"; }
 
  protected:
@@ -222,23 +205,6 @@ class SavantServer final : public WebServer {
       dynamic_transform(resp.body);
     }
     return resp;
-  }
-
-  void do_save_state(std::vector<std::int64_t>& out) const override {
-    for (std::uint64_t v : {base_, cs_, url_buf_, ansi_buf_, str_a_, str_b_,
-                            nt_struct_, data_buf_, post_buf_,
-                            static_cast<std::uint64_t>(log_handle_), served_}) {
-      out.push_back(static_cast<std::int64_t>(v));
-    }
-  }
-
-  void do_restore_state(WordReader& in) override {
-    for (auto* p : {&base_, &cs_, &url_buf_, &ansi_buf_, &str_a_, &str_b_,
-                    &nt_struct_, &data_buf_, &post_buf_}) {
-      *p = static_cast<std::uint64_t>(in.next());
-    }
-    log_handle_ = in.next();
-    served_ = static_cast<std::uint64_t>(in.next());
   }
 
  private:

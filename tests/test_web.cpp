@@ -2,6 +2,9 @@
 // including their differentiated behaviour under injected OS faults.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <tuple>
+
 #include "os/api.h"
 #include "os/kernel.h"
 #include "spec/client.h"
@@ -152,6 +155,72 @@ TEST_P(ServerTest, RestartAfterStopWorks) {
   ASSERT_TRUE(server_->start());
   const auto& f = fileset_.files()[0];
   EXPECT_EQ(server_->handle({Method::kGet, f.path, false, ""}).status, 200);
+}
+
+// --- warm-boot process images -------------------------------------------------
+
+auto stats_tuple(const ServerStats& s) {
+  return std::tuple(s.requests, s.ok, s.errors, s.crashes, s.self_restarts);
+}
+
+// A clone taken mid-serve is the whole process: restored into the original
+// after it served on (and rebound itself), it answers the continuation
+// exactly like the original did from the clone point. The guest side is
+// rewound with the kernel snapshot taken at the same point.
+class ServerImageTest : public ServerTest {};
+
+INSTANTIATE_TEST_SUITE_P(AllServers, ServerImageTest,
+                         ::testing::Values("apex", "abyssal", "sambar",
+                                           "savant"),
+                         [](const auto& info) { return std::string(info.param); });
+
+TEST_P(ServerImageTest, CloneAndRestoreReplayTheContinuation) {
+  ASSERT_TRUE(server_->start());
+  // Long enough to pass every server's housekeeping and audit periods.
+  spec::WorkloadGenerator before(fileset_, 11);
+  for (int i = 0; i < 150; ++i) server_->handle(before.next());
+  const auto kernel_at_clone = kernel_.snapshot();
+  const auto clone = server_->clone(api_);
+
+  spec::WorkloadGenerator gen(fileset_, 12);
+  std::vector<Request> reqs;
+  std::vector<Response> expected;
+  for (int i = 0; i < 150; ++i) {
+    reqs.push_back(gen.next());
+    expected.push_back(server_->handle(reqs.back()));
+  }
+  const auto expected_stats = stats_tuple(server_->stats());
+
+  kernel_.reset_to(kernel_at_clone);
+  server_->restore_process(*clone);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto resp = server_->handle(reqs[i]);
+    ASSERT_EQ(resp.status, expected[i].status) << i << " " << reqs[i].path;
+    ASSERT_EQ(resp.body, expected[i].body) << i << " " << reqs[i].path;
+  }
+  EXPECT_EQ(stats_tuple(server_->stats()), expected_stats);
+
+  kernel_.reset_to(kernel_at_clone);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto resp = clone->handle(reqs[i]);
+    ASSERT_EQ(resp.status, expected[i].status) << i << " " << reqs[i].path;
+    ASSERT_EQ(resp.body, expected[i].body) << i << " " << reqs[i].path;
+  }
+  EXPECT_EQ(stats_tuple(clone->stats()), expected_stats);
+}
+
+TEST_P(ServerImageTest, RestoreRefusesAnotherServerKindsImage) {
+  ASSERT_TRUE(server_->start());
+  for (const char* other : {"apex", "abyssal", "sambar", "savant"}) {
+    if (std::string(other) == GetParam()) continue;
+    SCOPED_TRACE(other);
+    const auto foreign = make_server(other, api_)->image();
+    EXPECT_THROW(server_->restore_process(*foreign), std::invalid_argument);
+    EXPECT_EQ(server_->state(), ServerState::kRunning);  // left untouched
+  }
+  const auto own = make_server(GetParam(), api_)->image();
+  server_->restore_process(*own);
+  EXPECT_EQ(server_->state(), ServerState::kStopped);
 }
 
 TEST(ServerFactory, RejectsUnknownNames) {

@@ -72,7 +72,7 @@ class Kernel {
  public:
   explicit Kernel(OsVersion version);
 
-  /// Warm construction: rebuilds a kernel from a snapshot in O(memory copy)
+  /// Warm construction: rebuilds a kernel from a snapshot in O(written pages)
   /// — no MiniC compile, no boot execution. The machine resumes at the
   /// snapshot's exact cycle/tick counters, so runs against a warm kernel are
   /// bit-identical to runs against the cold-built kernel it was captured

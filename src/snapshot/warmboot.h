@@ -7,7 +7,7 @@
 // complete machine + kernel state and a copy of the server object right
 // after server start and the deterministic warm-up serve
 // (spec::warm_server), and lets every run reconstruct its private SUB from
-// the shared snapshot in O(memory copy): no MiniC compilation, no boot
+// the shared snapshot in O(written pages): no MiniC compilation, no boot
 // execution, no file-set regeneration (disk content is copy-on-write, so
 // runs share file bytes until they write).
 //

@@ -1,6 +1,7 @@
 #include "store/store.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -187,11 +188,27 @@ StoreStats StoreStats::from_json(const obs::json::Field& f) {
   return s;
 }
 
-CampaignStore::CampaignStore(std::string dir) : dir_(std::move(dir)) {
-  if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) {
-    throw StoreError("store: cannot create " + dir_ + ": " +
-                     std::strerror(errno));
+CampaignStore::DirLock::DirLock(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
+    throw StoreError("store: cannot create " + dir + ": " + std::strerror(errno));
   }
+  fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    throw StoreError("store: cannot open " + dir + ": " + std::strerror(errno));
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    throw StoreError(err == EWOULDBLOCK
+                         ? "store: " + dir + " is in use by another open store"
+                         : "store: cannot lock " + dir + ": " + std::strerror(err));
+  }
+}
+
+CampaignStore::DirLock::~DirLock() { ::close(fd); }  // releases the flock
+
+CampaignStore::CampaignStore(std::string dir)
+    : dir_(std::move(dir)), lock_(dir_) {
   segment_path_ = dir_ + "/segment.gfs";
   wal_path_ = dir_ + "/wal.gfj";
   recover();

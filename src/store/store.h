@@ -29,6 +29,9 @@
 // Duplicate keys are legal (a `--no-cache` run re-executes and re-commits);
 // the *last* commit wins, and gc() compacts the dead versions away.
 //
+// One writer per directory: an open store holds flock(LOCK_EX) on DIR, and
+// a second open (from any process) throws StoreError.
+//
 // Thread safety: one reader-writer lock. get(), contains(), list(),
 // verify() and stats() hold it shared, so campaign workers resolve cache
 // hits concurrently: get() is one pread on the store's read-only segment
@@ -94,8 +97,10 @@ struct RecordInfo {
 class CampaignStore {
  public:
   /// Opens (creating if needed) the store at `dir`, running tail recovery.
-  /// Throws StoreError when the directory cannot be created or the files
-  /// cannot be opened.
+  /// The store holds an exclusive lock on `dir` until it is destroyed.
+  /// Throws StoreError when the directory cannot be created or locked (it
+  /// is locked while another store, in any process, has it open) or the
+  /// files cannot be opened.
   explicit CampaignStore(std::string dir);
   ~CampaignStore();
 
@@ -159,7 +164,19 @@ class CampaignStore {
   void index_commit(const ResultKey& key, const Slot& slot);
   bool read_payload(const Slot& s, std::vector<std::uint8_t>& payload) const;
 
+  /// The store directory, created if missing, under flock(LOCK_EX) for the
+  /// store's lifetime: two open stores on one directory would interleave
+  /// their appends and truncate each other's tails. Throws StoreError.
+  struct DirLock {
+    explicit DirLock(const std::string& dir);
+    ~DirLock();
+    DirLock(const DirLock&) = delete;
+    DirLock& operator=(const DirLock&) = delete;
+    int fd = -1;
+  };
+
   std::string dir_;
+  DirLock lock_;
   std::string segment_path_;
   std::string wal_path_;
   mutable std::shared_mutex mu_;

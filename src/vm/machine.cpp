@@ -1,7 +1,10 @@
 #include "vm/machine.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 // Dispatch lowering: computed-goto labels-as-values ("threaded") on
@@ -170,22 +173,39 @@ std::vector<TraceEdge> WatchTrace::edges() const {
   return out;
 }
 
+Machine::Memory::Memory(std::size_t size) : size_(size) {
+  if (size == 0) return;
+  void* p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+#ifdef MADV_NOHUGEPAGE
+  ::madvise(p, size, MADV_NOHUGEPAGE);  // advisory: failure changes nothing
+#endif
+  data_ = static_cast<std::uint8_t*>(p);
+}
+
+Machine::Memory::~Memory() {
+  if (data_ != nullptr) ::munmap(data_, size_);
+}
+
 Machine::Machine(std::size_t mem_size)
-    : mem_(mem_size, 0),
+    : mem_(mem_size),
       page_state_((mem_size + kDirtyPageSize - 1) >> kDirtyPageShift, 0) {
   // Default stack: top 64 KiB of memory.
   stack_hi_ = mem_.size();
   stack_lo_ = mem_.size() > (64u << 10) ? mem_.size() - (64u << 10) : 0;
 }
 
-Machine::Machine(const State& s)
-    : mem_(s.mem),
-      page_state_((mem_.size() + kDirtyPageSize - 1) >> kDirtyPageShift, 0),
-      flags_(s.flags),
-      total_cycles_(s.total_cycles) {
+Machine::Machine(const State& s) : Machine(s.mem_size) {
+  check_state(s);
+  for (std::size_t k = 0; k < s.pages.size(); ++k) {
+    const auto addr = static_cast<std::uint64_t>(s.pages[k]) << kDirtyPageShift;
+    std::memcpy(mem_.data() + addr, s.bytes.data() + k * kDirtyPageSize,
+                page_span(addr));
+  }
   std::memcpy(regs_, s.regs.data(), sizeof regs_);
-  stack_hi_ = mem_.size();
-  stack_lo_ = mem_.size() > (64u << 10) ? mem_.size() - (64u << 10) : 0;
+  flags_ = s.flags;
+  total_cycles_ = s.total_cycles;
 }
 
 const std::uint8_t* Machine::raw(std::uint64_t addr, std::size_t n) const noexcept {
@@ -219,7 +239,17 @@ void Machine::set_page_bit(std::uint8_t bit, bool on) noexcept {
 
 Machine::State Machine::snapshot() {
   State s;
-  s.mem = mem_;
+  s.mem_size = mem_.size();
+  for (std::size_t p = 0; p < page_state_.size(); ++p) {
+    const std::uint64_t addr = static_cast<std::uint64_t>(p) << kDirtyPageShift;
+    const std::uint8_t* bytes = mem_.data() + addr;
+    const std::size_t len = page_span(addr);
+    // All zero iff the first byte is zero and every byte equals the next.
+    if (bytes[0] == 0 && std::memcmp(bytes, bytes + 1, len - 1) == 0) continue;
+    s.pages.push_back(p);
+    s.bytes.resize(s.bytes.size() + kDirtyPageSize);
+    std::memcpy(s.bytes.data() + s.bytes.size() - kDirtyPageSize, bytes, len);
+  }
   std::memcpy(s.regs.data(), regs_, sizeof regs_);
   s.flags = flags_;
   s.total_cycles = total_cycles_;
@@ -227,19 +257,36 @@ Machine::State Machine::snapshot() {
   return s;
 }
 
-void Machine::restore(const State& s) {
-  if (s.mem.size() != mem_.size()) {
+void Machine::check_state(const State& s) const {
+  if (s.mem_size != mem_.size()) {
     throw std::runtime_error("machine snapshot size mismatch");
   }
-  // Copy back only pages dirtied since snapshot(); pages overlapping the
+  if (s.bytes.size() != s.pages.size() * kDirtyPageSize ||
+      std::adjacent_find(s.pages.begin(), s.pages.end(),
+                         std::greater_equal<>()) != s.pages.end() ||
+      (!s.pages.empty() && s.pages.back() >= page_state_.size())) {
+    throw std::invalid_argument("malformed machine snapshot");
+  }
+}
+
+void Machine::restore(const State& s) {
+  check_state(s);
+  // Rewrite only pages dirtied since snapshot(): the state's bytes where it
+  // lists the page, zeros where it does not. Dirty pages come in ascending
+  // order, as the list does, so one cursor walks it. Pages overlapping the
   // code hull additionally re-decode so the predecode cache never serves
   // instructions for bytes that just changed under it.
+  std::size_t k = 0;
   for (std::size_t p = 0; p < page_state_.size(); ++p) {
     if (!(page_state_[p] & kPageDirty)) continue;
     const std::uint64_t addr = static_cast<std::uint64_t>(p) << kDirtyPageShift;
-    const std::size_t len = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kDirtyPageSize, mem_.size() - addr));
-    std::memcpy(mem_.data() + addr, s.mem.data() + addr, len);
+    const std::size_t len = page_span(addr);
+    while (k < s.pages.size() && s.pages[k] < p) ++k;
+    if (k < s.pages.size() && s.pages[k] == p) {
+      std::memcpy(mem_.data() + addr, s.bytes.data() + k * kDirtyPageSize, len);
+    } else {
+      std::memset(mem_.data() + addr, 0, len);
+    }
     maybe_invalidate(addr, len);
   }
   std::memcpy(regs_, s.regs.data(), sizeof regs_);

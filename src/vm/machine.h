@@ -13,10 +13,12 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/image.h"
@@ -100,7 +102,13 @@ struct WriteSpan {
 class Machine {
  public:
   /// `mem_size` is the flat physical memory size. The first kNullPageSize
-  /// bytes are unmapped (null-deref detection).
+  /// bytes are unmapped (null-deref detection). Memory is a private
+  /// anonymous mapping that the host kernel zero-fills on demand: a page
+  /// costs host memory only once it is first written, and that first write
+  /// takes one minor page fault (~1.5 µs each on a 4-vCPU VM host). A warm
+  /// machine pays them for its snapshot's pages at construction and for the
+  /// few dozen more its first run writes; one reused through restore() has
+  /// its pages already.
   explicit Machine(std::size_t mem_size = kDefaultMemSize);
 
   static constexpr std::size_t kDefaultMemSize = 8u << 20;  // 8 MiB
@@ -112,21 +120,32 @@ class Machine {
   static constexpr std::uint64_t kDirtyPageShift = 12;
   static constexpr std::uint64_t kDirtyPageSize = 1u << kDirtyPageShift;
 
-  /// Full machine state for warm-boot snapshots: memory image plus the
-  /// execution state a restore must reproduce (registers, comparison flags,
-  /// lifetime cycle counter). Snapshots are plain data — safe to share
-  /// read-only across threads.
+  /// Full machine state for warm-boot snapshots, sparse: the memory size,
+  /// the ascending indices of the kDirtyPageSize pages that hold a non-zero
+  /// byte and those pages' bytes, plus the execution state a restore must
+  /// reproduce (registers, comparison flags, lifetime cycle counter). Every
+  /// page the list omits is zero and the list holds no all-zero page, so
+  /// two states are equal exactly when the machines they describe are. A
+  /// warm VOS snapshot lists a few dozen of the 2048 pages of 8 MiB.
+  /// Snapshots are plain data — safe to share read-only across threads.
   struct State {
-    std::vector<std::uint8_t> mem;
+    std::size_t mem_size = 0;
+    std::vector<std::size_t> pages;  ///< non-zero page indices, ascending
+    /// kDirtyPageSize bytes per listed page, in list order; a last page cut
+    /// short by mem_size is zero past it.
+    std::vector<std::uint8_t> bytes;
     std::array<std::int64_t, isa::kNumRegs> regs{};
     int flags = 0;
     std::uint64_t total_cycles = 0;
+    friend bool operator==(const State&, const State&) = default;
   };
 
-  /// Warm construction: memory, registers, flags and cycle counter straight
-  /// from a snapshot (one copy, no zero-fill), every page clean. The
-  /// snapshot already holds the code bytes; register their executable range
-  /// with map_image.
+  /// Warm construction: fresh zero memory, then only the state's pages
+  /// copied in, so construction costs O(written pages), not O(mem_size);
+  /// registers, flags and cycle counter from the state; every page clean.
+  /// The snapshot already holds the code bytes; register their executable
+  /// range with map_image. Throws std::invalid_argument for a malformed
+  /// state (pages out of order or out of range, byte count mismatch).
   explicit Machine(const State& s);
 
   // --- setup -------------------------------------------------------------
@@ -230,14 +249,16 @@ class Machine {
   void clear_dirty(std::uint64_t addr, std::uint64_t len) noexcept;
   void clear_all_dirty() noexcept;
 
-  /// Captures the full machine state (memory + registers + flags + lifetime
-  /// cycle counter) and clears every dirty bit, establishing the baseline
-  /// restore() diffs against.
+  /// Captures the full machine state (the non-zero memory pages + registers
+  /// + flags + lifetime cycle counter; one scan of memory) and clears every
+  /// dirty bit, establishing the baseline restore() diffs against.
   State snapshot();
-  /// Restores to `s` by copying back only pages dirtied since the snapshot
-  /// (plus registers/flags/cycles), invalidating the predecode cache over any
-  /// restored code pages so they re-decode lazily. `s.mem` must match
-  /// mem_size(). Clears every dirty bit.
+  /// Restores to `s` by rewriting only pages dirtied since the snapshot: a
+  /// page the state lists gets its bytes back, any other is zero-filled.
+  /// Registers, flags and cycles come back too, and the predecode cache is
+  /// invalidated over any restored code pages so they re-decode lazily.
+  /// `s.mem_size` must match mem_size() (else std::runtime_error). Clears
+  /// every dirty bit.
   void restore(const State& s);
 
   /// Comparison-flag state (CMP result sign); call() preserves registers but
@@ -323,6 +344,33 @@ class Machine {
     std::uint64_t lo, hi;
   };
 
+  /// Guest memory: `size` bytes of a private anonymous mapping, marked
+  /// MADV_NOHUGEPAGE so a host with transparent huge pages always on does
+  /// not back each touched 2 MiB with a huge page. Move-only; a moved-from
+  /// Memory is empty.
+  class Memory {
+   public:
+    explicit Memory(std::size_t size);
+    ~Memory();
+    Memory(Memory&& o) noexcept
+        : data_(std::exchange(o.data_, nullptr)), size_(std::exchange(o.size_, 0)) {}
+    Memory& operator=(Memory&& o) noexcept {
+      std::swap(data_, o.data_);  // o unmaps what this held
+      std::swap(size_, o.size_);
+      return *this;
+    }
+
+    std::uint8_t* data() noexcept { return data_; }
+    const std::uint8_t* data() const noexcept { return data_; }
+    std::size_t size() const noexcept { return size_; }
+    std::uint8_t& operator[](std::size_t i) noexcept { return data_[i]; }
+    std::uint8_t operator[](std::size_t i) const noexcept { return data_[i]; }
+
+   private:
+    std::uint8_t* data_ = nullptr;
+    std::size_t size_ = 0;
+  };
+
   /// Per-slot flag bits (predecode side-table).
   static constexpr std::uint8_t kSlotValid = 1;  ///< slot inside a loaded image
   static constexpr std::uint8_t kSlotArmed = 2;  ///< slot inside the watch window
@@ -382,6 +430,15 @@ class Machine {
   }
   /// Sets `bit` on every page when `on`, else clears it everywhere.
   void set_page_bit(std::uint8_t bit, bool on) noexcept;
+  /// Bytes of the page at `addr` inside memory: kDirtyPageSize, less for a
+  /// last page cut short by mem_size().
+  std::size_t page_span(std::uint64_t addr) const noexcept {
+    const std::uint64_t rest = mem_.size() - addr;
+    return static_cast<std::size_t>(rest < kDirtyPageSize ? rest : kDirtyPageSize);
+  }
+  /// Throws unless `s` is a state of this machine's size with its pages
+  /// strictly ascending, in range, and kDirtyPageSize bytes each.
+  void check_state(const State& s) const;
 
   // Page-state bits, one byte per kDirtyPageSize page. A guest store whose
   // pages all read exactly kPageDirty may skip the rest of the write path:
@@ -396,7 +453,7 @@ class Machine {
   /// on BM_VmDispatchMemMix.
   static constexpr std::uint8_t kPageCapture = 4;
 
-  std::vector<std::uint8_t> mem_;
+  Memory mem_;
   std::vector<std::uint8_t> page_state_;  ///< kPage* bits per kDirtyPageSize page
   bool capture_ = false;
   std::vector<WriteSpan> captured_;

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Campaign front-ends (gfbench campaign, table5_campaign) share one flag
 # table and one session: a bad flag must exit 2, and a --store that names an
-# unusable directory must exit 1 with "error: --store: ..." on stderr,
-# never an uncaught exception.
+# unusable or locked directory must exit 1 with "error: --store: ..." on
+# stderr, never an uncaught exception.
 #
 #   campaign_cli_exit_status.sh GFBENCH TABLE5
 set -u
@@ -45,4 +45,13 @@ for store in "$scratch/a_file" "$scratch/a_file/store"; do
   expect_store_error "$table5" --stride 101 --iterations 1 --scale 0.02 \
     --store "$store"
 done
+
+# A store directory another process holds open (flock(1) takes the same
+# exclusive lock CampaignStore does) is refused, not shared.
+mkdir "$scratch/locked"
+expect_store_error flock -n "$scratch/locked" "$gfbench" campaign --os 2000 \
+  --server apex --stride 101 --iterations 1 --scale 0.02 \
+  --store "$scratch/locked"
+expect_store_error flock -n "$scratch/locked" "$table5" --stride 101 \
+  --iterations 1 --scale 0.02 --store "$scratch/locked"
 exit $status

@@ -289,11 +289,14 @@ TEST(ProfileCampaignTest, StoreResumeReplaysIdenticalProfiles) {
   std::remove((dir + "/segment.gfs").c_str());
   std::remove((dir + "/wal.gfj").c_str());
 
-  auto opt = profiled_options();
-  opt.jobs = 4;
-  store::CampaignStore cold_store(dir);
-  opt.store = &cold_store;
-  EXPECT_EQ(run_profiled(opt), reference());
+  {
+    // Closed before the resume opens the directory: a store holds it locked.
+    auto opt = profiled_options();
+    opt.jobs = 4;
+    store::CampaignStore cold_store(dir);
+    opt.store = &cold_store;
+    EXPECT_EQ(run_profiled(opt), reference());
+  }
 
   // All-hit resume: every profile comes back through the schema-2 codec.
   store::CampaignStore resume_store(dir);

@@ -33,13 +33,19 @@ std::vector<std::string> all_api_names() {
   return names;
 }
 
+// States are canonical (only the non-zero pages, ascending), so whole-state
+// equality is machine equality; the message names the fields that differ.
 void expect_same_machine_state(const vm::Machine::State& a,
                                const vm::Machine::State& b) {
-  EXPECT_TRUE(a.mem == b.mem) << "memory images differ";
-  EXPECT_TRUE(a.regs == b.regs) << "registers differ";
-  EXPECT_EQ(a.flags, b.flags);
-  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_TRUE(a == b) << "machine states differ:"
+                      << (a.mem_size != b.mem_size ? " size" : "")
+                      << (a.pages != b.pages || a.bytes != b.bytes ? " memory" : "")
+                      << (a.regs != b.regs ? " registers" : "")
+                      << (a.flags != b.flags ? " flags" : "")
+                      << (a.total_cycles != b.total_cycles ? " cycles" : "");
 }
+
+constexpr std::uint64_t kPage = vm::Machine::kDirtyPageSize;
 
 // ---------------------------------------------------------------------------
 // VM layer: dirty pages, snapshot/restore, write capture
@@ -197,6 +203,142 @@ TEST(MachineSnapshotTest, RestoreInvalidatesPredecodedCode) {
 
   m.restore(base);
   EXPECT_EQ(m.call(addr, {5}, 1u << 16).ret, 6);
+}
+
+TEST(MachineSnapshotTest, RebuiltMachineHasTheSameDigest) {
+  vm::Machine m;
+  ASSERT_TRUE(m.write_u64(0x2000, 0x1122334455667788ULL));
+  ASSERT_TRUE(m.write_u8(0x40123, 9));
+  ASSERT_TRUE(m.write_u64(m.mem_size() - 8, 7));
+  m.set_reg(5, -3);
+  m.set_cmp_flags(-1);
+  m.add_cycles(1234);
+  const auto s = m.snapshot();
+
+  vm::Machine w(s);
+  EXPECT_EQ(w.mem_size(), m.mem_size());
+  EXPECT_EQ(w.state_digest(), m.state_digest());
+  EXPECT_FALSE(w.page_dirty(0x2000));
+  expect_same_machine_state(w.snapshot(), s);
+}
+
+TEST(MachineSnapshotTest, StateListsExactlyTheNonZeroPages) {
+  vm::Machine m;
+  ASSERT_TRUE(m.write_u8(0x5000 + kPage - 1, 0xAB));  // last byte of page 5
+  ASSERT_TRUE(m.write_u64(0x2000, 1));
+  ASSERT_TRUE(m.write_u64(0x7000, 0));  // written, but still all zero
+  ASSERT_TRUE(m.write_u8(m.mem_size() - 1, 1));
+  const auto s = m.snapshot();
+
+  const std::size_t last = (m.mem_size() - 1) / kPage;
+  EXPECT_EQ(s.mem_size, m.mem_size());
+  EXPECT_EQ(s.pages, (std::vector<std::size_t>{2, 5, last}));
+  ASSERT_EQ(s.bytes.size(), 3 * kPage);
+  EXPECT_EQ(s.bytes[0], 1u);
+  EXPECT_EQ(s.bytes[2 * kPage - 1], 0xABu);
+  EXPECT_EQ(s.bytes[3 * kPage - 1], 1u);
+  EXPECT_EQ(std::count(s.bytes.begin(), s.bytes.end(), 0),
+            static_cast<std::ptrdiff_t>(3 * kPage - 3));
+}
+
+TEST(MachineSnapshotTest, PageZeroedAgainBeforeSnapshotIsNotStored) {
+  vm::Machine m;
+  ASSERT_TRUE(m.write_u64(0x9000, 0xFFFF));
+  ASSERT_TRUE(m.write_u64(0x9000, 0));
+  ASSERT_TRUE(m.write_u8(0xA000, 3));
+  const auto s = m.snapshot();
+  EXPECT_EQ(s.pages, (std::vector<std::size_t>{0xA}));
+
+  vm::Machine w(s);
+  std::uint64_t v = 1;
+  ASSERT_TRUE(w.read_u64(0x9000, v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(w.state_digest(), m.state_digest());
+}
+
+TEST(MachineSnapshotTest, RestoreZeroFillsPagesTheStateDoesNotHold) {
+  vm::Machine m;
+  ASSERT_TRUE(m.write_u64(0x8000, 42));
+  const auto base = m.snapshot();
+  const auto digest = m.state_digest();
+
+  ASSERT_TRUE(m.write_u64(0x40000, 0x5555));  // page absent from the state
+  ASSERT_TRUE(m.write_u64(0x8000, 43));       // page the state holds
+  m.restore(base);
+
+  std::uint64_t v = 1;
+  ASSERT_TRUE(m.read_u64(0x40000, v));
+  EXPECT_EQ(v, 0u);
+  ASSERT_TRUE(m.read_u64(0x8000, v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_EQ(m.state_digest(), digest);
+  expect_same_machine_state(m.snapshot(), base);
+
+  // The same through a rebuilt machine restored to its own state.
+  vm::Machine w(base);
+  ASSERT_TRUE(w.write_u64(0x41000, 1));
+  w.restore(base);
+  EXPECT_EQ(w.state_digest(), digest);
+}
+
+TEST(MachineSnapshotTest, SizeThatIsNotAPageMultipleRoundTrips) {
+  constexpr std::size_t kSize = 0x100000 + 100;
+  vm::Machine m(kSize);
+  EXPECT_EQ(m.mem_size(), kSize);
+  std::uint8_t b = 0;
+  EXPECT_TRUE(m.read_u8(kSize - 1, b));
+  EXPECT_FALSE(m.read_u8(kSize, b));
+  EXPECT_TRUE(m.write_u64(kSize - 8, 0x0102030405060708ULL));
+  EXPECT_FALSE(m.write_u64(kSize - 7, 1));
+  const auto s = m.snapshot();
+  EXPECT_EQ(s.pages, (std::vector<std::size_t>{kSize / kPage}));
+
+  vm::Machine w(s);
+  EXPECT_EQ(w.mem_size(), kSize);
+  EXPECT_EQ(w.state_digest(), m.state_digest());
+  std::uint64_t v = 0;
+  ASSERT_TRUE(w.read_u64(kSize - 8, v));
+  EXPECT_EQ(v, 0x0102030405060708ULL);
+  EXPECT_FALSE(w.read_u64(kSize - 7, v));
+  ASSERT_TRUE(w.write_u64(kSize - 16, 99));
+  w.restore(s);
+  expect_same_machine_state(w.snapshot(), s);
+
+  vm::Machine other;
+  EXPECT_THROW(other.restore(s), std::runtime_error);
+}
+
+TEST(MachineSnapshotTest, MalformedStateIsRefused) {
+  vm::Machine m;
+  ASSERT_TRUE(m.write_u8(0x2000, 1));
+  ASSERT_TRUE(m.write_u8(0x3000, 1));
+  const auto good = m.snapshot();
+  auto unordered = good;
+  std::swap(unordered.pages[0], unordered.pages[1]);
+  auto short_bytes = good;
+  short_bytes.bytes.pop_back();
+  auto out_of_range = good;
+  out_of_range.pages.back() = m.mem_size() / kPage;
+  for (const auto* bad : {&unordered, &short_bytes, &out_of_range}) {
+    EXPECT_THROW(vm::Machine{*bad}, std::invalid_argument);
+    EXPECT_THROW(m.restore(*bad), std::invalid_argument);
+  }
+}
+
+// The sparse state pays off only while warm snapshots stay sparse: each of
+// the four campaign snapshots holds a few dozen of the 2048 pages.
+TEST(MachineSnapshotTest, WarmSnapshotsHoldFewPages) {
+  for (const auto version : {os::OsVersion::kVos2000, os::OsVersion::kVosXp}) {
+    for (const char* server : {"apex", "abyssal"}) {
+      SCOPED_TRACE(std::string(os::os_version_name(version)) + " " + server);
+      const auto snap = snapshot::capture_warm_boot(version, server);
+      const auto& state = snap->kernel.machine;
+      EXPECT_LE(state.pages.size(), 256u);
+      EXPECT_GT(state.pages.size(), 0u);
+      vm::Machine rebuilt(state);
+      expect_same_machine_state(rebuilt.snapshot(), state);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -177,6 +177,33 @@ TEST(CampaignStoreTest, PutGetPersistsAcrossReopen) {
   EXPECT_EQ(st.verify(), 0u);
 }
 
+TEST(CampaignStoreTest, SecondOpenOfALiveStoreThrows) {
+  const auto dir = fresh_dir("locked");
+  CampaignStore st(dir);
+  st.put(key_of(1), payload_of("one"));
+  try {
+    CampaignStore second(dir);
+    ADD_FAILURE() << "a second store opened a locked directory";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  // The refused open changed nothing: the first store still serves.
+  std::vector<std::uint8_t> p;
+  ASSERT_TRUE(st.get(key_of(1), p));
+  EXPECT_EQ(p, payload_of("one"));
+}
+
+TEST(CampaignStoreTest, ReopenAfterCloseSucceeds) {
+  const auto dir = fresh_dir("relock");
+  {
+    CampaignStore st(dir);
+    st.put(key_of(1), payload_of("one"));
+  }
+  CampaignStore st(dir);
+  EXPECT_TRUE(st.contains(key_of(1)));
+  EXPECT_THROW(CampaignStore{dir}, StoreError);
+}
+
 TEST(CampaignStoreTest, LastPutWinsAndGcCompactsDeadVersions) {
   const auto dir = fresh_dir("dupes");
   CampaignStore st(dir);

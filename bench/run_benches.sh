@@ -54,23 +54,21 @@ done
   --benchmark_out="$OUT" --benchmark_out_format=json "$@"
 
 # Acceptance bar: the armed sampler (stride 4096) must retain >= 80% of the
-# plain dispatch rate (median BM_VmDispatchProfiled vs BM_VmDispatch).
+# disarmed dispatch rate: the median `retention` counter of
+# BM_VmDispatchProfiledPaired, which times both in alternating pairs on one
+# machine.
 awk '
   /"name":/ { name = $0; sub(/.*"name": "/, "", name); sub(/".*/, "", name) }
-  /"items_per_second":/ {
-    t = $0; sub(/.*"items_per_second": /, "", t); sub(/,.*/, "", t)
-    if (name == "BM_VmDispatch/100000_median") plain = t
-    if (name == "BM_VmDispatchProfiled/100000_median") armed = t
+  /"retention":/ && name == "BM_VmDispatchProfiledPaired/100000_median" {
+    r = $0; sub(/.*"retention": /, "", r); sub(/,.*/, "", r)
   }
   END {
-    if (plain == "" || armed == "" || plain + 0 == 0) {
-      print "error: BM_VmDispatch/100000_median or" \
-            " BM_VmDispatchProfiled/100000_median missing from the run" \
-            > "/dev/stderr"
+    if (r == "") {
+      print "error: BM_VmDispatchProfiledPaired/100000_median retention" \
+            " missing from the run" > "/dev/stderr"
       exit 1
     }
-    r = armed / plain
-    if (r < 0.80) {
+    if (r + 0 < 0.80) {
       printf "error: armed profiler retains only %.1f%% of dispatch rate" \
              " (bar: 80%%)\n", r * 100 > "/dev/stderr"
       exit 1

@@ -20,11 +20,11 @@ int main(int argc, char** argv) {
   depbench::RunnerOptions opt;
   opt.baseline_window_ms = 120000;
   opt.seed = 7;
-  util::parse_value_flags(
+  util::parse_flags_or_exit(
       argc, argv,
-      {{"--jobs", [&](auto v) { return util::parse_int(v, 0, opt.jobs); }},
-       {"--seed", [&](auto v) { return util::parse_int(v, 0, opt.seed); }}},
-      "[--jobs N] [--seed X]");
+      {{"jobs", "N", [&](auto& v) { return util::parse_int(v, 0, opt.jobs); }},
+       {"seed", "X",
+        [&](auto& v) { return util::parse_int(v, 0, opt.seed); }}});
 
   std::printf("Table 4 - Performance degradation and intrusion evaluation\n\n");
   util::Table t({"OS", "Server", "", "SPC", "CC%", "THR", "RTM"});

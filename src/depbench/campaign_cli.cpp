@@ -1,9 +1,7 @@
 #include "depbench/campaign_cli.h"
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "depbench/campaign_report.h"
@@ -17,6 +15,8 @@ namespace {
 
 using Flags = CampaignFlags;
 using Value = const std::string&;
+/// The flags given that need something collected, with their need bits.
+using Given = std::vector<std::pair<std::string, unsigned>>;
 
 // Value setters: each returns "" or what the flag expects. Numbers go
 // through util/flags.h, the parser every front-end shares.
@@ -29,70 +29,62 @@ std::string set_path(Value text, std::string& out) {
   return {};
 }
 
-struct FlagDef {
-  FlagDef(const char* n, void (*s)(Flags&), unsigned nd = 0)
-      : name(n), needs(nd), on(s) {}
-  FlagDef(const char* n, const char* m, std::string (*s)(Flags&, Value),
-          unsigned nd = 0)
-      : name(n), meta(m), needs(nd), set(s) {}
-  const char* name;            ///< without the leading "--"
-  const char* meta = nullptr;  ///< value placeholder in the usage line
-  unsigned needs = 0;  ///< Need bits without which the flag changes nothing
-  void (*on)(Flags&) = nullptr;                 ///< a switch
-  std::string (*set)(Flags&, Value) = nullptr;  ///< a flag with a value
-};
-
-// The campaign flag table: every campaign flag that is not an artifact. The
-// artifact flags are the rows of campaign_artifacts().
-const FlagDef kFlags[] = {
-    {"quick",
-     [](Flags& f) {
-       f.opt.stride = 16;
-       f.opt.iterations = 2;
-     }},
-    {"full",
-     [](Flags& f) {
-       f.opt.stride = 1;
-       f.opt.iterations = 3;
-     }},
-    {"scale", "S",
-     [](Flags& f, Value v) {
-       return parse_real(v, false, f.opt.time_scale);
-     }},
-    {"stride", "K",
-     [](Flags& f, Value v) { return parse_int(v, 1, f.opt.stride); }},
-    {"iterations", "N",
-     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.iterations); }},
-    {"seed", "X",
-     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.seed); }},
-    {"baseline-ms", "MS",
-     [](Flags& f, Value v) {
-       return parse_real(v, true, f.opt.baseline_window_ms);
-     }},
-    {"jobs", "J",
-     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.jobs); }},
-    {"chunk", "N",
-     [](Flags& f, Value v) { return parse_int(v, 0, f.opt.chunk); }},
-    {"no-fusion", [](Flags& f) { f.opt.fusion = false; }},
-    {"progress", [](Flags& f) { f.progress = true; }},
-    {"profile-stride", "N",
-     [](Flags& f, Value v) { return parse_int(v, 1, f.opt.profile_stride); },
-     kNeedProfile},
-    {"activation-report", [](Flags& f) { f.activation_report = true; }},
-    {"store", "DIR",
-     [](Flags& f, Value v) { return set_path(v, f.store_dir); }},
-    {"resume", [](Flags& f) { f.resume = true; }, kNeedStore},
-    {"no-cache", [](Flags& f) { f.opt.store_read = false; }, kNeedStore},
-    {"crash-after-puts", "N",
-     [](Flags& f, Value v) { return parse_int(v, 0, f.crash_after_puts); },
-     kNeedStore},
-};
-
-const CampaignArtifact* find_artifact(Value name) {
+// The campaign flag table: every campaign flag that is not an artifact,
+// then one row per artifact of campaign_artifacts(). A row with need bits
+// records itself in `given` when it is given, so the parser can refuse it
+// when nothing collects what it needs.
+std::vector<util::Flag> campaign_rows(Flags& f, Given& given) {
+  auto needs = [&given](unsigned need, util::Flag row) {
+    row.set = [&given, need, flag = "--" + row.name,
+               set = std::move(row.set)](Value v) {
+      given.emplace_back(flag, need);
+      return set(v);
+    };
+    return row;
+  };
+  std::vector<util::Flag> rows = {
+      {"quick",
+       [&f] {
+         f.opt.stride = 16;
+         f.opt.iterations = 2;
+       }},
+      {"full",
+       [&f] {
+         f.opt.stride = 1;
+         f.opt.iterations = 3;
+       }},
+      {"scale", "S",
+       [&f](Value v) { return parse_real(v, false, f.opt.time_scale); }},
+      {"stride", "K", [&f](Value v) { return parse_int(v, 1, f.opt.stride); }},
+      {"iterations", "N",
+       [&f](Value v) { return parse_int(v, 0, f.opt.iterations); }},
+      {"seed", "X", [&f](Value v) { return parse_int(v, 0, f.opt.seed); }},
+      {"baseline-ms", "MS",
+       [&f](Value v) {
+         return parse_real(v, true, f.opt.baseline_window_ms);
+       }},
+      {"jobs", "J", [&f](Value v) { return parse_int(v, 0, f.opt.jobs); }},
+      {"chunk", "N", [&f](Value v) { return parse_int(v, 0, f.opt.chunk); }},
+      {"no-fusion", [&f] { f.opt.fusion = false; }},
+      {"progress", [&f] { f.progress = true; }},
+      needs(kNeedProfile,
+            {"profile-stride", "N",
+             [&f](Value v) { return parse_int(v, 1, f.opt.profile_stride); }}),
+      {"activation-report", [&f] { f.activation_report = true; }},
+      {"store", "DIR", [&f](Value v) { return set_path(v, f.store_dir); }},
+      needs(kNeedStore, {"resume", [&f] { f.resume = true; }}),
+      needs(kNeedStore, {"no-cache", [&f] { f.opt.store_read = false; }}),
+      needs(kNeedStore,
+            {"crash-after-puts", "N",
+             [&f](Value v) { return parse_int(v, 0, f.crash_after_puts); }}),
+  };
   for (const auto& a : campaign_artifacts()) {
-    if (name == a.flag) return &a;
+    rows.push_back(needs(a.need, {a.flag, "FILE",
+                                  [&f, flag = std::string(a.flag)](Value v) {
+                                    return set_path(v, f.artifacts[flag]);
+                                  }}));
   }
-  return nullptr;
+  return rows;
 }
 
 // The flags that make a campaign collect `need`, for a diagnostic.
@@ -107,50 +99,15 @@ std::string providers(unsigned need) {
   return out;
 }
 
-bool is_flag(Value arg) {
-  return arg.size() > 2 && arg.compare(0, 2, "--") == 0;
-}
-
 }  // namespace
 
 std::string parse_campaign_flags(const std::vector<std::string>& args,
                                  CampaignFlags& flags,
-                                 const std::vector<std::string>& extra_flags) {
-  std::vector<std::pair<std::string, unsigned>> needs;  // per flag given
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const auto& arg = args[i];
-    if (!is_flag(arg)) return "unexpected argument '" + arg + "'";
-    const auto name = arg.substr(2);
-    const auto def =
-        std::find_if(std::begin(kFlags), std::end(kFlags),
-                     [&](const FlagDef& d) { return name == d.name; });
-    const auto* artifact = find_artifact(name);
-    const bool known = def != std::end(kFlags) || artifact != nullptr;
-    const bool extra = !known && std::find(extra_flags.begin(),
-                                           extra_flags.end(),
-                                           name) != extra_flags.end();
-    if (!known && !extra) return "unknown flag " + arg;
-    if (known) {
-      needs.emplace_back(arg, artifact != nullptr ? artifact->need : def->needs);
-    }
-    if (artifact == nullptr && !extra && def->on != nullptr) {
-      def->on(flags);
-      continue;
-    }
-    if (i + 1 == args.size() || is_flag(args[i + 1])) {
-      return arg + ": missing value";
-    }
-    const auto& value = args[++i];
-    std::string err;
-    if (extra) {
-      flags.extra[name] = value;
-    } else if (artifact != nullptr) {
-      err = set_path(value, flags.artifacts[name]);
-    } else {
-      err = def->set(flags, value);
-    }
-    if (!err.empty()) return arg + ": " + err + ", got '" + value + "'";
-  }
+                                 std::vector<util::Flag> caller_flags) {
+  Given given;
+  auto rows = std::move(caller_flags);
+  for (auto& row : campaign_rows(flags, given)) rows.push_back(std::move(row));
+  if (auto err = util::parse_flags(args, rows); !err.empty()) return err;
   // What the campaign collects follows from the artifacts requested; only
   // --store provides a store. A flag that needs something nothing collects
   // would change nothing, so it is refused.
@@ -159,9 +116,9 @@ std::string parse_campaign_flags(const std::vector<std::string>& args,
     if (flags.artifacts.count(a.flag) != 0) collect |= a.need & ~kNeedStore;
   }
   if (!flags.store_dir.empty()) collect |= kNeedStore;
-  for (const auto& [arg, need] : needs) {
+  for (const auto& [flag, need] : given) {
     if (need & ~collect) {
-      return arg + ": requires " + providers(need & ~collect);
+      return flag + ": requires " + providers(need & ~collect);
     }
   }
   auto& opt = flags.opt;
@@ -171,36 +128,37 @@ std::string parse_campaign_flags(const std::vector<std::string>& args,
   return {};
 }
 
+std::string parse_campaign_flags(const std::vector<std::string>& args,
+                                 CampaignFlags& flags,
+                                 const std::vector<std::string>& extra_flags) {
+  std::vector<util::Flag> rows;
+  for (const auto& name : extra_flags) {
+    rows.push_back({name, "VALUE", [&flags, name](Value v) {
+                      flags.extra[name] = v;
+                      return std::string();
+                    }});
+  }
+  return parse_campaign_flags(args, flags, std::move(rows));
+}
+
 void parse_campaign_flags_or_exit(int argc, char** argv, CampaignFlags& flags) {
   const auto err = parse_campaign_flags({argv + 1, argv + argc}, flags);
   if (err.empty()) return;
-  std::fprintf(stderr, "error: %s\nusage: %s %s\n", err.c_str(), argv[0],
-               campaign_flags_usage("    ").c_str());
-  std::exit(2);
+  util::exit_usage(err,
+                   std::string(argv[0]) + " " + campaign_flags_usage("    "));
 }
 
 std::string campaign_flags_usage(const std::string& indent) {
-  std::string out, line;
-  auto add = [&](const char* name, const char* meta) {
-    std::string item = std::string("[--") + name;
-    if (meta != nullptr) item += std::string(" ") + meta;
-    item += "]";
-    if (!line.empty() && line.size() + 1 + item.size() > 64) {
-      out += line + "\n" + indent;
-      line.clear();
-    }
-    line += (line.empty() ? "" : " ") + item;
-  };
-  for (const auto& d : kFlags) add(d.name, d.meta);
-  for (const auto& a : campaign_artifacts()) add(a.flag, "FILE");
-  return out + line;
+  CampaignFlags flags;
+  Given given;
+  return util::flags_usage(campaign_rows(flags, given), indent);
 }
 
 bool CampaignSession::run() {
   // --resume insists the store exists: a typo'd directory fails loudly
   // instead of silently running the campaign cold.
-  if (flags_.resume && !std::ifstream(flags_.store_dir + "/wal.gfj")) {
-    std::fprintf(stderr, "--resume: no store at %s\n",
+  if (flags_.resume && !store::CampaignStore::exists(flags_.store_dir)) {
+    std::fprintf(stderr, "error: --resume: no store at %s\n",
                  flags_.store_dir.c_str());
     return false;
   }

@@ -20,6 +20,7 @@
 #include "depbench/runner.h"
 #include "obs/progress.h"
 #include "store/store.h"
+#include "util/flags.h"
 
 namespace gf::depbench {
 
@@ -52,8 +53,14 @@ struct CampaignFlags {
 /// diagnostic naming the offending flag: an unknown flag, a missing value,
 /// a non-numeric value, an out-of-range one, or a flag that would change
 /// nothing (a store flag without --store, --profile-stride without a
-/// profile artifact). Never throws. `extra_flags` names value flags the
-/// caller handles itself; they land in flags.extra.
+/// profile artifact). Never throws. `caller_flags` are rows of the
+/// caller's own flags, parsed by the same rules.
+std::string parse_campaign_flags(const std::vector<std::string>& args,
+                                 CampaignFlags& flags,
+                                 std::vector<util::Flag> caller_flags);
+
+/// Same, with the caller's own flags named by `extra_flags`: each takes a
+/// value, which lands in flags.extra.
 std::string parse_campaign_flags(
     const std::vector<std::string>& args, CampaignFlags& flags,
     const std::vector<std::string>& extra_flags = {});

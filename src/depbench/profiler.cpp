@@ -47,12 +47,8 @@ ApiProfile Profiler::profile(os::OsVersion version,
     spec::Fileset fileset(kernel.disk());
     spec::WorkloadGenerator gen(fileset, cfg_.seed);
 
-    std::map<std::string, std::uint64_t> counts;
-    std::uint64_t total = 0;
-    api.set_call_hook([&](const std::string& fn) {
-      ++counts[fn];
-      ++total;
-    });
+    obs::ApiMetrics metrics;
+    api.set_metrics(&metrics);
 
     auto server = web::make_server(name, api);
     if (!server->start()) continue;
@@ -63,12 +59,15 @@ ApiProfile Profiler::profile(os::OsVersion version,
     client.run_window(*server, gen, 0, cfg_.window_ms);
     server->stop();
 
+    std::uint64_t total = 0;
+    for (const auto& [fn, m] : metrics.functions) total += m.calls;
     ProfileColumn col;
     col.server = name;
     col.total_calls = total;
     if (total > 0) {
-      for (const auto& [fn, n] : counts) {
-        col.pct[fn] = 100.0 * static_cast<double>(n) / static_cast<double>(total);
+      for (const auto& [fn, m] : metrics.functions) {
+        col.pct[fn] =
+            100.0 * static_cast<double>(m.calls) / static_cast<double>(total);
       }
     }
     profile.columns.push_back(std::move(col));

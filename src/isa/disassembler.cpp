@@ -79,19 +79,4 @@ std::string disassemble(const Image& img) {
   return out.str();
 }
 
-std::string disassemble_window(const Image& img, std::uint64_t addr,
-                               int count) {
-  std::ostringstream out;
-  for (int i = 0; i < count; ++i) {
-    const std::uint64_t a = addr + static_cast<std::uint64_t>(i) * kInstrSize;
-    const auto in = img.at(a);
-    if (!in) break;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%06llx:  ",
-                  static_cast<unsigned long long>(a));
-    out << buf << disassemble(*in) << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace gf::isa

@@ -84,8 +84,6 @@ bool is_alu(Op op) noexcept {
   }
 }
 
-bool writes_reg(const Instr& in) noexcept { return dest_reg(in).has_value(); }
-
 std::optional<std::uint8_t> dest_reg(const Instr& in) noexcept {
   switch (in.op) {
     case Op::kMovI:

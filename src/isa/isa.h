@@ -120,7 +120,6 @@ void decode_block(const std::uint8_t* bytes, std::size_t nbytes,
 bool is_branch(Op op) noexcept;       ///< conditional jump
 bool is_jump(Op op) noexcept;         ///< any control transfer (jmp/branch/call/ret)
 bool is_alu(Op op) noexcept;          ///< three-operand ALU ops
-bool writes_reg(const Instr& in) noexcept;
 /// Destination register if the instruction writes one.
 std::optional<std::uint8_t> dest_reg(const Instr& in) noexcept;
 /// True if `in` reads register r.

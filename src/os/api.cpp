@@ -9,7 +9,6 @@ OsApi::OsApi(Kernel& kernel, std::uint64_t cycle_budget)
 
 ApiResult OsApi::call(const std::string& name,
                       const std::vector<std::int64_t>& args) {
-  if (hook_) hook_(name);
   const auto addr = kernel_.api_addr(name);
   const auto r = kernel_.machine().call(addr, args, cycle_budget_);
   ++call_count_;

@@ -7,7 +7,7 @@
 // through this class, which structurally enforces the paper's rule that the
 // benchmark target itself is never modified.
 //
-// The call hook feeds the profiling phase (Table 2): the profiler counts
+// The metrics sink feeds the profiling phase (Table 2): the profiler counts
 // API invocations per function name across different benchmark targets.
 #pragma once
 
@@ -93,11 +93,6 @@ class OsApi {
   static constexpr std::uint64_t kStructSlot = layout::kScratch + 0x6000;
   static constexpr std::uint64_t kOutSlot = layout::kScratch + 0x7000;
 
-  /// Hook invoked with the function name on every call (profiling).
-  void set_call_hook(std::function<void(const std::string&)> hook) {
-    hook_ = std::move(hook);
-  }
-
   /// Hook invoked with (name, result) after every call returns — the
   /// error-propagation observation point: the tracing subsystem classifies
   /// crashes/hangs here and can checksum kernel invariants at the exact API
@@ -113,7 +108,6 @@ class OsApi {
   obs::ApiMetrics* metrics() const noexcept { return metrics_; }
 
   std::uint64_t cycle_budget() const noexcept { return cycle_budget_; }
-  void set_cycle_budget(std::uint64_t b) noexcept { cycle_budget_ = b; }
 
   /// Cumulative cycles consumed by API calls through this facade.
   std::uint64_t total_cycles() const noexcept { return total_cycles_; }
@@ -124,7 +118,6 @@ class OsApi {
  private:
   Kernel& kernel_;
   std::uint64_t cycle_budget_;
-  std::function<void(const std::string&)> hook_;
   PostCallHook post_hook_;
   std::uint64_t total_cycles_ = 0;
   std::uint64_t call_count_ = 0;

@@ -26,6 +26,10 @@ namespace {
 constexpr std::uint32_t kWalMagic = 0x31574647;  // "GFW1" little-endian
 constexpr std::size_t kWalEntrySize = 48;
 
+// The two files of a store directory.
+constexpr const char* kSegmentFile = "/segment.gfs";
+constexpr const char* kWalFile = "/wal.gfj";
+
 struct WalEntry {
   ResultKey key;
   std::uint64_t offset = 0;
@@ -209,13 +213,18 @@ CampaignStore::DirLock::~DirLock() { ::close(fd); }  // releases the flock
 
 CampaignStore::CampaignStore(std::string dir)
     : dir_(std::move(dir)), lock_(dir_) {
-  segment_path_ = dir_ + "/segment.gfs";
-  wal_path_ = dir_ + "/wal.gfj";
+  segment_path_ = dir_ + kSegmentFile;
+  wal_path_ = dir_ + kWalFile;
   recover();
   open_handles();
 }
 
 CampaignStore::~CampaignStore() { close_handles(); }
+
+bool CampaignStore::exists(const std::string& dir) {
+  struct stat st{};
+  return ::stat((dir + kWalFile).c_str(), &st) == 0 && S_ISREG(st.st_mode);
+}
 
 void CampaignStore::close_handles() {
   if (segment_ != nullptr) std::fclose(segment_);
@@ -331,11 +340,6 @@ bool CampaignStore::get(const ResultKey& key,
   hits_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(payload.size(), std::memory_order_relaxed);
   return true;
-}
-
-bool CampaignStore::contains(const ResultKey& key) const {
-  const std::shared_lock lock(mu_);
-  return index_.count(key) > 0;
 }
 
 void CampaignStore::put(const ResultKey& key,

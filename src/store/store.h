@@ -32,7 +32,7 @@
 // One writer per directory: an open store holds flock(LOCK_EX) on DIR, and
 // a second open (from any process) throws StoreError.
 //
-// Thread safety: one reader-writer lock. get(), contains(), list(),
+// Thread safety: one reader-writer lock. get(), list(),
 // verify() and stats() hold it shared, so campaign workers resolve cache
 // hits concurrently: get() is one pread on the store's read-only segment
 // descriptor plus the payload checksum, and its hit/miss/byte counters are
@@ -107,14 +107,16 @@ class CampaignStore {
   CampaignStore(const CampaignStore&) = delete;
   CampaignStore& operator=(const CampaignStore&) = delete;
 
+  /// Whether `dir` holds a store (one a CampaignStore has opened). Opens
+  /// nothing and takes no lock.
+  static bool exists(const std::string& dir);
+
   /// Looks up `key`; fills `payload` and returns true on a hit.
   bool get(const ResultKey& key, std::vector<std::uint8_t>& payload);
 
   /// Commits (payload bytes under `key`): segment append + flush, WAL
   /// append + flush. Atomic under the crash model above.
   void put(const ResultKey& key, const std::vector<std::uint8_t>& payload);
-
-  bool contains(const ResultKey& key) const;
 
   /// Live records in commit order (of each key's latest version).
   std::vector<RecordInfo> list() const;

@@ -62,15 +62,6 @@ const char* odc_class_name(OdcClass c) {
   return "?";
 }
 
-const char* nature_name(ConstructNature n) {
-  switch (n) {
-    case ConstructNature::kMissing: return "Missing";
-    case ConstructNature::kWrong: return "Wrong";
-    case ConstructNature::kExtraneous: return "Extraneous";
-  }
-  return "?";
-}
-
 std::optional<FaultType> parse_fault_type(const std::string& name) {
   for (const auto& info : kTable) {
     if (name == info.name) return info.type;

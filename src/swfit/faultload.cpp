@@ -11,12 +11,6 @@ std::array<int, kNumFaultTypes> Faultload::counts_by_type() const {
   return counts;
 }
 
-int Faultload::count_in_function(const std::string& name) const {
-  int n = 0;
-  for (const auto& f : faults) n += f.function == name;
-  return n;
-}
-
 namespace {
 
 std::string hex_instr(const isa::Instr& in) {

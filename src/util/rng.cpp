@@ -77,8 +77,6 @@ std::size_t Rng::weighted(const std::vector<double>& weights) noexcept {
   return weights.size() - 1;
 }
 
-Rng Rng::fork() noexcept { return Rng(next()); }
-
 Zipf::Zipf(std::size_t n, double theta) {
   if (n == 0) n = 1;
   cdf_.resize(n);

@@ -49,9 +49,6 @@ class Rng {
   /// Returns weights.size() - 1 on degenerate input (all zero).
   std::size_t weighted(const std::vector<double>& weights) noexcept;
 
-  /// Derive an independent child generator (for per-component streams).
-  Rng fork() noexcept;
-
  private:
   std::uint64_t s_[4];
 };

@@ -51,24 +51,6 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      if (i) out << ',';
-      if (r[i].find(',') != std::string::npos) {
-        out << '"' << r[i] << '"';
-      } else {
-        out << r[i];
-      }
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out.str();
-}
-
 std::string fmt(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, value);

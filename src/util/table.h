@@ -25,11 +25,6 @@ class Table {
   /// Renders with column alignment; header separated by a rule.
   std::string to_string() const;
 
-  /// Renders as CSV (no quoting of separators needed for our content, but
-  /// commas in cells are escaped by quoting).
-  std::string to_csv() const;
-
-  std::size_t row_count() const noexcept { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

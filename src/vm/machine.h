@@ -49,10 +49,6 @@ struct DispatchStats {
   std::uint64_t instructions = 0;  ///< instructions retired (incl. the trap op)
   std::uint64_t runs = 0;          ///< execute() invocations
   std::array<std::uint64_t, kNumTraps> traps{};  ///< indexed by Trap value
-
-  std::uint64_t trap_count(Trap t) const noexcept {
-    return traps[static_cast<std::size_t>(t)];
-  }
 };
 
 /// Outcome of one run/call.
@@ -296,7 +292,6 @@ class Machine {
   /// restore rolls back the simulated machine, but the work spent executing
   /// still happened — consumers read deltas across run boundaries.
   const DispatchStats& dispatch_stats() const noexcept { return stats_; }
-  void reset_dispatch_stats() noexcept { stats_ = {}; }
 
   // --- fault-activation watch ---------------------------------------------
   /// Arms an address watch on [lo, hi): the first time the PC enters the
@@ -330,7 +325,6 @@ class Machine {
   /// Disarms the sampler; accumulated samples stay readable.
   void disarm_sampler();
   bool sampler_armed() const noexcept { return sample_stride_ != 0; }
-  std::uint64_t sampler_stride() const noexcept { return sample_stride_; }
   /// Sampled cycles left until the next sample: the phase one run carries
   /// into the next (idles near 2^62 while disarmed).
   std::int64_t sampler_countdown() const noexcept { return sample_left_; }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Campaign front-ends (gfbench campaign, table5_campaign) share one flag
-# table and one session: a bad flag must exit 2, and a --store that names an
+# table and one session: a bad flag must exit 2, a --store that names an
 # unusable or locked directory must exit 1 with "error: --store: ..." on
-# stderr, never an uncaught exception.
+# stderr, never an uncaught exception, and --resume without a store must
+# exit 1 with "error: --resume: ...".
 #
 #   campaign_cli_exit_status.sh GFBENCH TABLE5
 set -u
@@ -54,4 +55,22 @@ expect_store_error flock -n "$scratch/locked" "$gfbench" campaign --os 2000 \
   --store "$scratch/locked"
 expect_store_error flock -n "$scratch/locked" "$table5" --stride 101 \
   --iterations 1 --scale 0.02 --store "$scratch/locked"
+
+# --resume against a directory that holds no store fails loudly instead of
+# running the campaign cold.
+mkdir "$scratch/empty"
+for cmd in "$gfbench campaign --os 2000 --server apex" "$table5"; do
+  # shellcheck disable=SC2086
+  err=$($cmd --stride 101 --iterations 1 --scale 0.02 \
+    --store "$scratch/empty" --resume 2>&1 >/dev/null)
+  rc=$?
+  case "$rc:$err" in
+    "1:"*"error: --resume: no store at $scratch/empty"*) ;;
+    *)
+      echo "FAIL (exit $rc): $cmd --resume on an empty directory"
+      echo "  stderr: $err"
+      status=1
+      ;;
+  esac
+done
 exit $status

@@ -492,7 +492,8 @@ TEST_P(OsTest, GetLongPathNameCopies) {
 
 TEST_P(OsTest, ApiCallsAreObservable) {
   std::vector<std::string> calls;
-  api_.set_call_hook([&](const std::string& n) { calls.push_back(n); });
+  api_.set_post_call_hook(
+      [&](const std::string& n, const ApiResult&) { calls.push_back(n); });
   api_.rtl_alloc(32);
   api_.nt_close(0);
   ASSERT_EQ(calls.size(), 2u);

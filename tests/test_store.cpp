@@ -200,7 +200,8 @@ TEST(CampaignStoreTest, ReopenAfterCloseSucceeds) {
     st.put(key_of(1), payload_of("one"));
   }
   CampaignStore st(dir);
-  EXPECT_TRUE(st.contains(key_of(1)));
+  std::vector<std::uint8_t> p;
+  EXPECT_TRUE(st.get(key_of(1), p));
   EXPECT_THROW(CampaignStore{dir}, StoreError);
 }
 

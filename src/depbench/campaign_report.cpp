@@ -492,8 +492,13 @@ std::string campaign_flamegraph(const CampaignObs& obs) {
 }
 
 void write_campaign_journal(std::ostream& os, const CampaignObs& obs) {
+  // One track at a time through a reused buffer: the whole journal is
+  // never held as one string.
+  std::string out;
   for (const auto& slot : obs.tasks) {
-    obs::write_jsonl(os, slot.cell + "/" + slot.label, slot.obs.journal);
+    out.clear();
+    obs::append_jsonl(out, slot.cell + "/" + slot.label, slot.obs.journal);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
   }
 }
 

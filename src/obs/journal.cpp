@@ -1,5 +1,6 @@
 #include "obs/journal.h"
 
+#include <charconv>
 #include <ostream>
 
 #include "obs/json.h"
@@ -28,11 +29,7 @@ void Journal::push(Event e) {
 std::vector<Event> Journal::events() const {
   std::vector<Event> out;
   out.reserve(size());
-  // Before wrap the ring is in append order; after, next_ points at the
-  // oldest surviving entry.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
+  for_each([&out](const Event& e) { out.push_back(e); });
   return out;
 }
 
@@ -47,23 +44,53 @@ Journal Journal::restore(std::size_t capacity, std::uint64_t dropped,
   return j;
 }
 
-void write_jsonl(std::ostream& os, const std::string& track, const Journal& j) {
+namespace {
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+}  // namespace
+
+void append_jsonl(std::string& out, std::string_view track, const Journal& j) {
+  std::string head = "{\"track\": \"";
+  json::append_escaped(head, track);
+  head += "\", ";
   if (j.dropped() > 0) {
     // Head record: the ring wrapped and the oldest N events are gone. The
     // per-event seq still starts at N, so the gap is visible either way;
     // this makes it explicit for consumers that don't count.
-    os << "{\"track\": \"" << json::escape(track)
-       << "\", \"truncated\": " << j.dropped() << "}\n";
+    out += head;
+    out += "\"truncated\": ";
+    append_u64(out, j.dropped());
+    out += "}\n";
   }
   std::uint64_t seq = j.dropped();  // dropped events leave a visible gap
-  for (const auto& e : j.events()) {
-    os << "{\"track\": \"" << json::escape(track) << "\", \"seq\": " << seq++
-       << ", \"ph\": \"" << phase_letter(e.phase) << "\", \"name\": \""
-       << json::escape(e.name) << "\", \"ms\": " << json::number(e.sim_ms)
-       << ", \"cycle\": " << e.cycle;
-    if (!e.args.empty()) os << ", \"args\": " << e.args;
-    os << "}\n";
-  }
+  j.for_each([&](const Event& e) {
+    out += head;
+    out += "\"seq\": ";
+    append_u64(out, seq++);
+    out += ", \"ph\": \"";
+    out += phase_letter(e.phase);
+    out += "\", \"name\": \"";
+    json::append_escaped(out, e.name);
+    out += "\", \"ms\": ";
+    json::append_number(out, e.sim_ms);
+    out += ", \"cycle\": ";
+    append_u64(out, e.cycle);
+    if (!e.args.empty()) {
+      out += ", \"args\": ";
+      out += e.args;
+    }
+    out += "}\n";
+  });
+}
+
+void write_jsonl(std::ostream& os, const std::string& track, const Journal& j) {
+  std::string out;
+  append_jsonl(out, track, j);
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 }  // namespace gf::obs

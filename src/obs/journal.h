@@ -8,11 +8,17 @@
 // is hit the oldest events are overwritten (the recent tail is what failure
 // forensics needs) and `dropped()` records how many were lost — bounded
 // instrumentation must degrade loudly, never grow without bound.
+//
+// append_jsonl renders a journal in one pass over the ring, in place, into
+// a caller's string; write_jsonl and the campaign journal writer stream one
+// track at a time through it, so a campaign's journal (megabytes on a full
+// re-run) is never formatted through an ostream or held twice.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gf::obs {
@@ -51,6 +57,15 @@ class Journal {
     push({Phase::kEnd, std::move(name), sim_ms, cycle, {}});
   }
 
+  /// Calls `f(const Event&)` on each event in chronological (append)
+  /// order, oldest surviving entry first, in place.
+  template <class F>
+  void for_each(F&& f) const {
+    // Before wrap next_ is 0; after, it points at the oldest entry.
+    for (std::size_t i = next_; i < ring_.size(); ++i) f(ring_[i]);
+    for (std::size_t i = 0; i < next_; ++i) f(ring_[i]);
+  }
+
   /// Events in chronological (append) order, oldest surviving entry first.
   std::vector<Event> events() const;
 
@@ -80,6 +95,12 @@ class Journal {
 ///   {"track":"...","seq":N,"ph":"B","name":"...","ms":...,"cycle":...}
 /// `track` labels the owning task (e.g. "VOS-2000/apex/iter0.f12"); seq
 /// numbers restart per journal and count dropped events so gaps are visible.
+/// A wrapped ring first gets a {"track":"...","truncated":N} head line.
+/// Appended to `out` in one pass over the ring: the track is escaped once,
+/// `ms` is json::append_number's %.10g.
+void append_jsonl(std::string& out, std::string_view track, const Journal& j);
+
+/// append_jsonl for one journal, written to `os`.
 void write_jsonl(std::ostream& os, const std::string& track, const Journal& j);
 
 }  // namespace gf::obs

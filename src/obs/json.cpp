@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace gf::obs::json {
@@ -282,34 +281,52 @@ std::vector<std::pair<std::string, Field>> Field::entries() const {
   return out;
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run that needs no escape
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out += s.substr(run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out += s.substr(run);
+}
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
-std::string number(double v) {
-  if (!std::isfinite(v)) return "0";
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
+  }
+  // The standard specifies this as printf's "%.10g".
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 10);
+  out.append(buf, r.ptr);
+}
+
+std::string number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 }  // namespace gf::obs::json

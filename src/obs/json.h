@@ -127,11 +127,15 @@ T decode(std::string_view text) {
   return T::from_json(Field(*v));
 }
 
-/// Escapes `s` for embedding between double quotes in JSON output.
+/// Appends `s` to `out`, escaped for embedding between double quotes in
+/// JSON output.
+void append_escaped(std::string& out, std::string_view s);
 std::string escape(std::string_view s);
 
-/// Canonical double formatting for deterministic artifacts: shortest form
-/// via %.10g, with NaN/Inf (invalid JSON) clamped to 0.
+/// Canonical double formatting for deterministic artifacts: the %.10g
+/// rendering (std::to_chars, general, precision 10), with NaN/Inf (invalid
+/// JSON) clamped to 0. Appended to `out`, or returned.
+void append_number(std::string& out, double v);
 std::string number(double v);
 
 /// A struct field under its JSON key. A table of Members is the one

@@ -21,10 +21,12 @@ namespace gf::store {
 namespace {
 
 // WAL entry: magic + key + slot + payload checksum + entry checksum over
-// everything preceding. Fixed size so a torn tail is detected by length
-// before it is ever parsed.
-constexpr std::uint32_t kWalMagic = 0x31574647;  // "GFW1" little-endian
+// everything preceding, both checksum64. Fixed size so a torn tail is
+// detected by length before it is ever parsed.
+constexpr std::uint32_t kWalMagic = 0x32574647;  // "GFW2" little-endian
 constexpr std::size_t kWalEntrySize = 48;
+// The previous format: the same layout, checksummed with FNV-1a.
+constexpr std::uint32_t kWalMagicGfw1 = 0x31574647;  // "GFW1"
 
 // The two files of a store directory.
 constexpr const char* kSegmentFile = "/segment.gfs";
@@ -34,7 +36,7 @@ struct WalEntry {
   ResultKey key;
   std::uint64_t offset = 0;
   std::uint32_t length = 0;
-  std::uint64_t payload_fnv = 0;
+  std::uint64_t payload_sum = 0;
 };
 
 std::vector<std::uint8_t> encode_wal_entry(const WalEntry& e) {
@@ -44,8 +46,8 @@ std::vector<std::uint8_t> encode_wal_entry(const WalEntry& e) {
   w.u64(e.key.lo);
   w.u64(e.offset);
   w.u32(e.length);
-  w.u64(e.payload_fnv);
-  w.u64(fnv1a(w.data().data(), w.data().size()));
+  w.u64(e.payload_sum);
+  w.u64(checksum64(w.data().data(), w.data().size()));
   return w.take();
 }
 
@@ -57,8 +59,16 @@ bool decode_wal_entry(const std::uint8_t* p, WalEntry& out) {
   out.key.lo = r.u64();
   out.offset = r.u64();
   out.length = r.u32();
-  out.payload_fnv = r.u64();
-  return r.u64() == fnv1a(p, kWalEntrySize - 8);
+  out.payload_sum = r.u64();
+  return r.u64() == checksum64(p, kWalEntrySize - 8);
+}
+
+/// Whether `p` is an intact entry of the previous (GFW1) format.
+bool is_gfw1_entry(const std::uint8_t* p) {
+  BufReader magic(p, 4);
+  BufReader sum(p + kWalEntrySize - 8, 8);
+  return magic.u32() == kWalMagicGfw1 &&
+         sum.u64() == fnv1a(p, kWalEntrySize - 8);
 }
 
 /// A whole file mapped read-only for the duration of recovery. A missing
@@ -122,7 +132,7 @@ std::size_t first_bad_payload(const std::vector<WalEntry>& entries,
                      hi = n * (part + 1) / first.size();
          i < hi; ++i) {
       const auto& e = entries[i];
-      if (fnv1a(segment + e.offset, e.length) != e.payload_fnv) {
+      if (checksum64(segment + e.offset, e.length) != e.payload_sum) {
         first[part] = i;
         return;
       }
@@ -140,6 +150,13 @@ std::size_t first_bad_payload(const std::vector<WalEntry>& entries,
   scan(0);
   for (auto& t : threads) t.join();
   return *std::min_element(first.begin(), first.end());
+}
+
+/// fwrite of a whole buffer. An empty one writes nothing: fwrite's pointer
+/// must not be null, and an empty vector's data() may be.
+bool write_all(std::FILE* f, const std::vector<std::uint8_t>& bytes) {
+  return bytes.empty() ||
+         std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
 }
 
 void truncate_or_throw(const std::string& path, std::uint64_t len) {
@@ -269,6 +286,13 @@ void CampaignStore::recover() {
     const MappedFile segment(segment_path_);
     wal_size = wal.size();
     segment_size = segment.size();
+    // Truncating a previous-format store would silently empty it: refuse
+    // it and leave both files as they are.
+    if (wal.size() >= kWalEntrySize && is_gfw1_entry(wal.data())) {
+      throw StoreError("store: " + dir_ +
+                       " was written by the previous store format (GFW1) and "
+                       "must be deleted before it can be used");
+    }
 
     std::vector<WalEntry> entries;
     entries.reserve(wal.size() / kWalEntrySize);
@@ -288,7 +312,7 @@ void CampaignStore::recover() {
     good_entries = first_bad_payload(entries, segment.data());
     for (std::size_t i = 0; i < good_entries; ++i) {
       const auto& e = entries[i];
-      index_commit(e.key, Slot{e.offset, e.length, e.payload_fnv, next_seq_++});
+      index_commit(e.key, Slot{e.offset, e.length, e.payload_sum, next_seq_++});
       segment_good_end = std::max(segment_good_end, e.offset + e.length);
     }
   }  // unmapped before any truncation
@@ -324,7 +348,7 @@ bool CampaignStore::read_payload(const Slot& s,
     done += static_cast<std::size_t>(n);
   }
   const bool ok = done == payload.size() &&
-                  fnv1a(payload.data(), payload.size()) == s.payload_fnv;
+                  checksum64(payload.data(), payload.size()) == s.payload_sum;
   if (!ok) payload.clear();
   return ok;
 }
@@ -346,23 +370,20 @@ void CampaignStore::put(const ResultKey& key,
                         const std::vector<std::uint8_t>& payload) {
   const std::lock_guard lock(mu_);
   WalEntry e{key, segment_end_, static_cast<std::uint32_t>(payload.size()),
-             fnv1a(payload.data(), payload.size())};
+             checksum64(payload.data(), payload.size())};
   // Commit protocol: payload first, flush; WAL entry second, flush. Until
   // the WAL flush lands the record does not exist, so any crash point
   // leaves a store that recovery restores to the previous commit.
-  if (std::fwrite(payload.data(), 1, payload.size(), segment_) !=
-          payload.size() ||
-      std::fflush(segment_) != 0) {
+  if (!write_all(segment_, payload) || std::fflush(segment_) != 0) {
     throw StoreError("store: segment append failed in " + dir_);
   }
   const auto entry = encode_wal_entry(e);
-  if (std::fwrite(entry.data(), 1, entry.size(), wal_) != entry.size() ||
-      std::fflush(wal_) != 0) {
+  if (!write_all(wal_, entry) || std::fflush(wal_) != 0) {
     throw StoreError("store: wal append failed in " + dir_);
   }
   segment_end_ += payload.size();
 
-  index_commit(key, Slot{e.offset, e.length, e.payload_fnv, next_seq_++});
+  index_commit(key, Slot{e.offset, e.length, e.payload_sum, next_seq_++});
   ++stats_.puts;
   stats_.bytes_written += payload.size() + entry.size();
   ++commit_count_;
@@ -431,12 +452,12 @@ std::size_t CampaignStore::gc(std::uint64_t max_bytes) {
     const auto& [key, slot] = keep[i];
     ok = read_payload(slot, payload);
     if (!ok) break;
-    ok = std::fwrite(payload.data(), 1, payload.size(), seg) == payload.size();
+    ok = write_all(seg, payload);
     const auto entry = encode_wal_entry(
-        {key, offset, slot.length, slot.payload_fnv});
-    ok = ok && std::fwrite(entry.data(), 1, entry.size(), wal) == entry.size();
+        {key, offset, slot.length, slot.payload_sum});
+    ok = ok && write_all(wal, entry);
     new_index.insert_or_assign(
-        key, Slot{offset, slot.length, slot.payload_fnv, new_index.size()});
+        key, Slot{offset, slot.length, slot.payload_sum, new_index.size()});
     offset += slot.length;
   }
   ok = ok && std::fflush(seg) == 0 && std::fflush(wal) == 0;

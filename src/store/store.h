@@ -13,8 +13,10 @@
 //   DIR/wal.gfj       append-only fixed-size commit records
 //
 // Commit protocol: append the payload to the segment, flush, then append
-// one WAL entry {magic, key, offset, length, payload checksum, entry
-// checksum}, flush. A record EXISTS iff its WAL entry is complete and both
+// one 48-byte WAL entry {magic "GFW2", key, offset, length, payload
+// checksum, entry checksum}, flush. Both checksums are checksum64
+// (store/key.h), which a cache hit pays over every payload it serves. A
+// record EXISTS iff its WAL entry is complete and both
 // checksums match — so a crash (SIGKILL, power) between the two appends
 // simply leaves unreferenced bytes at the segment tail. Recovery on open
 // walks the WAL in order, stops at the first torn or corrupt entry, and
@@ -24,7 +26,9 @@
 // order, then verifies their payload checksums in parallel over contiguous
 // ranges of entries (inline, on the calling thread, when the store is small
 // enough that a thread start would cost more than it saves), and keeps
-// every entry before the first failure.
+// every entry before the first failure. A directory whose first entry is
+// an intact entry of the previous format ("GFW1", FNV-1a checksums) is
+// refused with a StoreError and left untouched, never truncated to empty.
 //
 // Duplicate keys are legal (a `--no-cache` run re-executes and re-commits);
 // the *last* commit wins, and gc() compacts the dead versions away.
@@ -99,8 +103,8 @@ class CampaignStore {
   /// Opens (creating if needed) the store at `dir`, running tail recovery.
   /// The store holds an exclusive lock on `dir` until it is destroyed.
   /// Throws StoreError when the directory cannot be created or locked (it
-  /// is locked while another store, in any process, has it open) or the
-  /// files cannot be opened.
+  /// is locked while another store, in any process, has it open), the
+  /// files cannot be opened, or they hold the previous store format.
   explicit CampaignStore(std::string dir);
   ~CampaignStore();
 
@@ -153,7 +157,7 @@ class CampaignStore {
   struct Slot {
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
-    std::uint64_t payload_fnv = 0;
+    std::uint64_t payload_sum = 0;
     std::uint64_t seq = 0;  ///< commit sequence number: orders list() and gc
   };
 

@@ -6,9 +6,14 @@
 // monotone timestamps, JSONL round-trip).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "depbench/campaign_report.h"
 #include "depbench/runner.h"
@@ -138,6 +143,166 @@ TEST(JournalTest, RingDropsOldestAndCountsThem) {
   obs::write_jsonl(os2, "t", small);
   EXPECT_EQ(os2.str().find("truncated"), std::string::npos);
   EXPECT_NE(os2.str().find("\"seq\": 0"), std::string::npos);
+}
+
+// --- journal renderer against a printf reference ---------------------------
+
+/// JSON string escaping written out independently of json::escape.
+std::string ref_escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    char buf[8];
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (u < 0x20) {
+      std::snprintf(buf, sizeof buf, "\\u%04x", u);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// The JSONL a journal holding the last `capacity` of `pushed` renders to,
+/// one snprintf per line with %.10g for `ms`.
+std::string ref_jsonl(const std::string& track, std::size_t capacity,
+                      const std::vector<obs::Event>& pushed) {
+  const std::size_t dropped =
+      pushed.size() > capacity ? pushed.size() - capacity : 0;
+  const std::string head = "{\"track\": \"" + ref_escape(track) + "\", ";
+  std::string out;
+  char buf[160];
+  if (dropped > 0) {
+    std::snprintf(buf, sizeof buf, "\"truncated\": %zu}\n", dropped);
+    out += head + buf;
+  }
+  for (std::size_t i = dropped; i < pushed.size(); ++i) {
+    const auto& e = pushed[i];
+    std::snprintf(buf, sizeof buf, "\"seq\": %zu, \"ph\": \"%c\", \"name\": \"",
+                  i, obs::phase_letter(e.phase));
+    out += head + buf + ref_escape(e.name);
+    char ms[32] = "0";  // NaN and inf render as 0
+    if (std::isfinite(e.sim_ms)) {
+      std::snprintf(ms, sizeof ms, "%.10g", e.sim_ms);
+    }
+    std::snprintf(buf, sizeof buf, "\", \"ms\": %s, \"cycle\": %llu", ms,
+                  static_cast<unsigned long long>(e.cycle));
+    out += buf;
+    if (!e.args.empty()) out += ", \"args\": " + e.args;
+    out += "}\n";
+  }
+  return out;
+}
+
+obs::Journal journal_of(std::size_t capacity,
+                        const std::vector<obs::Event>& pushed) {
+  obs::Journal j(capacity);
+  for (const auto& e : pushed) {
+    switch (e.phase) {
+      case obs::Phase::kInstant:
+        j.instant(e.name, e.sim_ms, e.cycle, e.args);
+        break;
+      case obs::Phase::kBegin:
+        j.begin(e.name, e.sim_ms, e.cycle, e.args);
+        break;
+      case obs::Phase::kEnd:
+        j.end(e.name, e.sim_ms, e.cycle);
+        break;
+    }
+  }
+  return j;
+}
+
+TEST(JournalRenderTest, EscapesAndNumbersMatchPrintfReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {std::numeric_limits<double>::quiet_NaN(),
+                           inf,
+                           -inf,
+                           -0.0,
+                           0.0,
+                           5e-324,
+                           1e-5,
+                           1e-4,
+                           1e10,
+                           12345678901.0,
+                           1.5e300,
+                           -2.5,
+                           1.0 / 3.0,
+                           123.456};
+  const std::string names[] = {"plain", "quo\"te", "back\\slash",
+                               std::string("nul\0byte", 8), "ctl\x01\x1f\x7f",
+                               "nl\ncr\rtab\tbs\bff\f", "utf8 \xc3\xa9"};
+  std::vector<obs::Event> pushed;
+  std::uint64_t cycle = 0;
+  for (const double ms : values) {
+    for (const auto& name : names) {
+      const auto phase = static_cast<obs::Phase>(pushed.size() % 3);
+      pushed.push_back({phase, name, ms, cycle,
+                        phase == obs::Phase::kEnd || cycle % 2 == 1
+                            ? std::string()
+                            : "{\"k\": 1}"});
+      cycle = cycle * 3 + 7;
+    }
+  }
+  pushed.push_back({obs::Phase::kInstant, "max", 1, UINT64_MAX, {}});
+  const std::string track = "VOS-2000/apex \"q\" \\ \x02/iter0.f1";
+  const auto j = journal_of(1024, pushed);
+
+  std::string out = "prefix\n";  // appends, never overwrites
+  obs::append_jsonl(out, track, j);
+  const auto want = ref_jsonl(track, 1024, pushed);
+  EXPECT_EQ(out, "prefix\n" + want);
+
+  std::ostringstream os;
+  obs::write_jsonl(os, track, j);
+  EXPECT_EQ(os.str(), want);
+
+  // Each line is valid JSON carrying the unescaped strings back.
+  std::istringstream lines(want);
+  std::string line;
+  std::size_t i = 0;
+  while (std::getline(lines, line)) {
+    const auto v = obs::json::parse(line);
+    ASSERT_TRUE(v.has_value()) << line;
+    EXPECT_EQ(v->find("track")->string, track);
+    EXPECT_EQ(v->find("name")->string, pushed[i++].name);
+  }
+  EXPECT_EQ(i, pushed.size());
+}
+
+TEST(JournalRenderTest, WrappedRingHasHeadLineAndSeqGap) {
+  std::vector<obs::Event> pushed;
+  for (int i = 0; i < 11; ++i) {
+    pushed.push_back({obs::Phase::kInstant, "e" + std::to_string(i), i * 0.25,
+                      static_cast<std::uint64_t>(i), {}});
+  }
+  // Capacity 4: 7 dropped, survivors e7..e10 with seq 7..10. Check several
+  // wrap positions of the ring's write index.
+  for (std::size_t n = 5; n <= pushed.size(); ++n) {
+    const std::vector<obs::Event> prefix(pushed.begin(), pushed.begin() + n);
+    const auto j = journal_of(4, prefix);
+    std::string out;
+    obs::append_jsonl(out, "t", j);
+    EXPECT_EQ(out, ref_jsonl("t", 4, prefix)) << n << " events";
+  }
+  const auto j = journal_of(4, pushed);
+  std::string out;
+  obs::append_jsonl(out, "t", j);
+  EXPECT_EQ(out.substr(0, out.find('\n')),
+            "{\"track\": \"t\", \"truncated\": 7}");
+  EXPECT_NE(out.find("\"seq\": 7, \"ph\": \"i\", \"name\": \"e7\""),
+            std::string::npos);
+  EXPECT_EQ(out.find("\"seq\": 6"), std::string::npos);
 }
 
 TEST(JournalTest, ChromeTraceMarksTruncationOnWrappedTracks) {

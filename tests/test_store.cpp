@@ -5,6 +5,7 @@
 // cache-hit pattern, including a resume after a mid-campaign SIGKILL.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -15,6 +16,8 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +66,44 @@ TEST(KeyBuilderTest, NoConcatenationAmbiguity) {
 
 TEST(KeyBuilderTest, SignedZeroAndBitPatternsDistinct) {
   EXPECT_NE(KeyBuilder().f64(0.0).finish(), KeyBuilder().f64(-0.0).finish());
+}
+
+// The store checksum is xxHash64 (seed 0). Published xxHash64 answers pin
+// the construction; the patterned lengths pin every code path (no stripe,
+// a 4-byte tail, whole words, one stripe, stripes plus tail) so an
+// accidental change to the algorithm fails here, not as a store that
+// reads every record as corrupt.
+TEST(ChecksumTest, KnownAnswers) {
+  auto of = [](std::string_view s) {
+    return checksum64(reinterpret_cast<const std::uint8_t*>(s.data()),
+                      s.size());
+  };
+  EXPECT_EQ(of(""), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(of("a"), 0xd24ec4f1a98c6e5bULL);
+  EXPECT_EQ(of("abc"), 0x44bc2cf5ad770999ULL);
+  EXPECT_EQ(of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ULL);
+
+  const std::pair<std::size_t, std::uint64_t> kPatterned[] = {
+      {0, 0xef46db3751d8e999ULL},    {1, 0xa96c7f0ce858bbb7ULL},
+      {7, 0x2744460dd675d2c0ULL},    {8, 0x994b676b71ce94ddULL},
+      {31, 0x6711d55e306b5d8fULL},   {32, 0x07f7b8e3bc5d6e25ULL},
+      {33, 0x09f85eeb4e1cbe9fULL},   {4096, 0xcf05adf75aca30cfULL},
+      {5000, 0x60b4eca7b7cbdc86ULL}};
+  for (const auto& [n, want] : kPatterned) {
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    EXPECT_EQ(checksum64(bytes.data(), n), want) << "length " << n;
+  }
+}
+
+// The store keys and the e2e result digest stay on FNV-1a.
+TEST(ChecksumTest, Fnv1aIsUnchanged) {
+  EXPECT_EQ(fnv1a(nullptr, 0), 0xcbf29ce484222325ULL);
+  const std::uint8_t a = 'a';
+  EXPECT_EQ(fnv1a(&a, 1), 0xaf63dc4c8601ec8cULL);
 }
 
 // ------------------------------------------------------------------ codec
@@ -347,6 +388,113 @@ TEST(CampaignStoreTest, VerifyDetectsLiveCorruption) {
   std::vector<std::uint8_t> p;
   EXPECT_FALSE(st.get(key_of(2), p));
   EXPECT_TRUE(st.get(key_of(1), p));
+}
+
+// Every single-byte flip of a payload, at every length the checksum treats
+// differently (tail bytes, a 4-byte tail, whole words, 32-byte stripes) and
+// one campaign-sized record: the damaged record misses and verify() counts
+// it, while the undamaged records keep hitting.
+TEST(CampaignStoreTest, EveryFlippedPayloadByteMissesAndIsCounted) {
+  const auto dir = fresh_dir("flips");
+  CampaignStore st(dir);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 70; ++n) lengths.push_back(n);
+  lengths.push_back(5000);
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    std::vector<std::uint8_t> p(lengths[i]);
+    for (std::size_t b = 0; b < p.size(); ++b) {
+      p[b] = static_cast<std::uint8_t>(i * 31 + b * 7);
+    }
+    st.put(key_of(i), p);
+    payloads.push_back(std::move(p));
+  }
+  const auto records = st.list();
+  const int fd = ::open((dir + "/segment.gfs").c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  auto flip = [fd](std::uint64_t at) {
+    std::uint8_t c = 0;
+    ASSERT_EQ(::pread(fd, &c, 1, static_cast<off_t>(at)), 1);
+    c ^= 0xff;
+    ASSERT_EQ(::pwrite(fd, &c, 1, static_cast<off_t>(at)), 1);
+  };
+  std::vector<std::uint8_t> got;
+  // Round k flips byte k of every record longer than k at once.
+  for (std::size_t k = 0; k < 5000; ++k) {
+    std::size_t flipped = 0;
+    for (const auto& r : records) {
+      if (r.length > k) {
+        flip(r.offset + k);
+        ++flipped;
+      }
+    }
+    ASSERT_EQ(st.verify(), flipped) << "byte " << k;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      ASSERT_EQ(st.get(key_of(i), got), lengths[i] <= k)
+          << "record of " << lengths[i] << " bytes, byte " << k;
+    }
+    for (const auto& r : records) {
+      if (r.length > k) flip(r.offset + k);
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(st.verify(), 0u);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(st.get(key_of(i), got));
+    EXPECT_EQ(got, payloads[i]);
+  }
+}
+
+// A store of the previous format (GFW1 entries, FNV-1a checksums) is not a
+// torn store: opening it must refuse with a diagnostic naming the directory
+// and leave both files byte-identical, never truncate them to empty.
+TEST(CampaignStoreTest, PreviousFormatIsRefusedNotTruncated) {
+  const auto dir = fresh_dir("gfw1");
+  std::filesystem::create_directories(dir);
+  const auto payload = payload_of("previous-format payload");
+  BufWriter w;
+  w.u32(0x31574647);  // "GFW1"
+  w.u64(key_of(1).hi);
+  w.u64(key_of(1).lo);
+  w.u64(0);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u64(fnv1a(payload.data(), payload.size()));
+  w.u64(fnv1a(w.data().data(), w.data().size()));
+  const auto entry = w.take();
+  ASSERT_EQ(entry.size(), 48u);
+  append_bytes(dir + "/segment.gfs",
+               std::string(payload.begin(), payload.end()));
+  append_bytes(dir + "/wal.gfj", std::string(entry.begin(), entry.end()) +
+                                     std::string(48, '\x5a'));
+  auto read_all = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto segment_before = read_all(dir + "/segment.gfs");
+  const auto wal_before = read_all(dir + "/wal.gfj");
+
+  try {
+    CampaignStore st(dir);
+    ADD_FAILURE() << "a previous-format store opened";
+  } catch (const StoreError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(dir), std::string::npos) << what;
+    EXPECT_NE(what.find("previous store format"), std::string::npos) << what;
+    EXPECT_NE(what.find("deleted"), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_all(dir + "/segment.gfs"), segment_before);
+  EXPECT_EQ(read_all(dir + "/wal.gfj"), wal_before);
+
+  // A first entry of garbage that merely starts with the old magic is a
+  // torn store, recovered (to empty) as before.
+  std::string torn(entry.begin(), entry.end());
+  torn[47] = static_cast<char>(torn[47] ^ 1);
+  const auto dir2 = fresh_dir("gfw1torn");
+  std::filesystem::create_directories(dir2);
+  append_bytes(dir2 + "/wal.gfj", torn);
+  CampaignStore st(dir2);
+  EXPECT_EQ(st.stats().recovered_records, 0u);
+  EXPECT_EQ(st.stats().torn_bytes_dropped, 48u);
 }
 
 // Bookkeeping is incremental (a running byte total, a commit sequence

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "depbench/runner.h"
 #include "depbench/tuner.h"
@@ -132,31 +133,43 @@ TEST(WatchTest, DisarmedWatchDoesNotSlowDispatch) {
   // Guard for the acceptance bar (BM_VmDispatchTraceDisarmed within 3% of
   // BM_VmDispatch): a watch armed on never-executed code must not change
   // the hot loop's work. The unit-test bound is generous (25%) because CI
-  // machines are noisy; the micro-benchmark measures the real ratio.
+  // machines are noisy; the micro-benchmark measures the real ratio. The
+  // armed and disarmed calls run as adjacent pairs on one machine, in
+  // alternating order, and the median pair ratio is asserted: a burst of
+  // host load moves one pair, not the verdict.
   const auto img = loop_image();
   const auto f = img.find_symbol("f")->addr;
   const auto cold = img.find_symbol("cold")->addr;
 
-  const auto time_best = [&](bool armed) {
-    vm::Machine m;
-    m.load_image(img);
-    if (armed) m.arm_watch(cold, cold + 2 * isa::kInstrSize);
-    m.call(f, {100000}, 1u << 30);  // warm-up
-    double best = 1e18;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto r = m.call(f, {100000}, 1u << 30);
-      const auto t1 = std::chrono::steady_clock::now();
-      EXPECT_TRUE(r.ok());
-      best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  vm::Machine m;
+  m.load_image(img);
+  m.call(f, {100000}, 1u << 30);  // warm-up
+  const auto timed_call = [&](bool armed) {
+    if (armed) {
+      m.arm_watch(cold, cold + 2 * isa::kInstrSize);
+    } else {
+      m.disarm_watch();
     }
-    return best;
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = m.call(f, {100000}, 1u << 30);
+    const auto t1 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(r.ok());
+    return std::chrono::duration<double>(t1 - t0).count();
   };
 
-  const double off = time_best(false);
-  const double on = time_best(true);
-  EXPECT_LT(on, off * 1.25) << "armed-but-unhit watch slowed dispatch: "
-                            << off * 1e3 << " ms -> " << on * 1e3 << " ms";
+  std::vector<double> ratios;
+  for (int pair = 0; pair < 15; ++pair) {
+    const bool armed_first = pair % 2 == 1;
+    const double first = timed_call(armed_first);
+    const double second = timed_call(!armed_first);
+    ratios.push_back(armed_first ? first / second : second / first);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                   ratios.end());
+  const double median = ratios[ratios.size() / 2];
+  EXPECT_LT(median, 1.25) << "armed-but-unhit watch slowed dispatch: median "
+                             "armed/disarmed ratio "
+                          << median;
 }
 
 // --- kernel-invariant probe -------------------------------------------------

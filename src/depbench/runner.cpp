@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -142,6 +143,23 @@ std::unique_ptr<Controller> make_controller(
   return ctl;
 }
 
+/// One work unit's share of the campaign registry and API sink. Each run
+/// folds in at its boundary and leaves its own copies empty, so a per-run
+/// registry lives no longer than its run; the unit hands the sum over when
+/// it ends. Every fold is a sum or a max, so neither the grouping nor the
+/// order of the hand-overs shows in the merged bytes.
+struct UnitFold {
+  obs::Registry metrics;
+  obs::ApiMetrics api;
+
+  void take(TaskObs& run) {
+    metrics.merge(run.metrics);
+    api.merge(run.api);
+    run.metrics = {};
+    run.api = {};
+  }
+};
+
 }  // namespace
 
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t cell,
@@ -166,8 +184,8 @@ CampaignCounters merge_counters(const CampaignCounters& a,
 }
 
 void CampaignObs::merge_tasks() {
-  // The merges are commutative folds, but a fixed (slot) order keeps the
-  // join auditable.
+  // The merges are commutative folds, so whatever the slots still hold
+  // lands the same whether it was folded at its run boundary or here.
   for (const auto& slot : tasks) {
     metrics.merge(slot.obs.metrics);
     api.merge(slot.obs.api);
@@ -341,13 +359,22 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
     return kb.finish();
   };
   std::vector<IterationResult> results(total_slots);
-  // Observability slots mirror the result slots, merged in slot order after
-  // the join.
+  // Observability slots mirror the result slots. Each slot keeps its run's
+  // journal and profile; its registry and API sink fold into its work
+  // unit's UnitFold at the run boundary, and every unit hands its fold to
+  // the campaign under `fold_mu` when it ends.
   obs_.reset();
   if (opt_.obs) {
     obs_ = std::make_unique<CampaignObs>();
     obs_->tasks.resize(total_slots);
   }
+  std::mutex fold_mu;
+  auto hand_over = [&](const UnitFold& fold) {
+    if (!obs_) return;
+    const std::lock_guard lock(fold_mu);
+    obs_->metrics.merge(fold.metrics);
+    obs_->api.merge(fold.api);
+  };
 
   // One pool pass before the schedule: the per-cell warm-boot captures and
   // the cache resolution run as units side by side.
@@ -375,7 +402,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   std::vector<std::shared_ptr<const snapshot::WarmSnapshot>> warm(n_cells);
   std::vector<std::uint8_t> hit(total_slots, 0);  ///< 1 = folded from store
   auto restore_run = [&](const CellPlan& cp, std::size_t task,
-                         std::vector<std::uint8_t>& payload) {
+                         std::vector<std::uint8_t>& payload, UnitFold& fold) {
     if (!st->get(run_key(cp, task), payload)) return false;
     try {
       auto rec = store::decode_run_record(payload);
@@ -385,6 +412,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
         auto& slot = obs_->tasks[cp.slot_base + task];
         slot.cell = cp.name;
         slot.label = run_label(cp, task);
+        fold.take(rec.obs);
         slot.obs = std::move(rec.obs);
       }
       return true;
@@ -405,12 +433,15 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       const std::size_t tasks = 1 + iters * plan[cell].positions;
       for (std::size_t lo = 0; lo < tasks; lo += kResolveBlock) {
         const std::size_t hi = std::min(tasks, lo + kResolveBlock);
-        setup.push_back({[&restore_run, &hit, &cp = plan[cell], lo, hi] {
+        setup.push_back({[&restore_run, &hand_over, &hit, &cp = plan[cell],
+                          lo, hi] {
                            std::vector<std::uint8_t> payload;
+                           UnitFold fold;
                            for (std::size_t task = lo; task < hi; ++task) {
                              hit[cp.slot_base + task] =
-                                 restore_run(cp, task, payload) ? 1 : 0;
+                                 restore_run(cp, task, payload, fold) ? 1 : 0;
                            }
+                           hand_over(fold);
                          },
                          static_cast<double>(hi - lo) / kResolveBlock});
       }
@@ -476,10 +507,10 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   // unit or worker the run rides in or what ran before it); the first run
   // of a unit and every cold-boot run build it. The post-run commit holds
   // everything restore_run needs to fold the run back without executing
-  // it; the TaskObs copy happens at the run boundary, never on the VM hot
-  // path.
+  // it; the commit and the registry fold happen at the run boundary, never
+  // on the VM hot path.
   auto execute = [&](std::size_t cell, std::size_t task,
-                     std::unique_ptr<Controller>& ctl) {
+                     std::unique_ptr<Controller>& ctl, UnitFold& fold) {
     const auto& cp = plan[cell];
     const auto label = run_label(cp, task);
     auto cfg = cell_config(cp.server, opt_);
@@ -521,6 +552,7 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
       if (slot != nullptr) rec.obs = slot->obs;
       st->put(run_key(cp, task), store::encode_run_record(rec));
     }
+    if (slot != nullptr) fold.take(slot->obs);
   };
   auto cell_complete = [&](std::size_t cell) {
     const auto done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -546,10 +578,14 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   auto add_unit = [&](std::size_t cell, std::vector<std::size_t> tasks,
                       double cost) {
     remaining[cell].fetch_add(1, std::memory_order_relaxed);
-    units.push_back({[&execute, &unit_done, cell, tasks = std::move(tasks),
-                      cost] {
+    units.push_back({[&execute, &hand_over, &unit_done, cell,
+                      tasks = std::move(tasks), cost] {
                        std::unique_ptr<Controller> ctl;
-                       for (const auto task : tasks) execute(cell, task, ctl);
+                       UnitFold fold;
+                       for (const auto task : tasks) {
+                         execute(cell, task, ctl, fold);
+                       }
+                       hand_over(fold);
                        unit_done(cell, cost);
                      },
                      cost});
@@ -595,8 +631,9 @@ std::vector<ExperimentCell> CampaignRunner::run_campaign() {
   }
 
   if (obs_) {
-    // Deterministic join: fold the per-run bundles in slot order, then add
-    // the campaign-level tallies no single run can know.
+    // Every unit has handed its fold over; merge_tasks() exports the api.*
+    // counters and derives the kernel churn. Then the campaign-level
+    // tallies no single run can know.
     obs_->merge_tasks();
     obs_->metrics.add("campaign.cells", n_cells);
     obs_->metrics.add("campaign.tasks", total_slots);

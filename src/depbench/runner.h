@@ -82,8 +82,9 @@ struct RunnerOptions {
   /// ControllerConfig (store keys serve both modes). Kept for A/B
   /// benchmarking and the CI equivalence gate.
   bool fusion = true;
-  /// Observability: give every task a private TaskObs bundle and merge them
-  /// at the join (CampaignRunner::campaign_obs()). The merged registry and
+  /// Observability: give every task a private TaskObs bundle, folding its
+  /// registry into the campaign's at the run boundary
+  /// (CampaignRunner::campaign_obs()). The merged registry and
   /// journal are byte-identical for any `jobs` or `chunk` at a fixed seed;
   /// see CampaignObs for the contract.
   bool obs = false;
@@ -140,14 +141,20 @@ struct TaskObsSlot {
 
 /// Merged campaign observability.
 ///
+/// Memory: run_campaign() folds each run's registry and API sink into
+/// `metrics`/`api` at the run boundary (through its work unit) and leaves
+/// the slot's copies empty, so a campaign holds one registry per live work
+/// unit, not one per run. Slots keep each run's journal and profile, which
+/// the renderers walk in slot order.
+///
 /// Determinism contract:
 ///   - For a fixed (seed, stride, time_scale) the merged registry JSON and
 ///     the slot-ordered journal JSONL are byte-identical for any `jobs`,
 ///     `chunk` or `steal` value — slots are per *fault*, each a
-///     pure function of (seed, cell, iteration, schedule position), and the
-///     merge folds them in slot order. Chunk boundaries never appear in any
-///     artifact. tests/test_obs.cpp and tests/test_runner_steal.cpp check
-///     this.
+///     pure function of (seed, cell, iteration, schedule position), and
+///     every registry fold is a sum or a max, so no grouping or order of
+///     the folds shows. Chunk boundaries never appear in any artifact.
+///     tests/test_obs.cpp and tests/test_runner_steal.cpp check this.
 ///   - Wall-clock never enters the registry or journal; it exists only in
 ///     the Chrome-trace host view (TaskObs::wall_*) and the scheduler
 ///     telemetry (SchedStats).
@@ -156,10 +163,12 @@ struct CampaignObs {
   obs::ApiMetrics api;             ///< merged per-function sink
   std::vector<TaskObsSlot> tasks;  ///< slot order: cell-major, task-minor
 
-  /// Folds every task bundle into `metrics`/`api` in slot order, exports the
-  /// api.* counters/histograms, and derives the kernel churn counters
-  /// (heap allocs/frees, handles opened/closed) from the per-function API
-  /// counts. Call exactly once, after all tasks have finished.
+  /// Folds whatever registry and API sink the task slots still hold into
+  /// `metrics`/`api` (nothing after run_campaign(); a caller that fills
+  /// full slots itself gets them folded here), exports the api.*
+  /// counters/histograms, and derives the kernel churn counters (heap
+  /// allocs/frees, handles opened/closed) from the per-function API counts.
+  /// Call exactly once, after all tasks have finished.
   void merge_tasks();
 };
 

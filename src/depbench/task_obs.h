@@ -1,10 +1,12 @@
 // Per-task observability bundle.
 //
 // Each campaign run owns one TaskObs — its private metrics registry,
-// OS-API sink and event journal — so the hot path never synchronizes. The
-// runner merges the per-task bundles at the campaign join in slot order,
-// which (together with the canonical renderings in src/obs) makes the merged
-// artifacts byte-identical for any --jobs.
+// OS-API sink and event journal — so the hot path never synchronizes. At
+// the run boundary the runner folds the registry and API sink into the
+// campaign's (sums and maxes, so the fold order never shows) and empties
+// them; the journal and profile stay in the run's slot, which the renderers
+// walk in slot order. Together with the canonical renderings in src/obs
+// this makes the merged artifacts byte-identical for any --jobs.
 #pragma once
 
 #include "obs/journal.h"

@@ -1,12 +1,13 @@
 // Deterministic metrics registry: counters, gauges, fixed-bucket histograms.
 //
-// Every campaign run owns a private registry (no locks, no sharing)
-// and the runner merges the per-task registries at the join, in slot order.
-// All merge operations are commutative folds (counter/histogram sums, gauge
-// max), every map is ordered by name, and the JSON rendering is canonical
-// (sorted keys, fixed number formatting) — so the merged artifact is
-// bit-identical for any worker count, exactly like the campaign results
-// themselves (PR 1's per-slot discipline).
+// Every campaign run owns a private registry (no locks, no sharing) while
+// it runs; the runner folds it into the campaign's at the run boundary and
+// drops it. All merge operations are commutative, associative folds
+// (counter/histogram sums, gauge max), every map is ordered by name, and
+// the JSON rendering is canonical (sorted keys, fixed number formatting) —
+// so the merged artifact is bit-identical for any worker count and any
+// grouping or order of the folds, exactly like the campaign results
+// themselves.
 //
 // Cost model (ZOFI: monitoring must cost ~zero when off): nothing in this
 // file is ever touched from the VM dispatch loop. The hot layers keep raw

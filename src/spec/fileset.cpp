@@ -1,5 +1,7 @@
 #include "spec/fileset.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "web/http.h"
@@ -20,7 +22,9 @@ const std::vector<double>& Fileset::class_weights() {
   return kWeights;
 }
 
-Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg) {
+Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg)
+    : num_dirs_(std::max(cfg.num_dirs, 1)),
+      files_per_class_(static_cast<std::size_t>(cfg.files_per_class)) {
   by_class_.resize(4);
   for (int d = 0; d < cfg.num_dirs; ++d) {
     for (int c = 0; c < 4; ++c) {
@@ -42,6 +46,29 @@ Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg) {
   disk.create("/logs/abyssal.post");
   disk.create("/logs/sambar.post");
   disk.create("/logs/savant.post");
+}
+
+std::size_t Fileset::size_of(std::string_view path) const {
+  // "/file_set/dir<D>/class<C>_<J>" is files_[(D * 4 + C) * per_class + J]
+  // (the constructor's loop order). The path compare at the end is the
+  // only check needed: any other spelling of numbers misses it.
+  const std::string_view full = path;
+  auto number = [&path](std::string_view prefix, std::size_t& out) {
+    if (!path.starts_with(prefix)) return false;
+    path.remove_prefix(prefix.size());
+    const auto [end, ec] =
+        std::from_chars(path.data(), path.data() + path.size(), out);
+    path.remove_prefix(static_cast<std::size_t>(end - path.data()));
+    return ec == std::errc{};
+  };
+  std::size_t d = 0, c = 0, j = 0;
+  if (!number("/file_set/dir", d) || !number("/class", c) || !number("_", j)) {
+    return 0;
+  }
+  const auto index = (d * 4 + c) * files_per_class_ + j;
+  return index < files_.size() && files_[index].path == full
+             ? files_[index].size
+             : 0;
 }
 
 double Fileset::mean_file_size() const {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "os/disk.h"
@@ -37,6 +38,11 @@ class Fileset {
   Fileset(os::SimDisk& disk, const FilesetConfig& cfg = {});
 
   const std::vector<FileInfo>& files() const noexcept { return files_; }
+  /// Document directories (at least 1): the Zipf range of a request's dir.
+  int num_dirs() const noexcept { return num_dirs_; }
+  /// Size of the document at `path`, or 0 when no document has that path.
+  /// The path names its own index in files(), so no lookup table is kept.
+  std::size_t size_of(std::string_view path) const;
   /// Files of one size class.
   const std::vector<std::size_t>& class_members(int size_class) const {
     return by_class_[static_cast<std::size_t>(size_class)];
@@ -53,6 +59,8 @@ class Fileset {
  private:
   std::vector<FileInfo> files_;
   std::vector<std::vector<std::size_t>> by_class_;
+  int num_dirs_ = 1;
+  std::size_t files_per_class_ = 0;
 };
 
 }  // namespace gf::spec

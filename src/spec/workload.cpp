@@ -1,31 +1,13 @@
 #include "spec/workload.h"
 
-#include <map>
-
 namespace gf::spec {
-
-namespace {
-int count_dirs(const Fileset& fs) {
-  int max_dir = 0;
-  for (const auto& f : fs.files()) {
-    // Paths look like /file_set/dirNNNNN/classC_J.
-    const auto pos = f.path.find("/dir");
-    if (pos == std::string::npos) continue;
-    max_dir = std::max(max_dir, std::stoi(f.path.substr(pos + 4, 5)));
-  }
-  return max_dir + 1;
-}
-}  // namespace
 
 WorkloadGenerator::WorkloadGenerator(const Fileset& fs, std::uint64_t seed,
                                      WorkloadMix mix)
     : fs_(fs),
       rng_(seed),
       mix_(mix),
-      dir_zipf_(static_cast<std::size_t>(count_dirs(fs)), 1.0),
-      num_dirs_(count_dirs(fs)) {
-  for (const auto& f : fs.files()) sizes_[f.path] = f.size;
-}
+      dir_zipf_(static_cast<std::size_t>(fs.num_dirs()), 1.0) {}
 
 web::Request WorkloadGenerator::next() {
   web::Request req;
@@ -39,7 +21,7 @@ web::Request WorkloadGenerator::next() {
   const auto& members = fs_.class_members(size_class);
   // Files are laid out dir-major: dir * files_per_class consecutive entries
   // per class. Index into this directory's slice of the class.
-  const auto per_dir = members.size() / static_cast<std::size_t>(num_dirs_);
+  const auto per_dir = members.size() / static_cast<std::size_t>(fs_.num_dirs());
   const auto j = rng_.bounded(per_dir);
   const auto file_index = members[dir * per_dir + j];
   req.path = fs_.files()[file_index].path;
@@ -57,8 +39,7 @@ web::Request WorkloadGenerator::next() {
 }
 
 std::size_t WorkloadGenerator::size_of(const std::string& path) const {
-  const auto it = sizes_.find(path);
-  return it == sizes_.end() ? 0 : it->second;
+  return fs_.size_of(path);
 }
 
 }  // namespace gf::spec

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "spec/fileset.h"
 #include "util/rng.h"
@@ -35,8 +34,6 @@ class WorkloadGenerator {
   util::Rng rng_;
   WorkloadMix mix_;
   util::Zipf dir_zipf_;
-  int num_dirs_;
-  std::map<std::string, std::size_t> sizes_;
 };
 
 }  // namespace gf::spec

@@ -112,13 +112,22 @@ class MappedFile {
 /// recovery starts it: below this a thread start costs more than it saves.
 constexpr std::uint64_t kVerifyBytesPerThread = 1u << 20;
 constexpr std::size_t kMaxVerifyThreads = 8;
+/// Hashed segment bytes a verification thread lets accumulate before it
+/// releases their pages.
+constexpr std::uint64_t kReleaseBytes = 1u << 20;
 
 /// Index of the first entry whose payload fails its checksum, or
 /// entries.size() when every payload is intact. Contiguous ranges of
 /// entries are hashed on their own threads; a small store (or a host that
-/// refuses a thread) is hashed inline on the calling thread.
+/// refuses a thread) is hashed inline on the calling thread. `segment` is a
+/// private read-only mapping: each thread drops the pages it has hashed a
+/// MiB at a time, so the segment is never resident all at once. A dropped
+/// page that is read again (an entry of a neighbouring range, a page two
+/// entries share) faults back in from the file, so every byte is still
+/// hashed as it is on disk.
 std::size_t first_bad_payload(const std::vector<WalEntry>& entries,
                               const std::uint8_t* segment) {
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
   const std::size_t n = entries.size();
   std::uint64_t bytes = 0;
   for (const auto& e : entries) bytes += e.length;
@@ -128,13 +137,22 @@ std::size_t first_bad_payload(const std::vector<WalEntry>& entries,
        n}));
   std::vector<std::size_t> first(std::max<std::size_t>(parts, 1), n);
   auto scan = [&](std::size_t part) {
-    for (std::size_t i = n * part / first.size(),
-                     hi = n * (part + 1) / first.size();
-         i < hi; ++i) {
+    const std::size_t lo = n * part / first.size();
+    const std::size_t hi = n * (part + 1) / first.size();
+    // Page-aligned start of the bytes hashed but not yet released; only
+    // whole pages behind the current entry's end are released.
+    std::uint64_t kept = lo < hi ? entries[lo].offset / page * page : 0;
+    for (std::size_t i = lo; i < hi; ++i) {
       const auto& e = entries[i];
       if (checksum64(segment + e.offset, e.length) != e.payload_sum) {
         first[part] = i;
         return;
+      }
+      const std::uint64_t done = (e.offset + e.length) / page * page;
+      if (done >= kept + kReleaseBytes) {
+        ::madvise(const_cast<std::uint8_t*>(segment) + kept, done - kept,
+                  MADV_DONTNEED);
+        kept = done;
       }
     }
   };

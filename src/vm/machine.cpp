@@ -190,7 +190,8 @@ Machine::Memory::~Memory() {
 
 Machine::Machine(std::size_t mem_size)
     : mem_(mem_size),
-      page_state_((mem_size + kDirtyPageSize - 1) >> kDirtyPageShift, 0) {
+      page_state_((mem_size + kDirtyPageSize - 1) >> kDirtyPageShift, 0),
+      ever_written_(page_state_.size(), 0) {
   // Default stack: top 64 KiB of memory.
   stack_hi_ = mem_.size();
   stack_lo_ = mem_.size() > (64u << 10) ? mem_.size() - (64u << 10) : 0;
@@ -202,6 +203,7 @@ Machine::Machine(const State& s) : Machine(s.mem_size) {
     const auto addr = static_cast<std::uint64_t>(s.pages[k]) << kDirtyPageShift;
     std::memcpy(mem_.data() + addr, s.bytes.data() + k * kDirtyPageSize,
                 page_span(addr));
+    ever_written_[s.pages[k]] = 1;
   }
   std::memcpy(regs_, s.regs.data(), sizeof regs_);
   flags_ = s.flags;
@@ -240,7 +242,9 @@ void Machine::set_page_bit(std::uint8_t bit, bool on) noexcept {
 Machine::State Machine::snapshot() {
   State s;
   s.mem_size = mem_.size();
+  // A page never written is still the mapping's zero fill: skip it unread.
   for (std::size_t p = 0; p < page_state_.size(); ++p) {
+    if (ever_written_[p] == 0) continue;
     const std::uint64_t addr = static_cast<std::uint64_t>(p) << kDirtyPageShift;
     const std::uint8_t* bytes = mem_.data() + addr;
     const std::size_t len = page_span(addr);

@@ -246,8 +246,9 @@ class Machine {
   void clear_all_dirty() noexcept;
 
   /// Captures the full machine state (the non-zero memory pages + registers
-  /// + flags + lifetime cycle counter; one scan of memory) and clears every
-  /// dirty bit, establishing the baseline restore() diffs against.
+  /// + flags + lifetime cycle counter; one scan of the pages ever written)
+  /// and clears every dirty bit, establishing the baseline restore() diffs
+  /// against.
   State snapshot();
   /// Restores to `s` by rewriting only pages dirtied since the snapshot: a
   /// page the state lists gets its bytes back, any other is zero-filled.
@@ -417,6 +418,7 @@ class Machine {
                        last = (addr + len - 1) >> kDirtyPageShift;
          p <= last; ++p) {
       page_state_[p] |= kPageDirty;
+      ever_written_[p] = 1;
     }
     if (capture_) [[unlikely]] {
       captured_.push_back({addr, {&mem_[addr], &mem_[addr] + len}});
@@ -449,6 +451,11 @@ class Machine {
 
   Memory mem_;
   std::vector<std::uint8_t> page_state_;  ///< kPage* bits per kDirtyPageSize page
+  /// 1 for every page ever written (sticky: no clear resets it), so
+  /// snapshot() reads only pages that can hold a non-zero byte and never
+  /// faults in the zero page for the rest. Kept apart from page_state_,
+  /// whose store fast path compares the whole byte.
+  std::vector<std::uint8_t> ever_written_;
   bool capture_ = false;
   std::vector<WriteSpan> captured_;
   std::int64_t regs_[isa::kNumRegs] = {};

@@ -21,6 +21,7 @@
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "store/store.h"
 
 namespace gf {
 namespace {
@@ -431,6 +432,75 @@ TEST(CampaignObsTest, ShardInvariantCounters) {
   }
   EXPECT_GT(a.counter("campaign.faults_injected"), 0u);
   EXPECT_EQ(a.counter("inject.verify_failures"), 0u);
+}
+
+// Every run folds its registry and API sink into the campaign's at its run
+// boundary: afterwards no slot holds either, whether its run executed
+// (fresh), came from the store (all-hit resume) or both (a partly cached
+// rerun), and the merged registry equals the jobs=1 reference at chunk 1
+// and 3.
+TEST(CampaignObsTest, RunsFoldAtTheirBoundaryForAnyHitPattern) {
+  auto base = obs_options();
+  base.jobs = 1;
+  depbench::CampaignRunner reference_runner(base);
+  reference_runner.run_campaign();
+  const auto reference = reference_runner.campaign_obs()->metrics.to_json();
+
+  auto store_dir = [](const std::string& name) {
+    const auto dir = ::testing::TempDir() + "gfobs_fold_" + name;
+    std::remove((dir + "/segment.gfs").c_str());
+    std::remove((dir + "/wal.gfj").c_str());
+    return dir;
+  };
+  // Fills a fresh store with a jobs=1 campaign of `iterations`.
+  auto populate = [&](const std::string& dir, int iterations) {
+    store::CampaignStore st(dir);
+    auto opt = base;
+    opt.iterations = iterations;
+    opt.store = &st;
+    depbench::CampaignRunner(opt).run_campaign();
+  };
+  // One campaign at jobs 3 and `chunk` against `st` (or none); returns
+  // its store traffic.
+  auto check = [&](const char* what, int chunk, store::CampaignStore* st) {
+    SCOPED_TRACE(std::string(what) + ", chunk " + std::to_string(chunk));
+    auto opt = base;
+    opt.jobs = 3;
+    opt.chunk = chunk;
+    opt.store = st;
+    depbench::CampaignRunner runner(opt);
+    runner.run_campaign();
+    const auto* obs = runner.campaign_obs();
+    EXPECT_NE(obs, nullptr);
+    if (obs == nullptr) return store::StoreStats{};
+    EXPECT_EQ(obs->metrics.to_json(), reference);
+    EXPECT_FALSE(obs->tasks.empty());
+    for (const auto& slot : obs->tasks) {
+      EXPECT_TRUE(slot.obs.metrics.empty()) << slot.cell << "/" << slot.label;
+      EXPECT_TRUE(slot.obs.api.functions.empty())
+          << slot.cell << "/" << slot.label;
+    }
+    return st != nullptr ? *runner.store_stats() : store::StoreStats{};
+  };
+
+  const auto all_hit_dir = store_dir("all_hit");
+  populate(all_hit_dir, base.iterations);
+  for (const int chunk : {1, 3}) {
+    check("fresh", chunk, nullptr);
+
+    store::CampaignStore all_hit(all_hit_dir);
+    const auto resumed = check("all-hit resume", chunk, &all_hit);
+    EXPECT_EQ(resumed.misses, 0u);
+    EXPECT_GT(resumed.hits, 0u);
+
+    // The store holds the baseline and the first iteration only.
+    const auto partly_dir = store_dir("partly");
+    populate(partly_dir, 1);
+    store::CampaignStore partly(partly_dir);
+    const auto rerun = check("partly cached rerun", chunk, &partly);
+    EXPECT_GT(rerun.hits, 0u);
+    EXPECT_GT(rerun.misses, 0u);
+  }
 }
 
 TEST(CampaignObsTest, TraceExportIntegrity) {

@@ -445,6 +445,69 @@ TEST(CampaignStoreTest, EveryFlippedPayloadByteMissesAndIsCounted) {
   }
 }
 
+// Recovery hashes a segment of several MiB on several threads and drops
+// each hashed MiB's pages as it goes. A flipped payload byte in the first
+// or in the last MiB must still truncate the store from its record on, and
+// a clean reopen must keep every record byte for byte.
+TEST(CampaignStoreTest, MultiMiBRecoveryVerifiesFirstAndLastMiB) {
+  // 80 records of 64 KiB + 13 bytes: 5.1 MiB, and the records straddle
+  // page boundaries.
+  constexpr std::size_t kRecords = 80;
+  constexpr std::size_t kLength = (64u << 10) + 13;
+  auto payload = [](std::size_t i) {
+    std::vector<std::uint8_t> p(kLength);
+    for (std::size_t b = 0; b < p.size(); ++b) {
+      p[b] = static_cast<std::uint8_t>(i * 131 + b * 7 + (b >> 9));
+    }
+    return p;
+  };
+  auto fill = [&](const std::string& dir) {
+    CampaignStore st(dir);
+    for (std::size_t i = 0; i < kRecords; ++i) st.put(key_of(i), payload(i));
+    return st.list();
+  };
+
+  const auto clean = fresh_dir("multimib");
+  const auto records = fill(clean);
+  const auto segment_bytes = file_size(clean + "/segment.gfs");
+  ASSERT_GT(segment_bytes, 4l << 20);
+  {
+    CampaignStore st(clean);
+    EXPECT_EQ(st.stats().recovered_records, kRecords);
+    EXPECT_EQ(st.stats().torn_bytes_dropped, 0u);
+    std::vector<std::uint8_t> got;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      ASSERT_TRUE(st.get(key_of(i), got)) << i;
+      ASSERT_EQ(got, payload(i)) << i;
+    }
+  }
+  EXPECT_EQ(file_size(clean + "/segment.gfs"), segment_bytes);
+
+  // (record, byte within it): the segment's first byte, a byte inside the
+  // first MiB, one in the last MiB and the segment's last byte.
+  const std::pair<std::size_t, std::size_t> flips[] = {
+      {0, 0}, {7, 4099}, {kRecords - 3, kLength / 2},
+      {kRecords - 1, kLength - 1}};
+  for (const auto& [bad, byte] : flips) {
+    const auto at = records[bad].offset + byte;
+    ASSERT_TRUE(at < (1u << 20) ||
+                at >= static_cast<std::uint64_t>(segment_bytes) - (1u << 20));
+    const auto dir = fresh_dir("multimib_flip");
+    fill(dir);
+    flip_byte(dir + "/segment.gfs", static_cast<long>(at));
+    CampaignStore st(dir);
+    EXPECT_EQ(st.stats().recovered_records, bad) << "byte " << at;
+    EXPECT_EQ(file_size(dir + "/segment.gfs"),
+              static_cast<long>(records[bad].offset));
+    std::vector<std::uint8_t> got;
+    EXPECT_FALSE(st.get(key_of(bad), got));
+    if (bad > 0) {
+      ASSERT_TRUE(st.get(key_of(bad - 1), got));
+      EXPECT_EQ(got, payload(bad - 1));
+    }
+  }
+}
+
 // A store of the previous format (GFW1 entries, FNV-1a checksums) is not a
 // torn store: opening it must refuse with a diagnostic naming the directory
 // and leave both files byte-identical, never truncate them to empty.

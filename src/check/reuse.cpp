@@ -15,9 +15,7 @@ namespace {
 bool disk_differs(const os::SimDisk& got, const os::SimDisk& snap,
                   const std::string& log) {
   if (got.file_count() != snap.file_count()) return true;
-  const auto* a = got.content(log);
-  const auto* b = snap.content(log);
-  return (a == nullptr) != (b == nullptr) || (a != nullptr && *a != *b);
+  return !got.same_content(snap, log);
 }
 
 }  // namespace

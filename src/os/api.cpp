@@ -145,6 +145,11 @@ bool OsApi::read_bytes(std::uint64_t addr, void* out, std::size_t n) const {
   return kernel_.machine().read_bytes(addr, out, n);
 }
 
+bool OsApi::readable(std::uint64_t addr, std::size_t n) const {
+  return n == 0 || (addr >= vm::Machine::kNullPageSize &&
+                    kernel_.machine().raw(addr, n) != nullptr);
+}
+
 bool OsApi::write_bytes(std::uint64_t addr, const void* data, std::size_t n) {
   return kernel_.machine().write_bytes(addr, data, n);
 }

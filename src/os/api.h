@@ -84,6 +84,8 @@ class OsApi {
   /// Writes a NUL-terminated 2-byte-char string ("unicode") at `addr`.
   bool write_wstr(std::uint64_t addr, const std::string& s);
   bool read_bytes(std::uint64_t addr, void* out, std::size_t n) const;
+  /// True when read_bytes(addr, ..., n) would succeed; copies nothing.
+  bool readable(std::uint64_t addr, std::size_t n) const;
   bool write_bytes(std::uint64_t addr, const void* data, std::size_t n);
   std::uint64_t read_u64_or(std::uint64_t addr, std::uint64_t fallback) const;
 

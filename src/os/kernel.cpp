@@ -1,5 +1,6 @@
 #include "os/kernel.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -268,17 +269,34 @@ vm::Trap Kernel::handle_syscall(vm::Machine& m, std::int32_t num) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
-      const auto bytes = disk_.view(id, off, len);
-      if (!bytes) {
+      const auto n = disk_.read_size(id, off, len);
+      if (!n) {
         m.set_reg(0, -1);
         return vm::Trap::kNone;
       }
       // Copying into guest memory can fault if the guest passed a bad
       // buffer (e.g. a mutated pointer) — surface that as a memory trap.
-      if (!m.write_bytes(dst, bytes->data(), bytes->size())) {
+      // The whole range is checked under write_bytes' rules before the
+      // first byte moves, so a bad buffer leaves guest memory untouched.
+      const auto count = static_cast<std::size_t>(*n);
+      if (count > 0 && (dst < vm::Machine::kNullPageSize || m.raw(dst, count) == nullptr)) {
         return vm::Trap::kBadMemory;
       }
-      m.set_reg(0, static_cast<std::int64_t>(bytes->size()));
+      // Page by page: a hole reaches the guest as zeros, never as a host
+      // buffer of its length.
+      static constexpr std::uint8_t kZeros[SimDisk::kPageSize] = {};
+      auto at = dst;
+      disk_.read_runs(id, off, *n, [&](const std::uint8_t* data, std::size_t k) {
+        if (data != nullptr) {
+          m.write_bytes(at, data, k);
+        } else {
+          for (std::size_t done = 0; done < k; done += sizeof kZeros) {
+            m.write_bytes(at + done, kZeros, std::min(k - done, sizeof kZeros));
+          }
+        }
+        at += k;
+      });
+      m.set_reg(0, *n);
       return vm::Trap::kNone;
     }
     case lay::kSysDiskWrite: {

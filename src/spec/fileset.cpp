@@ -32,7 +32,12 @@ Fileset::Fileset(os::SimDisk& disk, const FilesetConfig& cfg)
         char path[64];
         std::snprintf(path, sizeof path, "/file_set/dir%05d/class%d_%d", d, c, j);
         const auto size = file_size(c, j);
-        std::vector<std::uint8_t> content(size);
+        // Whole pages reserved: the disk adopts this buffer as the file's
+        // page store without another copy.
+        std::vector<std::uint8_t> content;
+        content.reserve((size + os::SimDisk::kPageSize - 1) / os::SimDisk::kPageSize *
+                        os::SimDisk::kPageSize);
+        content.resize(size);
         web::fill_expected(web::path_seed(path), content);
         disk.add_file(path, std::move(content));
         by_class_[static_cast<std::size_t>(c)].push_back(files_.size());

@@ -15,7 +15,6 @@ namespace {
 
 constexpr std::int64_t kBufSize = 36 * 1024;
 constexpr std::int64_t kChunk = 4096;
-constexpr std::size_t kMaxBody = 64 * 1024;
 
 class AbyssalServer final : public CopyableServer<AbyssalServer> {
  public:
@@ -95,10 +94,7 @@ class AbyssalServer final : public CopyableServer<AbyssalServer> {
     while (resp.body.size() < kMaxBody) {
       const auto rd = die_on_crash(api().nt_read_file(h, data, kChunk));
       if (rd.value <= 0) break;  // any error is treated like EOF
-      const auto n = static_cast<std::size_t>(rd.value);
-      const auto old = resp.body.size();
-      resp.body.resize(old + n);
-      if (!api().read_bytes(data, resp.body.data() + old, n)) {
+      if (!append_body(resp.body, data, static_cast<std::uint64_t>(rd.value))) {
         // Reading through a bad buffer pointer: the process dereferenced
         // garbage memory.
         throw ServerDeath{};

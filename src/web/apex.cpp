@@ -28,7 +28,6 @@ constexpr int kIntegrityPeriod = 32;       // requests between pool checks
 constexpr int kAuditPeriod = 64;           // requests between config audits
 constexpr int kMaxConsecutiveFailures = 12;
 constexpr std::size_t kCacheEntries = 192;
-constexpr std::size_t kMaxBody = 64 * 1024;
 
 class ApexServer final : public CopyableServer<ApexServer> {
  public:
@@ -234,9 +233,7 @@ class ApexServer final : public CopyableServer<ApexServer> {
       api().rtl_free(ctx);
       throw RequestAbort{};
     }
-    const auto n = static_cast<std::size_t>(rd.value);
-    resp.body.resize(n);
-    if (n > 0 && !api().read_bytes(data, resp.body.data(), n)) {
+    if (!append_body(resp.body, data, static_cast<std::uint64_t>(rd.value))) {
       hang_check(api().nt_close(h));
       api().rtl_free(ctx);
       throw RequestAbort{};

@@ -6,6 +6,10 @@
 // without keeping copies — corrupted OS state (e.g. a trashed heap) shows up
 // as content errors, exactly the error channel ER% measures in the paper.
 //
+// A served body is at most web::kMaxBody + 1 bytes (web/server.h): no
+// document is longer than kMaxBody, so a longer body is an error whatever
+// its bytes are, and a fault-inflated read count costs no host memory.
+//
 // The content helpers are header-inline and come in per-byte and
 // whole-buffer forms: servers transform every body they serve and the
 // fileset is generated at bring-up, so the byte loops must vectorise in the

@@ -1,5 +1,7 @@
 #include "web/server.h"
 
+#include <algorithm>
+
 namespace gf::web {
 
 const char* server_state_name(ServerState s) noexcept {
@@ -87,6 +89,15 @@ void WebServer::restore_process(const WebServer& image) {
   auto* const api = api_;
   assign(image);
   api_ = api;
+}
+
+bool WebServer::append_body(std::vector<std::uint8_t>& body, std::uint64_t buf,
+                            std::uint64_t n) {
+  if (!api_->readable(buf, n)) return false;
+  const auto old = body.size();
+  const auto keep = std::min<std::uint64_t>(n, body_cap_ - std::min(old, body_cap_));
+  body.resize(old + keep);
+  return api_->read_bytes(buf, body.data() + old, keep);
 }
 
 bool WebServer::try_self_restart() {

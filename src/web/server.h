@@ -45,6 +45,11 @@ struct ServerStats {
   std::uint64_t self_restarts = 0;
 };
 
+/// Largest document a server serves (the largest fileset file, class 3).
+/// A response body longer than this fails SpecClient::validate whatever its
+/// bytes are, which is what lets append_body() stop copying past it.
+inline constexpr std::size_t kMaxBody = 64 * 1024;
+
 /// An immutable byte buffer shared by reference (cached response bodies):
 /// clones, restores and controller resets copy the pointer, not the bytes.
 using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
@@ -80,6 +85,11 @@ class WebServer {
 
   /// VM cycles consumed by the last handle() call (performance model input).
   std::uint64_t last_request_cycles() const noexcept { return last_cycles_; }
+
+  /// Most body bytes append_body() keeps: kMaxBody + 1 unless raised. An
+  /// unlimited cap is the unbounded reference the body-cap tests compare
+  /// the servers against.
+  void set_body_cap(std::size_t cap) noexcept { body_cap_ = cap; }
 
   /// Warm-boot process images (the analogue of ZOFI cloning the warmed
   /// process instead of re-launching it). A server's whole C++-side process
@@ -124,6 +134,15 @@ class WebServer {
     return r;
   }
 
+  /// Appends the `n` bytes a read left in the guest buffer at `buf` to
+  /// `body`. False when any byte of the whole range is unreadable under
+  /// OsApi::read_bytes' rule (the process read through a bad pointer). The
+  /// body keeps at most the cap's bytes: a faulty OS can return a guest
+  /// address as a byte count, and the longer body fails the client's check
+  /// all the same, so no host buffer grows with a guest-supplied count.
+  bool append_body(std::vector<std::uint8_t>& body, std::uint64_t buf,
+                   std::uint64_t n);
+
   /// For servers without structured exception handling: any crash in an API
   /// call escapes and kills the process.
   const os::ApiResult& die_on_crash(const os::ApiResult& r) {
@@ -137,6 +156,7 @@ class WebServer {
   ServerState state_ = ServerState::kStopped;
   ServerStats stats_;
   std::uint64_t last_cycles_ = 0;
+  std::size_t body_cap_ = kMaxBody + 1;
 };
 
 /// Gives server `Derived` its copy() / assign(): the compiler-generated

@@ -16,7 +16,6 @@ namespace gf::web {
 namespace {
 
 constexpr std::int64_t kChunk = 4096;
-constexpr std::size_t kMaxBody = 64 * 1024;
 
 class SambarServer final : public CopyableServer<SambarServer> {
  public:
@@ -101,9 +100,7 @@ class SambarServer final : public CopyableServer<SambarServer> {
       }
       const auto n = api().read_u64_or(os::OsApi::kOutSlot, 0);
       if (n == 0) break;
-      const auto old = resp.body.size();
-      resp.body.resize(old + n);
-      if (!api().read_bytes(data_buf_, resp.body.data() + old, n)) {
+      if (!append_body(resp.body, data_buf_, n)) {
         throw ServerDeath{};
       }
       if (n < static_cast<std::uint64_t>(kChunk)) break;
@@ -222,10 +219,7 @@ class SavantServer final : public CopyableServer<SavantServer> {
         return Response{500, {}};
       }
       if (rd.value == 0) break;
-      const auto n = static_cast<std::size_t>(rd.value);
-      const auto old = resp.body.size();
-      resp.body.resize(old + n);
-      if (!api().read_bytes(data_buf_, resp.body.data() + old, n)) {
+      if (!append_body(resp.body, data_buf_, static_cast<std::uint64_t>(rd.value))) {
         throw ServerDeath{};
       }
       if (rd.value < 2048) break;

@@ -2,8 +2,12 @@
 // functions, for both OS versions. These run real guest code on the VM.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +16,7 @@
 #include "os/filesystem.h"
 #include "os/kernel.h"
 #include "os/layout.h"
+#include "vm/machine.h"
 
 namespace gf::os {
 namespace {
@@ -177,9 +182,8 @@ TEST_P(OsTest, InvalidHandlesRejected) {
   EXPECT_LT(api_.nt_write_file(7, 0x150000, 4).value, 0);
 }
 
-// kSysDiskRead copies from a view of the file straight into guest memory;
-// each of its outcomes (-1, 0, n, memory trap) must reach the API caller
-// unchanged.
+// kSysDiskRead copies the file's pages straight into guest memory; each of
+// its outcomes (-1, 0, n, memory trap) must reach the API caller unchanged.
 TEST_P(OsTest, DiskReadOutcomesReachTheCaller) {
   kernel_.disk().add_file("/f", {'a', 'b', 'c', 'd', 'e', 'f'});
   const auto h = api_.nt_open_file(guest_path("/f"));
@@ -218,6 +222,32 @@ TEST_P(OsTest, DiskReadOutcomesReachTheCaller) {
   char back[6];
   ASSERT_TRUE(api_.read_bytes(dst, back, sizeof back));
   EXPECT_EQ(std::string(back, sizeof back), "abcdef");
+}
+
+// A sparse file's holes reach the guest as zeros, and a destination range
+// that does not fit whole is a memory trap, holes included.
+TEST_P(OsTest, DiskReadFillsHolesAndChecksTheWholeRange) {
+  const int id = kernel_.disk().create("/sparse");
+  const std::vector<std::uint8_t> data(100, 'q');
+  ASSERT_TRUE(kernel_.disk().write(id, 2 * SimDisk::kPageSize + 50, data.data(), 100));
+  const auto h = api_.nt_open_file(guest_path("/sparse"));
+  ASSERT_GT(h.value, 0);
+  const std::uint64_t buf = 0x150000;
+  const std::vector<std::uint8_t> junk(3 * SimDisk::kPageSize, 0xEE);
+  ASSERT_TRUE(api_.write_bytes(buf, junk.data(), junk.size()));
+  const auto r = api_.nt_read_file(h.value, buf, 3 * SimDisk::kPageSize);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value, 2 * SimDisk::kPageSize + 150);
+  std::vector<std::uint8_t> back(static_cast<std::size_t>(r.value));
+  ASSERT_TRUE(api_.read_bytes(buf, back.data(), back.size()));
+  std::vector<std::uint8_t> want(back.size(), 0);
+  std::fill(want.end() - 100, want.end(), 'q');
+  EXPECT_TRUE(back == want);
+
+  // A hole of 4 KiB read to 2 KiB below the top of memory does not fit.
+  const auto h2 = api_.nt_open_file(guest_path("/sparse"));
+  ASSERT_GT(h2.value, 0);
+  EXPECT_TRUE(api_.nt_read_file(h2.value, lay::kMemSize - 2048, SimDisk::kPageSize).crashed());
 }
 
 // kSysDiskWrite reads its source with one checked guest access: the null
@@ -463,8 +493,8 @@ TEST_P(OsTest, WriteFileWrapperWritesToDisk) {
   const auto r = api_.write_file(h.value, 0x150000, 5, OsApi::kOutSlot);
   EXPECT_EQ(r.value, 1);
   EXPECT_EQ(api_.read_u64_or(OsApi::kOutSlot, 0), 5u);
-  const auto* content = kernel_.disk().content("/log");
-  ASSERT_NE(content, nullptr);
+  const auto content = kernel_.disk().content("/log");
+  ASSERT_TRUE(content.has_value());
   EXPECT_EQ(std::string(content->begin(), content->end()), "entry");
 }
 
@@ -515,7 +545,7 @@ TEST_P(OsTest, RebootResetsHeapAndHandles) {
   const auto p2 = api_.rtl_alloc(128);
   EXPECT_EQ(p2.value, p.value);  // identical first block after reset
   // Disk contents survive a reboot.
-  EXPECT_NE(kernel_.disk().content("/f"), nullptr);
+  EXPECT_TRUE(kernel_.disk().content("/f").has_value());
 }
 
 TEST_P(OsTest, UnknownApiNameThrows) {
@@ -563,10 +593,9 @@ TEST(SimDisk, CreateFindReadWrite) {
   const std::uint8_t data[] = {1, 2, 3};
   EXPECT_EQ(d.write(id, 0, data, 3), 3);
   EXPECT_EQ(d.size(id), 3);
-  const auto v = d.view(id, 1, 2);
-  ASSERT_TRUE(v.has_value());
-  ASSERT_EQ(v->size(), 2u);
-  EXPECT_EQ((*v)[0], 2);
+  std::uint8_t v[2] = {};
+  EXPECT_EQ(d.read(id, 1, v), 2);
+  EXPECT_EQ(v[0], 2);
 }
 
 TEST(SimDisk, WriteExtendsWithZeros) {
@@ -575,28 +604,30 @@ TEST(SimDisk, WriteExtendsWithZeros) {
   const std::uint8_t b = 9;
   EXPECT_EQ(d.write(id, 5, &b, 1), 1);
   EXPECT_EQ(d.size(id), 6);
-  const auto v = d.view(id, 0, 6);
-  ASSERT_TRUE(v.has_value());
-  ASSERT_EQ(v->size(), 6u);
-  EXPECT_EQ((*v)[0], 0);
-  EXPECT_EQ((*v)[5], 9);
+  std::uint8_t v[6];
+  std::fill(std::begin(v), std::end(v), 0xEE);
+  EXPECT_EQ(d.read(id, 0, v), 6);
+  EXPECT_EQ(v[0], 0);
+  EXPECT_EQ(v[5], 9);
 }
 
 TEST(SimDisk, ViewIsClippedAtEof) {
   SimDisk d;
   const int id = d.add_file("/x", {1, 2, 3});
-  EXPECT_EQ(d.view(id, 1, 100).value().size(), 2u);
-  EXPECT_TRUE(d.view(id, 3, 1).value().empty());
-  EXPECT_TRUE(d.view(id, 1000, 1).value().empty());
-  EXPECT_TRUE(d.view(id, 0, 0).value().empty());
-  EXPECT_FALSE(d.view(id, -1, 1).has_value());
-  EXPECT_FALSE(d.view(id, 0, -1).has_value());
+  std::uint8_t buf[100];
+  EXPECT_EQ(d.read(id, 1, buf), 2);
+  EXPECT_EQ(d.read_size(id, 1, 100), 2);
+  EXPECT_EQ(d.read(id, 3, std::span(buf, 1)), 0);
+  EXPECT_EQ(d.read(id, 1000, std::span(buf, 1)), 0);
+  EXPECT_EQ(d.read(id, 0, std::span(buf, 0)), 0);
+  EXPECT_FALSE(d.read(id, -1, std::span(buf, 1)).has_value());
+  EXPECT_FALSE(d.read_size(id, 0, -1).has_value());
 }
 
 TEST(SimDisk, BadIdsRejected) {
   SimDisk d;
   std::uint8_t b = 0;
-  EXPECT_FALSE(d.view(0, 0, 1).has_value());
+  EXPECT_FALSE(d.read(0, 0, std::span(&b, 1)).has_value());
   EXPECT_FALSE(d.write(-1, 0, &b, 1).has_value());
   EXPECT_FALSE(d.size(3).has_value());
 }
@@ -630,6 +661,262 @@ TEST(SimDisk, CreateTruncatesExisting) {
   d.add_file("/x", {1, 2, 3});
   d.create("/x");
   EXPECT_EQ(d.size(*d.find("/x")), 0);
+}
+
+// --- sparse disk ---------------------------------------------------------------
+
+constexpr std::int64_t kPage = SimDisk::kPageSize;
+
+// A write's host cost is the non-zero pages it leaves, never its offset.
+TEST(SimDisk, FarWriteStoresOnePage) {
+  SimDisk d;
+  const int id = d.create("/x");
+  const std::vector<std::uint8_t> page(kPage, 0x5A);
+  EXPECT_EQ(d.write(id, SimDisk::kMaxFileSize - kPage, page.data(), kPage), kPage);
+  EXPECT_EQ(d.size(id), SimDisk::kMaxFileSize);
+  EXPECT_EQ(d.stored_bytes(id), kPage);
+  std::vector<std::uint8_t> back(3 * kPage, 0xEE);
+  EXPECT_EQ(d.read(id, SimDisk::kMaxFileSize - 2 * kPage, back), 2 * kPage);
+  EXPECT_TRUE(std::all_of(back.begin(), back.begin() + kPage,
+                          [](std::uint8_t b) { return b == 0; }));
+  EXPECT_TRUE(std::equal(page.begin(), page.end(), back.begin() + kPage));
+}
+
+// ... nor its length: a 4 MiB write from a guest range with k non-zero pages
+// stores at most k + 2 pages, and an all-zero one stores none.
+TEST(SimDisk, MostlyZeroGuestWriteStoresItsNonZeroPages) {
+  constexpr std::uint64_t kLen = 4u << 20;
+  constexpr std::uint64_t kSrc = 0x200000;
+  vm::Machine m;
+  SimDisk d;
+  const std::vector<std::uint8_t> page(kPage, 0x77);
+  const int zero = d.create("/zero");
+  EXPECT_EQ(d.write(zero, 12345, m.raw(kSrc, kLen), kLen),
+            static_cast<std::int64_t>(kLen));
+  EXPECT_EQ(d.size(zero), 12345 + static_cast<std::int64_t>(kLen));
+  EXPECT_EQ(d.stored_bytes(zero), 0);
+
+  // Scattered non-zero pages, file offset in step with the guest pages.
+  const std::int64_t k = 5;
+  for (const std::uint64_t at : {0u, 7u, 100u, 511u, 1023u}) {
+    ASSERT_TRUE(m.write_bytes(kSrc + at * kPage, page.data(), kPage));
+  }
+  const int scattered = d.create("/scattered");
+  d.write(scattered, 3 * kPage, m.raw(kSrc, kLen), kLen);
+  EXPECT_LE(d.stored_bytes(scattered), (k + 2) * kPage);
+  EXPECT_EQ(d.stored_bytes(scattered), k * kPage);
+
+  // A contiguous non-zero block at an offset out of step with the pages.
+  vm::Machine block;
+  for (std::int64_t i = 0; i < k; ++i) {
+    ASSERT_TRUE(block.write_bytes(kSrc + (300 + i) * kPage, page.data(), kPage));
+  }
+  const int shifted = d.create("/shifted");
+  d.write(shifted, 1000, block.raw(kSrc, kLen), kLen);
+  EXPECT_LE(d.stored_bytes(shifted), (k + 2) * kPage);
+  std::vector<std::uint8_t> back(static_cast<std::size_t>(kLen));
+  ASSERT_EQ(d.read(shifted, 1000, back), static_cast<std::int64_t>(kLen));
+  EXPECT_TRUE(std::equal(back.begin(), back.end(), block.raw(kSrc, kLen)));
+}
+
+// Zeros written over a page's last non-zero bytes free the page.
+TEST(SimDisk, ZeroWritesReleasePages) {
+  SimDisk d;
+  const int id = d.add_file("/x", std::vector<std::uint8_t>(3 * kPage, 1));
+  EXPECT_EQ(d.stored_bytes(id), 3 * kPage);
+  const std::vector<std::uint8_t> zeros(kPage + 10, 0);
+  d.write(id, kPage - 5, zeros.data(), kPage);
+  EXPECT_EQ(d.stored_bytes(id), 3 * kPage);  // both edge pages keep bytes
+  d.write(id, kPage, zeros.data(), kPage);
+  EXPECT_EQ(d.stored_bytes(id), 2 * kPage);
+  EXPECT_EQ(d.size(id), 3 * kPage);
+}
+
+// Flat reference for one file: its bytes below kNear in a vector, and the
+// writes that reach kNear or past it in a log read last-writer-wins (a flat
+// vector of a 1 GiB file is not an option).
+struct FlatFile {
+  static constexpr std::int64_t kNear = 32 * kPage;
+  std::int64_t size = 0;
+  std::vector<std::uint8_t> near;
+  std::vector<std::pair<std::int64_t, std::vector<std::uint8_t>>> far;
+
+  void write(std::int64_t off, const std::vector<std::uint8_t>& src) {
+    const auto len = static_cast<std::int64_t>(src.size());
+    size = std::max(size, off + len);
+    near.resize(static_cast<std::size_t>(std::min(size, kNear)), 0);
+    for (std::int64_t i = 0; i < len && off + i < kNear; ++i) {
+      near[static_cast<std::size_t>(off + i)] = src[static_cast<std::size_t>(i)];
+    }
+    if (off + len > kNear) far.emplace_back(off, src);
+  }
+  std::uint8_t at(std::int64_t x) const {
+    if (x < kNear) return near[static_cast<std::size_t>(x)];
+    for (auto it = far.rbegin(); it != far.rend(); ++it) {
+      const auto rel = x - it->first;
+      if (rel >= 0 && rel < static_cast<std::int64_t>(it->second.size())) {
+        return it->second[static_cast<std::size_t>(rel)];
+      }
+    }
+    return 0;
+  }
+  std::int64_t nonzero_pages() const {
+    std::set<std::int64_t> pages;
+    for (std::size_t at = 0; at < near.size(); at += kPage) {
+      const auto n = std::min<std::size_t>(kPage, near.size() - at);
+      const auto* p = near.data() + at;
+      if (p[0] != 0 || std::memcmp(p, p + 1, n - 1) != 0) pages.insert(at / kPage);
+    }
+    std::set<std::int64_t> far_pages;
+    for (const auto& [off, src] : far) {
+      const auto end = off + static_cast<std::int64_t>(src.size());
+      for (auto p = std::max(off, kNear) / kPage; p * kPage < end; ++p) far_pages.insert(p);
+    }
+    for (const auto p : far_pages) {
+      for (auto x = p * kPage; x < std::min(size, (p + 1) * kPage); ++x) {
+        if (at(x) != 0) {
+          pages.insert(p);
+          break;
+        }
+      }
+    }
+    return static_cast<std::int64_t>(pages.size());
+  }
+};
+
+// Seeded random operations on the sparse disk and on copies of it must read
+// exactly like the flat reference: creates, truncations and whole-content
+// replacements; dense and
+// mostly-zero writes at random, page-straddling and far offsets; reads
+// across holes and past EOF; copies written on either side.
+TEST(SimDisk, MatchesFlatReferenceUnderRandomOperations) {
+  constexpr int kFiles = 6;
+  struct World {
+    SimDisk disk;
+    std::vector<FlatFile> files;
+  };
+  std::mt19937_64 rng(29);
+  auto below = [&rng](std::int64_t n) {
+    return n <= 0 ? 0 : static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(n));
+  };
+  std::vector<World> worlds(1);
+  for (int f = 0; f < kFiles; ++f) worlds[0].disk.create("/f" + std::to_string(f));
+  worlds[0].files.resize(kFiles);
+
+  auto check_range = [](const World& w, int id, std::int64_t off, std::int64_t len) {
+    const auto& ref = w.files[static_cast<std::size_t>(id)];
+    std::vector<std::uint8_t> got(static_cast<std::size_t>(len), 0xEE);
+    const auto n = w.disk.read(id, off, got);
+    const auto count = off >= ref.size ? 0 : std::min(len, ref.size - off);
+    ASSERT_EQ(n, count) << "file " << id << " off " << off << " len " << len;
+    std::vector<std::uint8_t> want(got.size(), 0xEE);
+    for (std::int64_t i = 0; i < count; ++i) {
+      want[static_cast<std::size_t>(i)] = ref.at(off + i);
+    }
+    ASSERT_TRUE(got == want) << "file " << id << " off " << off << " len " << len;
+  };
+  auto check_file = [&](const World& w, int id) {
+    const auto& ref = w.files[static_cast<std::size_t>(id)];
+    ASSERT_EQ(w.disk.size(id), ref.size) << "file " << id;
+    ASSERT_EQ(w.disk.stored_bytes(id), ref.nonzero_pages() * kPage) << "file " << id;
+    check_range(w, id, 0, static_cast<std::int64_t>(ref.near.size()));
+    for (const auto& [off, src] : ref.far) {
+      check_range(w, id, std::max<std::int64_t>(0, off - kPage),
+                  static_cast<std::int64_t>(src.size()) + 2 * kPage);
+    }
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    auto& w = worlds[static_cast<std::size_t>(below(static_cast<std::int64_t>(worlds.size())))];
+    const int id = static_cast<int>(below(kFiles));
+    auto& ref = w.files[static_cast<std::size_t>(id)];
+    const auto kind = below(100);
+    if (kind < 3) {  // truncate
+      EXPECT_EQ(w.disk.create("/f" + std::to_string(id)), id);
+      ref = FlatFile{};
+    } else if (kind < 5) {  // replace with content, some pages all zero
+      std::vector<std::uint8_t> content(static_cast<std::size_t>(below(8 * kPage)), 0);
+      for (std::size_t at = 0; at < content.size(); at += kPage) {
+        if (below(3) == 0) continue;
+        for (auto i = at; i < std::min(content.size(), at + kPage); ++i) {
+          content[i] = static_cast<std::uint8_t>(rng());
+        }
+      }
+      EXPECT_EQ(w.disk.add_file("/f" + std::to_string(id), content), id);
+      ref = FlatFile{};
+      ref.write(0, content);
+      ASSERT_EQ(w.disk.stored_bytes(id), ref.nonzero_pages() * kPage) << "op " << op;
+    } else if (kind < 8) {  // copy a disk, then write on either side
+      if (worlds.size() < 3) {
+        worlds.push_back(w);
+      } else {
+        worlds[static_cast<std::size_t>(below(3))] = w;
+      }
+    } else if (kind < 55) {  // write
+      const auto len = below(4) == 0 ? below(8 * kPage) : 1 + below(3 * kPage);
+      std::vector<std::uint8_t> src(static_cast<std::size_t>(len), 0);
+      const auto source = below(3);
+      if (source == 0) {  // dense
+        for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+      } else if (source == 1 && len > 0) {  // mostly zero
+        for (auto i = below(4); i > 0; --i) {
+          src[static_cast<std::size_t>(below(len))] = static_cast<std::uint8_t>(1 + below(255));
+        }
+      }  // else all zero
+      std::int64_t off = 0;
+      const auto where = below(10);
+      if (where < 4) {
+        off = below(FlatFile::kNear - len);
+      } else if (where < 7) {  // straddle a page edge
+        off = std::max<std::int64_t>(0, (1 + below(20)) * kPage - below(len + 1));
+      } else if (where < 9) {  // far
+        off = FlatFile::kNear + below(SimDisk::kMaxFileSize - len - FlatFile::kNear + 1);
+      } else {
+        off = SimDisk::kMaxFileSize - len;
+      }
+      if (below(20) == 0) {  // past the size bound: refused, nothing changes
+        ASSERT_FALSE(w.disk.write(id, SimDisk::kMaxFileSize - len + 1 + below(kPage),
+                                  src.data(), len)
+                         .has_value());
+      } else {
+        ASSERT_EQ(w.disk.write(id, off, src.data(), len), len);
+        ref.write(off, src);
+      }
+      ASSERT_EQ(w.disk.size(id), ref.size);
+      ASSERT_EQ(w.disk.stored_bytes(id), ref.nonzero_pages() * kPage) << "op " << op;
+    } else {  // read: across holes, around far writes, past EOF
+      const auto len = below(4) == 0 ? below(12 * kPage) : below(2 * kPage);
+      std::int64_t off = below(ref.size + 2 * kPage);
+      if (!ref.far.empty() && below(2) == 0) {
+        const auto& [at, src] = ref.far[static_cast<std::size_t>(below(static_cast<std::int64_t>(ref.far.size())))];
+        off = std::max<std::int64_t>(0, at - kPage + below(static_cast<std::int64_t>(src.size()) + kPage));
+      }
+      check_range(w, id, off, len);
+      EXPECT_FALSE(w.disk.read_size(id, -1 - below(kPage), len).has_value());
+      EXPECT_FALSE(w.disk.read_size(id, off, -1).has_value());
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    if (op % 500 != 499) continue;
+    for (const auto& each : worlds) {
+      for (int f = 0; f < kFiles; ++f) {
+        check_file(each, f);
+        if (::testing::Test::HasFatalFailure()) return;
+        // Equal content compares equal across disks, however it was written.
+        const auto& a = each.files[static_cast<std::size_t>(f)];
+        const auto& b = worlds[0].files[static_cast<std::size_t>(f)];
+        if (a.far.empty() && b.far.empty()) {
+          EXPECT_EQ(each.disk.same_content(worlds[0].disk, "/f" + std::to_string(f)),
+                    a.size == b.size && a.near == b.near);
+        }
+      }
+    }
+  }
+  for (const auto& w : worlds) {
+    for (int id = 0; id < kFiles; ++id) {
+      check_file(w, id);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

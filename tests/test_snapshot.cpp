@@ -449,10 +449,10 @@ TEST(SimDiskCowTest, CopiesShareContentUntilWritten) {
   const std::uint8_t patch[2] = {'X', 'Y'};
   ASSERT_TRUE(b.write(id, 1, patch, 2).has_value());
 
-  const auto* ca = a.content("/www/file0.html");
-  const auto* cb = b.content("/www/file0.html");
-  ASSERT_NE(ca, nullptr);
-  ASSERT_NE(cb, nullptr);
+  const auto ca = a.content("/www/file0.html");
+  const auto cb = b.content("/www/file0.html");
+  ASSERT_TRUE(ca.has_value());
+  ASSERT_TRUE(cb.has_value());
   EXPECT_EQ(*ca, (std::vector<std::uint8_t>{'a', 'b', 'c', 'd'}));
   EXPECT_EQ(*cb, (std::vector<std::uint8_t>{'a', 'X', 'Y', 'd'}));
 

@@ -27,8 +27,8 @@ TEST(FilesetTest, FilesExistOnDiskWithExpectedContent) {
   os::SimDisk disk;
   Fileset fs(disk);
   for (const auto& f : fs.files()) {
-    const auto* content = disk.content(f.path);
-    ASSERT_NE(content, nullptr) << f.path;
+    const auto content = disk.content(f.path);
+    ASSERT_TRUE(content.has_value()) << f.path;
     ASSERT_EQ(content->size(), f.size);
     const auto seed = web::path_seed(f.path);
     for (std::size_t i = 0; i < content->size(); i += 97) {

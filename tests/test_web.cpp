@@ -2,9 +2,12 @@
 // including their differentiated behaviour under injected OS faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
+#include "isa/isa.h"
 #include "os/api.h"
 #include "os/kernel.h"
 #include "spec/client.h"
@@ -236,6 +239,125 @@ TEST(ServerTraits, OnlyApexSelfRestarts) {
   EXPECT_FALSE(make_server("abyssal", api)->has_self_restart());
   EXPECT_FALSE(make_server("sambar", api)->has_self_restart());
   EXPECT_FALSE(make_server("savant", api)->has_self_restart());
+}
+
+// --- body cap -------------------------------------------------------------------
+
+// append_body's bound rests on this: no document is longer than kMaxBody, so
+// a body of kMaxBody + 1 bytes fails validation whatever its bytes are.
+TEST(BodyCap, EveryFilesetFileFitsTheCap) {
+  const spec::FilesetConfig cfg;
+  for (int c = 0; c < 4; ++c) {
+    for (int j = 0; j < cfg.files_per_class; ++j) {
+      EXPECT_LE(spec::Fileset::file_size(c, j), kMaxBody) << c << " " << j;
+    }
+  }
+  EXPECT_EQ(spec::Fileset::file_size(3, 0), kMaxBody);
+}
+
+struct CapRun {
+  std::vector<int> status;
+  std::vector<ServerState> state;
+  std::vector<bool> valid;
+  std::vector<std::vector<std::uint8_t>> body;
+  spec::WindowMetrics window;
+};
+
+// Serves requests on a VOS-2000 whose NtReadFile returns `count` without
+// touching the buffer (a fault that returns a guest address as the byte
+// count does this), with the server keeping at most `cap` body bytes.
+CapRun serve_with_read_count(const char* name, std::int32_t count, std::size_t cap) {
+  os::Kernel kernel(os::OsVersion::kVos2000);
+  os::OsApi api(kernel);
+  spec::Fileset fileset(kernel.disk());
+  auto server = make_server(name, api);
+  server->set_body_cap(cap);
+  EXPECT_TRUE(server->start());
+  const auto at = kernel.api_addr("NtReadFile");
+  EXPECT_TRUE(kernel.active_image().patch(at, {isa::Op::kMovI, 0, 0, 0, count}));
+  EXPECT_TRUE(kernel.active_image().patch(at + isa::kInstrSize, {isa::Op::kRet}));
+  kernel.sync_code(at, 2 * isa::kInstrSize);
+
+  CapRun run;
+  const auto& doc = fileset.files()[40];
+  // The second static GET of a path is apex's cache hit.
+  for (const Request& req : {Request{Method::kGet, doc.path, false, ""},
+                             Request{Method::kGet, doc.path, false, ""},
+                             Request{Method::kGet, doc.path, true, ""}}) {
+    auto resp = server->handle(req);
+    run.status.push_back(resp.status);
+    run.state.push_back(server->state());
+    run.valid.push_back(spec::SpecClient::validate(req, resp, doc.size));
+    run.body.push_back(std::move(resp.body));
+  }
+  spec::WorkloadGenerator gen(fileset, 3);
+  spec::ClientConfig client;
+  client.connections = 4;
+  run.window = spec::SpecClient(client).run_window(*server, gen, 0, 2000);
+  return run;
+}
+
+void expect_same_outcome(const CapRun& got, const CapRun& ref) {
+  EXPECT_EQ(got.status, ref.status);
+  EXPECT_EQ(got.state, ref.state);
+  EXPECT_EQ(got.valid, ref.valid);
+  ASSERT_EQ(got.body.size(), ref.body.size());
+  for (std::size_t i = 0; i < got.body.size(); ++i) {
+    EXPECT_LE(got.body[i].size(), kMaxBody + 1) << i;
+    const auto n = std::min(got.body[i].size(), ref.body[i].size());
+    EXPECT_TRUE(std::equal(got.body[i].begin(), got.body[i].begin() + n,
+                           ref.body[i].begin()))
+        << i;
+    if (ref.body[i].size() <= kMaxBody) {
+      EXPECT_EQ(got.body[i], ref.body[i]) << i;
+    }
+  }
+  EXPECT_EQ(got.window.ops, ref.window.ops);
+  EXPECT_EQ(got.window.errors, ref.window.errors);
+  EXPECT_EQ(got.window.bytes, ref.window.bytes);
+  EXPECT_EQ(got.window.thr, ref.window.thr);
+  EXPECT_EQ(got.window.rtm_ms, ref.window.rtm_ms);
+  EXPECT_EQ(got.window.er_pct, ref.window.er_pct);
+  EXPECT_EQ(got.window.spc, ref.window.spc);
+  EXPECT_EQ(got.window.cc_pct, ref.window.cc_pct);
+}
+
+class BodyCapTest : public ::testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(AllServers, BodyCapTest,
+                         ::testing::Values("apex", "abyssal", "sambar",
+                                           "savant"),
+                         [](const auto& info) { return std::string(info.param); });
+
+constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+
+// A 4 MiB read count leaves at most kMaxBody + 1 body bytes on the host,
+// apex's cached copy included, with the unbounded reference's statuses,
+// verdicts and window metrics.
+TEST_P(BodyCapTest, FourMiBReadCountKeepsTheCap) {
+  const std::int32_t count = 4 << 20;
+  const auto ref = serve_with_read_count(GetParam(), count, kUnbounded);
+  // The reference really served the count, the second time too.
+  ASSERT_EQ(ref.body[0].size(), static_cast<std::size_t>(count));
+  ASSERT_EQ(ref.body[1].size(), static_cast<std::size_t>(count));
+  const auto got = serve_with_read_count(GetParam(), count, kMaxBody + 1);
+  EXPECT_EQ(got.body[0].size(), kMaxBody + 1);
+  EXPECT_FALSE(got.valid[0]);
+  expect_same_outcome(got, ref);
+}
+
+// A count running past guest memory still fails as a read through a bad
+// pointer, and a zero count still serves an empty body.
+TEST_P(BodyCapTest, OutOfRangeAndZeroCountsAreUnchanged) {
+  const std::int32_t past = static_cast<std::int32_t>(os::layout::kMemSize);
+  const auto ref = serve_with_read_count(GetParam(), past, kUnbounded);
+  const auto got = serve_with_read_count(GetParam(), past, kMaxBody + 1);
+  if (std::string(GetParam()) != "apex") {  // apex contains it per request
+    EXPECT_EQ(got.state[0], ServerState::kCrashed);
+  }
+  expect_same_outcome(got, ref);
+  expect_same_outcome(serve_with_read_count(GetParam(), 0, kMaxBody + 1),
+                      serve_with_read_count(GetParam(), 0, kUnbounded));
 }
 
 // --- behaviour under faults --------------------------------------------------

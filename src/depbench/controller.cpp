@@ -202,11 +202,7 @@ IterationResult Controller::run_iteration(const swfit::Faultload& fl,
     throw std::invalid_argument(
         "faultload was generated for a different OS build");
   }
-  auto result = run([&] { return inject_faults(fl, seed); });
-  // The scrub reboot runs after the harvest (incl. the end-state invariant
-  // probe), which must see what the iteration did to the kernel.
-  kernel_->reboot();
-  return result;
+  return run([&] { return inject_faults(fl, seed); });
 }
 
 IterationResult Controller::inject_faults(const swfit::Faultload& fl,

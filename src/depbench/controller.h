@@ -59,8 +59,8 @@ struct ControllerConfig {
   bool trace_probe_per_call = false;
   /// Virtual-cycle sampling stride for the deterministic guest profiler
   /// (0 = off). When set (and `obs` is non-null) the VM's PC sampler is
-  /// armed after bring-up and harvested into obs->profile before the run's
-  /// scrub, attributed to functions via the pristine image's symbol table.
+  /// armed after bring-up and harvested into obs->profile at the run's end,
+  /// attributed to functions via the pristine image's symbol table.
   /// Arming after bring-up keeps cold-built and warm-snapshot controllers
   /// bit-identical (boot/start/warm-up cycles are excluded either way).
   std::uint64_t profile_stride = 0;

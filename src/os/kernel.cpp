@@ -63,11 +63,6 @@ Kernel::Kernel(const KernelSnapshot& snap)
   // the executable range and decode once, no zero-fill and no second copy.
   machine_->map_image(active_);
   install_machine_hooks();
-  // The snapshot was typically taken *after* further guest work (server
-  // start), so the kernel data region no longer matches the post-boot
-  // baseline the replay's dirty accounting assumes: mark it all dirty so
-  // the first warm reboot re-zeroes every page of it.
-  mark_data_region_dirty();
 }
 
 void Kernel::reset_to(const KernelSnapshot& snap) {
@@ -85,20 +80,7 @@ void Kernel::reset_to(const KernelSnapshot& snap) {
       std::memcmp(have.data(), want.data(), want.size()) != 0) {
     active_ = snap.active;
   }
-  // Dirty-bitmap rule: restore() copies back only pages marked dirty, which
-  // is sound only while "clean" means "equal to the snapshot". replay_boot()
-  // breaks that for the kernel data region: it rewrites the region to the
-  // post-boot state and then CLEARS its dirty bits, although the snapshot
-  // holds the post-server-start state there. Mark the whole region dirty so
-  // restore() copies all of it back, then mark it again afterwards (restore
-  // clears the bitmap) for the same reason the warm constructor does.
-  mark_data_region_dirty();
   machine_->restore(snap.machine);
-  mark_data_region_dirty();
-}
-
-void Kernel::mark_data_region_dirty() {
-  machine_->mark_dirty(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
 }
 
 void Kernel::install_machine_hooks() {
@@ -114,9 +96,6 @@ KernelSnapshot Kernel::snapshot() {
   s.pristine_digest = pristine_digest_;
   s.active = active_;
   s.machine = machine_->snapshot();
-  // snapshot() reset the dirty baseline; keep this (still usable) kernel's
-  // replay accounting sound by conservatively re-marking the data region.
-  mark_data_region_dirty();
   s.boot = boot_;
   s.disk = disk_;
   s.ticks = tick_;
@@ -157,10 +136,9 @@ void Kernel::reboot() {
 
 void Kernel::cold_boot() {
   ++counters_.cold_boots;
-  // Zero the kernel data region (heap control, handle table, page table).
-  const std::vector<std::uint8_t> zeros(
-      static_cast<std::size_t>(lay::kScratch - lay::kHeapCtl), 0);
-  machine_->write_bytes(lay::kHeapCtl, zeros.data(), zeros.size());
+  // Zero the kernel data region (heap control, handle table, page table);
+  // the machine writes only the pages that can hold a non-zero byte.
+  machine_->zero(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
 
   // Guest-side boot code builds the initial heap and page table.
   const auto* heap_init = pristine_.find_symbol("heap_init");
@@ -216,17 +194,7 @@ bool Kernel::boot_code_intact() const noexcept {
 
 void Kernel::replay_boot() {
   ++counters_.replay_boots;
-  // Zero only region pages dirtied since the last reboot (the cold path
-  // memsets all 192 KiB every time), then clear their dirty bits so the
-  // *next* replay only touches what the coming slot actually writes.
-  static constexpr std::uint64_t kPage = vm::Machine::kDirtyPageSize;
-  static const std::vector<std::uint8_t> zeros(kPage, 0);
-  for (std::uint64_t addr = lay::kHeapCtl; addr < lay::kScratch; addr += kPage) {
-    if (machine_->page_dirty(addr)) {
-      machine_->write_bytes(addr, zeros.data(), zeros.size());
-    }
-  }
-  machine_->clear_dirty(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
+  machine_->zero(lay::kHeapCtl, lay::kScratch - lay::kHeapCtl);
   for (const auto& w : boot_->writes) {
     machine_->write_bytes(w.addr, w.bytes.data(), w.bytes.size());
   }

@@ -27,7 +27,8 @@ namespace gf::os {
 /// the first cold boot. The boot code is pure deterministic stores — no
 /// syscalls, no reads outside the region reboot() just zeroed — so replaying
 /// the byte-level last-write-wins spans plus the cycle/flag deltas is
-/// *exactly* equivalent to re-executing it, at O(dirty pages + spans) cost.
+/// *exactly* equivalent to re-executing it, at O(written region pages +
+/// spans) cost.
 struct BootReplay {
   struct CodeRange {
     std::uint64_t addr = 0, size = 0;
@@ -63,7 +64,7 @@ struct KernelSnapshot {
 struct KernelCounters {
   std::uint64_t reboots = 0;
   std::uint64_t cold_boots = 0;    ///< full boots (incl. the constructor's)
-  std::uint64_t replay_boots = 0;  ///< O(dirty) recorded-boot replays
+  std::uint64_t replay_boots = 0;  ///< recorded-boot replays
   std::uint64_t syscalls = 0;      ///< SYS instructions dispatched
   std::uint64_t code_syncs = 0;    ///< sync_code invocations (full + ranged)
 };
@@ -81,10 +82,10 @@ class Kernel {
 
   /// Rewinds this kernel to `snap` in O(dirty pages): COW disk copy, tick
   /// counter, active image (copied only when its code differs) and the
-  /// machine's dirty pages plus the whole kernel data region. The kernel
-  /// must have been built from `snap` (or from a snapshot with the same
-  /// memory size and images); afterwards it behaves exactly like
-  /// Kernel(snap). Throws std::invalid_argument for another OS version.
+  /// machine pages dirtied since the snapshot, reboots included. The kernel
+  /// must have been built from `snap` (the machine's dirty baseline);
+  /// afterwards it behaves exactly like Kernel(snap). Throws
+  /// std::invalid_argument for another OS version.
   void reset_to(const KernelSnapshot& snap);
 
   OsVersion version() const noexcept { return version_; }
@@ -117,10 +118,12 @@ class Kernel {
 
   /// Re-initializes guest OS state (heap free list, handle table, page
   /// table) without touching the disk — the equivalent of an OS reboot
-  /// between benchmark slots. After the first boot has been recorded this
-  /// redirects to an O(dirty) replay (bit-identical by construction); a real
-  /// cold boot still runs when the boot code bytes were corrupted or warm
-  /// reboot is disabled.
+  /// between benchmark slots. Either boot zeroes the kernel data region
+  /// through Machine::zero, which writes only the region pages that can hold
+  /// a non-zero byte. After the first boot has been recorded this redirects
+  /// to a replay of its writes (bit-identical by construction); a real cold
+  /// boot still runs when the boot code bytes were corrupted or warm reboot
+  /// is disabled.
   void reboot();
 
   /// Kill-switch for the boot replay (A/B benchmarking and the cold
@@ -145,13 +148,10 @@ class Kernel {
   /// Full boot: zero the kernel data region, run heap_init/vm_init. Records
   /// the BootReplay on the first successful run.
   void cold_boot();
-  /// O(dirty) boot: zero only dirtied region pages, apply recorded spans,
+  /// Replayed boot: zero the kernel data region, apply the recorded spans,
   /// advance cycles/flags to the recorded post-boot values.
   void replay_boot();
   bool boot_code_intact() const noexcept;
-  /// Marks [kHeapCtl, kScratch) dirty so the next replay_boot() / restore()
-  /// rewrites every page of it (see reset_to for why).
-  void mark_data_region_dirty();
 
   OsVersion version_;
   SimDisk disk_;

@@ -215,24 +215,6 @@ const std::uint8_t* Machine::raw(std::uint64_t addr, std::size_t n) const noexce
   return mem_.data() + addr;
 }
 
-void Machine::mark_dirty(std::uint64_t addr, std::uint64_t len) noexcept {
-  if (len == 0 || addr >= mem_.size()) return;
-  if (mem_.size() - addr < len) len = mem_.size() - addr;
-  note_write(addr, len);
-}
-
-void Machine::clear_dirty(std::uint64_t addr, std::uint64_t len) noexcept {
-  if (len == 0 || addr >= mem_.size()) return;
-  if (mem_.size() - addr < len) len = mem_.size() - addr;
-  for (std::uint64_t p = addr >> kDirtyPageShift,
-                     last = (addr + len - 1) >> kDirtyPageShift;
-       p <= last; ++p) {
-    page_state_[p] &= static_cast<std::uint8_t>(~kPageDirty);
-  }
-}
-
-void Machine::clear_all_dirty() noexcept { set_page_bit(kPageDirty, false); }
-
 void Machine::set_page_bit(std::uint8_t bit, bool on) noexcept {
   for (auto& ps : page_state_) {
     ps = static_cast<std::uint8_t>(on ? ps | bit : ps & ~bit);
@@ -638,6 +620,23 @@ bool Machine::write_bytes(std::uint64_t addr, const void* data, std::size_t n) n
   std::memcpy(mem_.data() + addr, data, n);
   maybe_invalidate(addr, n);
   note_write(addr, n);
+  return true;
+}
+
+bool Machine::zero(std::uint64_t addr, std::size_t n) noexcept {
+  if (n == 0) return true;
+  if (addr < kNullPageSize || addr >= mem_.size() || mem_.size() - addr < n)
+    return false;
+  const std::uint64_t end = addr + n;
+  for (std::uint64_t p = addr >> kDirtyPageShift, last = (end - 1) >> kDirtyPageShift;
+       p <= last; ++p) {
+    if (ever_written_[p] == 0) continue;  // still the mapping's zero fill
+    const std::uint64_t lo = std::max(addr, p << kDirtyPageShift);
+    const std::uint64_t len = std::min(end, (p + 1) << kDirtyPageShift) - lo;
+    std::memset(mem_.data() + lo, 0, len);
+    maybe_invalidate(lo, len);
+    note_write(lo, len);
+  }
   return true;
 }
 

@@ -103,8 +103,9 @@ class Machine {
   /// costs host memory only once it is first written, and that first write
   /// takes one minor page fault (~1.5 µs each on a 4-vCPU VM host). A warm
   /// machine pays them for its snapshot's pages at construction and for the
-  /// few dozen more its first run writes; one reused through restore() has
-  /// its pages already.
+  /// pages its runs write for the first time (under one per run for a warm
+  /// VOS-2000 apex single-fault run); one reused through restore() has its
+  /// pages already.
   explicit Machine(std::size_t mem_size = kDefaultMemSize);
 
   static constexpr std::size_t kDefaultMemSize = 8u << 20;  // 8 MiB
@@ -221,6 +222,11 @@ class Machine {
   /// Bulk helpers for syscall handlers; false when any byte is unmapped.
   bool read_bytes(std::uint64_t addr, void* out, std::size_t n) const noexcept;
   bool write_bytes(std::uint64_t addr, const void* data, std::size_t n) noexcept;
+  /// Zeroes `n` bytes at `addr` under write_bytes' rules (false, and nothing
+  /// written, when any byte is unmapped), but writes only the pages that can
+  /// hold a non-zero byte: a page never written is already zero, so it stays
+  /// clean and the host never maps it.
+  bool zero(std::uint64_t addr, std::size_t n) noexcept;
   /// Reads a NUL-terminated byte string (bounded by max_len); false on fault.
   bool read_cstr(std::uint64_t addr, std::string& out,
                  std::size_t max_len = 4096) const noexcept;
@@ -231,19 +237,16 @@ class Machine {
   const std::uint8_t* raw(std::uint64_t addr, std::size_t n) const noexcept;
 
   // --- dirty tracking / snapshots -----------------------------------------
-  /// Every mutation of guest memory (checked writes, patch_code, reload_code,
-  /// load_image) marks the covered kDirtyPageSize pages dirty. restore()
+  /// A page is dirty when it may differ from the last snapshot() or
+  /// restore(): every mutation of guest memory (checked writes, zero,
+  /// patch_code, reload_code, load_image) marks the covered kDirtyPageSize
+  /// pages dirty, and only snapshot() and restore() clear the bits. restore()
   /// copies back only dirty pages, making per-iteration state reset O(dirty)
   /// instead of O(memory).
   bool page_dirty(std::uint64_t addr) const noexcept {
     const std::uint64_t page = addr >> kDirtyPageShift;
     return page < page_state_.size() && (page_state_[page] & kPageDirty) != 0;
   }
-  /// Marks [addr, addr+len) dirty (for external mutations of raw state).
-  void mark_dirty(std::uint64_t addr, std::uint64_t len) noexcept;
-  /// Clears the dirty bits covering [addr, addr+len).
-  void clear_dirty(std::uint64_t addr, std::uint64_t len) noexcept;
-  void clear_all_dirty() noexcept;
 
   /// Captures the full machine state (the non-zero memory pages + registers
   /// + flags + lifetime cycle counter; one scan of the pages ever written)
@@ -426,6 +429,7 @@ class Machine {
   }
   /// Sets `bit` on every page when `on`, else clears it everywhere.
   void set_page_bit(std::uint8_t bit, bool on) noexcept;
+  void clear_all_dirty() noexcept { set_page_bit(kPageDirty, false); }
   /// Bytes of the page at `addr` inside memory: kDirtyPageSize, less for a
   /// last page cut short by mem_size().
   std::size_t page_span(std::uint64_t addr) const noexcept {
@@ -440,7 +444,7 @@ class Machine {
   // pages all read exactly kPageDirty may skip the rest of the write path:
   // the dirty bit is already set, no predecoded slot can overlap it, and no
   // capture is recording (see the execute() comment in machine.cpp).
-  static constexpr std::uint8_t kPageDirty = 1;  ///< written since the last clear
+  static constexpr std::uint8_t kPageDirty = 1;  ///< changed since the snapshot
   static constexpr std::uint8_t kPageCode = 2;   ///< overlaps the predecode hull
   /// Mirrors capture_ on every page (set and cleared only with it, one
   /// sweep per capture, i.e. per first cold boot), so the store fast path
@@ -452,9 +456,13 @@ class Machine {
   Memory mem_;
   std::vector<std::uint8_t> page_state_;  ///< kPage* bits per kDirtyPageSize page
   /// 1 for every page ever written (sticky: no clear resets it), so
-  /// snapshot() reads only pages that can hold a non-zero byte and never
-  /// faults in the zero page for the rest. Kept apart from page_state_,
-  /// whose store fast path compares the whole byte.
+  /// snapshot() reads and zero() writes only pages that can hold a non-zero
+  /// byte, and neither faults in the rest. Kept apart from page_state_, whose
+  /// store fast path compares the whole byte. Invariant: every page that can
+  /// hold a non-zero byte is in this set. Every mutation goes through
+  /// note_write; the inline store path skips it only on pages whose dirty
+  /// bit is already set (so already in the set); Machine(const State&) sets
+  /// the pages it lists; and restore() rewrites only dirty pages.
   std::vector<std::uint8_t> ever_written_;
   bool capture_ = false;
   std::vector<WriteSpan> captured_;

@@ -4,6 +4,8 @@
 // runner keep one controller per chunk instead of building one per fault.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "depbench/controller.h"
 #include "os/api.h"
 #include "os/kernel.h"
+#include "os/layout.h"
 #include "snapshot/warmboot.h"
 #include "swfit/scanner.h"
 #include "testutil_seed.h"
@@ -53,9 +56,9 @@ TEST(KernelResetTest, ResetAfterRebootsMatchesAFreshWarmKernel) {
   os::Kernel reused(snap);
   for (int round = 0; round < 3; ++round) {
     SCOPED_TRACE(round);
-    // A run ends with a scrub reboot, which replays the boot over the data
-    // region and clears its dirty bits; the reset must still bring the
-    // region back to the snapshot.
+    // A run may reboot (an administrator restart), which replays the boot
+    // over the data region; the reset must still bring the region back to
+    // the snapshot.
     exercise_guest(reused, "/tmp/run.tmp");
     reused.reboot();
     reused.reset_to(snap);
@@ -66,13 +69,57 @@ TEST(KernelResetTest, ResetAfterRebootsMatchesAFreshWarmKernel) {
     EXPECT_EQ(reused.disk().file_count(), fresh.disk().file_count());
     EXPECT_FALSE(reused.disk().find("/tmp/run.tmp").has_value());
 
-    // ... and keep the replay's dirty accounting sound for the next run: a
-    // reboot straight after the reset (an immediate administrator restart)
-    // must re-zero the whole region, open handle included.
+    // ... and a reboot straight after the reset (an immediate administrator
+    // restart) must re-zero the whole region, open handle included.
     fresh.reboot();
     reused.reboot();
     EXPECT_EQ(reused.machine().state_digest(), fresh.machine().state_digest());
   }
+}
+
+/// The indices of the pages in [lo, hi) for which page_dirty holds.
+std::set<std::size_t> dirty_pages(const vm::Machine& m, std::size_t lo = 0,
+                                  std::size_t hi = SIZE_MAX) {
+  constexpr std::uint64_t kPage = vm::Machine::kDirtyPageSize;
+  std::set<std::size_t> pages;
+  for (std::size_t p = lo; p < hi && p * kPage < m.mem_size(); ++p) {
+    if (m.page_dirty(p * kPage)) pages.insert(p);
+  }
+  return pages;
+}
+
+// A rewind costs only what the run wrote, and a reboot rewrites only the
+// data-region pages that can hold a non-zero byte: those the snapshot lists
+// and those the boot writes. Exact counts, so an over-eager reset or reboot
+// (re-marking the whole region) fails.
+TEST(ResetDirtyCountTest, RewindAndRebootDirtyOnlyPagesThatCanBeNonZero) {
+  namespace lay = os::layout;
+  constexpr std::uint64_t kPage = vm::Machine::kDirtyPageSize;
+  const auto snap = snapshot::capture_warm_boot(os::OsVersion::kVos2000, "apex");
+  const auto& ks = snap->kernel;
+  const std::size_t lo = lay::kHeapCtl / kPage, hi = lay::kScratch / kPage;
+  std::set<std::size_t> can_be_non_zero;  // data-region pages only
+  for (const auto p : ks.machine.pages) {
+    if (p >= lo && p < hi) can_be_non_zero.insert(p);
+  }
+  ASSERT_NE(ks.boot, nullptr);
+  for (const auto& w : ks.boot->writes) {
+    for (auto p = w.addr / kPage; p <= (w.addr + w.bytes.size() - 1) / kPage; ++p) {
+      if (p >= lo && p < hi) can_be_non_zero.insert(static_cast<std::size_t>(p));
+    }
+  }
+
+  os::Kernel built(ks);
+  EXPECT_EQ(dirty_pages(built.machine()).size(), 0u);
+  built.reboot();
+  EXPECT_EQ(dirty_pages(built.machine(), lo, hi), can_be_non_zero);
+
+  os::Kernel reused(ks);
+  exercise_guest(reused, "/tmp/run.tmp");
+  reused.reset_to(ks);
+  EXPECT_EQ(dirty_pages(reused.machine()).size(), 0u);
+  reused.reboot();
+  EXPECT_EQ(dirty_pages(reused.machine(), lo, hi), can_be_non_zero);
 }
 
 TEST(KernelResetTest, RefusesAnotherVersionsSnapshot) {

@@ -4,6 +4,8 @@
 // property — campaign results bit-identical with snapshots on or off, for
 // any worker count.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -22,6 +24,8 @@
 #include "snapshot/warmboot.h"
 #include "swfit/injector.h"
 #include "swfit/scanner.h"
+#include "testutil_seed.h"
+#include "util/rng.h"
 #include "vm/machine.h"
 
 namespace gf {
@@ -322,6 +326,108 @@ TEST(MachineSnapshotTest, MalformedStateIsRefused) {
   for (const auto* bad : {&unordered, &short_bytes, &out_of_range}) {
     EXPECT_THROW(vm::Machine{*bad}, std::invalid_argument);
     EXPECT_THROW(m.restore(*bad), std::invalid_argument);
+  }
+}
+
+// Machine::zero against a reference machine that writes zeros through
+// write_bytes: seeded ranges with unaligned edges over pages never written,
+// pages written and already zero, pages holding data and the code hull.
+// Memory, snapshot and a later run must match the reference (a stale
+// predecoded instruction would change the run), and pages never written
+// stay clean and unmapped on the host, through snapshot() too.
+TEST(MachineZeroTest, MatchesWritingZerosAndLeavesNeverWrittenPagesUnmapped) {
+  const auto seed = testutil::test_seed(0x2E805EEDu);
+  SCOPED_TRACE(testutil::seed_banner(seed));
+  util::Rng rng(seed);
+  const auto img = minic::compile(R"(
+    fn g(a) { return a * 3 + 1; }
+    fn f(n) {
+      var s = 0;
+      var i = 0;
+      while (i < n) { s = s + g(i); i = i + 1; }
+      return s;
+    }
+  )", "z", 0x1000);
+  const auto f = img.find_symbol("f")->addr;
+  constexpr std::size_t kMem = 1u << 20;  // the stack is the top 64 KiB
+  constexpr std::uint64_t kDataLo = 0x10000, kDataHi = 0x30000;
+  const std::vector<std::uint8_t> zeros(4 * kPage, 0);
+  // Residency of the host page behind the guest page at `addr` (mincore),
+  // checked only where host and guest pages have one size.
+  const bool host_pages_match = ::sysconf(_SC_PAGESIZE) == static_cast<long>(kPage);
+  auto resident = [&](const vm::Machine& m, std::uint64_t addr) {
+    if (!host_pages_match) return false;
+    unsigned char vec = 0;
+    const auto* page = m.raw(addr & ~(kPage - 1), kPage);
+    EXPECT_EQ(::mincore(const_cast<std::uint8_t*>(page), kPage, &vec), 0);
+    return (vec & 1) != 0;
+  };
+
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(round);
+    vm::Machine m(kMem), ref(kMem);
+    std::vector<bool> never(kMem / kPage, true);  // pages nothing wrote
+    auto written = [&](std::uint64_t lo, std::uint64_t hi) {
+      for (auto p = lo / kPage; p <= (hi - 1) / kPage; ++p) never[p] = false;
+    };
+    for (auto* x : {&m, &ref}) x->load_image(img);
+    written(img.base(), img.end());
+    written(kMem - (64u << 10), kMem);  // the stack
+    for (std::uint64_t addr = kDataLo; addr < kDataHi; addr += kPage) {
+      const auto kind = rng.bounded(3);
+      if (kind != 0) written(addr, addr + kPage);
+      for (int k = 0; kind != 0 && k < 4; ++k) {
+        const auto at = addr + rng.bounded(kPage - 8);
+        const auto v = kind == 1 ? rng.next() : 0;  // kind 2: written, zero
+        ASSERT_TRUE(m.write_u64(at, v));
+        ASSERT_TRUE(ref.write_u64(at, v));
+      }
+    }
+    const auto n = rng.range(1, 20);
+    ASSERT_EQ(m.call(f, {n}, 1u << 20).ret, ref.call(f, {n}, 1u << 20).ret);
+    m.snapshot();
+    ref.snapshot();
+
+    for (int k = 0; k < 6; ++k) {
+      // One range in four starts inside the code hull; the rest fall in the
+      // data pages. Lengths reach past page edges on both sides.
+      const auto addr = rng.chance(0.25)
+                            ? img.base() + rng.bounded(img.code().size())
+                            : kDataLo + rng.bounded(kDataHi - kDataLo - zeros.size());
+      const auto len = static_cast<std::size_t>(rng.range(1, zeros.size()));
+      ASSERT_TRUE(m.zero(addr, len));
+      ASSERT_TRUE(ref.write_bytes(addr, zeros.data(), len));
+    }
+    // Ranges write_bytes refuses are refused whole.
+    EXPECT_FALSE(m.zero(vm::Machine::kNullPageSize - 8, 16));
+    EXPECT_FALSE(m.zero(kMem - 8, 16));
+    EXPECT_TRUE(m.zero(kDataLo, 0));
+
+    // A written page is dirty exactly where the reference's is; a page
+    // never written stays clean and unmapped.
+    for (std::size_t p = 0; p < never.size(); ++p) {
+      if (!never[p]) {
+        EXPECT_EQ(m.page_dirty(p * kPage), ref.page_dirty(p * kPage)) << "page " << p;
+        continue;
+      }
+      EXPECT_FALSE(m.page_dirty(p * kPage)) << "page " << p;
+      EXPECT_FALSE(resident(m, p * kPage)) << "page " << p;
+    }
+    expect_same_machine_state(m.snapshot(), ref.snapshot());
+    for (std::size_t p = 0; p < never.size(); ++p) {
+      if (never[p]) {
+        EXPECT_FALSE(resident(m, p * kPage)) << "page " << p << " after snapshot";
+      }
+    }
+    EXPECT_EQ(m.state_digest(), ref.state_digest());  // reads every page
+
+    const auto a = m.call(f, {n}, 1u << 20);
+    const auto b = ref.call(f, {n}, 1u << 20);
+    EXPECT_EQ(a.trap, b.trap);
+    EXPECT_EQ(a.ret, b.ret);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(m.state_digest(), ref.state_digest());
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include "util/flags.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace gf::util {
@@ -94,44 +93,6 @@ TEST(Zipf, AllSamplesInRange) {
   Zipf z(10, 0.8);
   Rng r(17);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(z.sample(r), 10u);
-}
-
-TEST(Stats, AccumulatorBasics) {
-  Accumulator a;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) a.add(x);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(a.min(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max(), 4.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 10.0);
-  EXPECT_NEAR(a.stdev(), 1.2909944, 1e-6);
-}
-
-TEST(Stats, EmptyAccumulatorIsZero) {
-  Accumulator a;
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.stdev(), 0.0);
-}
-
-TEST(Stats, MeanStdev) {
-  std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-  EXPECT_NEAR(stdev(xs), 2.13809, 1e-4);
-}
-
-TEST(Stats, Percentile) {
-  std::vector<double> xs = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 5.5);
-}
-
-TEST(Stats, Ci95ShrinksWithN) {
-  std::vector<double> small = {1, 2, 3, 4};
-  std::vector<double> large;
-  for (int i = 0; i < 16; ++i) large.insert(large.end(), {1, 2, 3, 4});
-  EXPECT_GT(ci95_halfwidth(small), ci95_halfwidth(large));
 }
 
 TEST(Table, RendersAlignedColumns) {
